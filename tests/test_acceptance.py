@@ -8,6 +8,7 @@ seed 0, per-product seeds derived by the documented splitting function.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -23,6 +24,10 @@ from pricelab.rng import XorShift64
 
 GRID_POINTS = 21
 MASTER_SEED = 0
+
+# SHA-256 of the 14 canonical Q tables as little-endian float64 bytes in
+# catalog order; the benchmark's reference file holds the same digest.
+GOLDEN_QTABLES_SHA256 = "762a32ef25128d589d49d1a27c82e4c97b6c7dd45a7fa2d00b8023c32b2bdebe"
 
 # Source table the embedded catalog must reproduce, to the printed decimal.
 TABLE_ROWS = [
@@ -137,6 +142,15 @@ def test_fixed_point_residual(canonical_run):
                 if trace.visit_counts[s, a] > 0:
                     worst = max(worst, abs(q.values[s, a] - (rewards[s, a] + bootstrap)))
     report("fixed-point-residual", worst <= 1e-3, f"max residual {worst:.3e} <= 1e-3")
+
+
+def test_golden_qtable_digest(canonical_run):
+    """The canonical Q tables are bitwise equal to the committed golden digest."""
+    h = hashlib.sha256()
+    for run in canonical_run["runs"]:
+        h.update(np.ascontiguousarray(run["q"].values, dtype="<f8").tobytes())
+    digest = h.hexdigest()
+    report("golden-qtable-digest", digest == GOLDEN_QTABLES_SHA256, f"sha256 {digest[:16]}...")
 
 
 def test_compare_determinism(tmp_path, capsys):
