@@ -1,17 +1,11 @@
-"""Training inner loops: numba-compiled kernel with a pure-Python twin.
+"""Training inner loop: one scalar Q-learning walk over Python floats.
 
 The Q-update walk is inherently sequential (each step reads the table the
-previous step wrote), so the hot path is a tight scalar loop.  By default
-it runs under numba's @njit; setting the environment variable
-``PRICELAB_NO_NUMBA=1`` (or installing without numba) selects the
-pure-Python twin instead.
-
-Both paths draw from the same xorshift64 bit stream and apply float
-operations in the same order, so for noise-free training they produce
-bitwise-identical Q tables; the test suite asserts this.  With demand
-noise enabled the Gaussian transform goes through libm, whose last-ulp
-behavior may differ between compilers, so only same-backend determinism
-is guaranteed there.
+previous step wrote), so the hot path is a tight scalar loop.  It draws
+from the same xorshift64 bit stream as ``pricelab.rng.XorShift64`` and
+applies float operations in the same order as the public
+``select_action``, ``noisy_demand`` and ``update_q`` ops; the test suite
+replays training through those ops and asserts bitwise-equal results.
 
 Kernel conventions: uniform doubles are the top 53 bits of each 64-bit
 word scaled by 2**-53; an exploration step consumes one draw for the
@@ -22,234 +16,19 @@ two more.  Greedy argmax ties break toward the lowest action index.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
+from .rng import _INV_2_53, MASK64
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    numba = None
-    HAVE_NUMBA = False
-
-DISABLE_ENV = "PRICELAB_NO_NUMBA"
-
-_INV_2_53 = 1.0 / 9007199254740992.0
 _TWO_PI = 6.283185307179586
 
-_U13 = np.uint64(13)
-_U7 = np.uint64(7)
-_U17 = np.uint64(17)
-_U11 = np.uint64(11)
-_U1 = np.uint64(1)
+HAVE_NUMBA = False  # read by the benchmark manifest
 
 
-def numba_enabled() -> bool:
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get(DISABLE_ENV, "").strip().lower() not in {"1", "true", "yes"}
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick 'numba' or 'python'; None means honor the env flag."""
-    if backend is None:
-        return "numba" if numba_enabled() else "python"
-    if backend not in ("numba", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return backend
-
-
-def _train_loop(
-    demand_table,      # (n_states, n_actions) noise-free demand per state/action
-    margins,           # (n_actions,) price minus unit cost
-    day_types,         # (steps_per_episode,) state index per calendar step
-    next_day_types,    # (steps_per_episode,) state index of the following day
-    eps_schedule,      # (episodes,) epsilon per episode
-    alpha,
-    gamma,
-    rng_state,         # uint64 xorshift64 state, nonzero
-    noise_sigma,
-    record_policies,
-):
-    n_states, n_actions = demand_table.shape
-    episodes = eps_schedule.shape[0]
-    steps = day_types.shape[0]
-
-    q = np.zeros((n_states, n_actions))
-    visits = np.zeros((n_states, n_actions), dtype=np.int64)
-    episode_rewards = np.zeros(episodes)
-    policies = np.zeros((episodes if record_policies else 0, n_states), dtype=np.int64)
-
-    x = rng_state
-    for ep in range(episodes):
-        eps = eps_schedule[ep]
-        total = 0.0
-        for t in range(steps):
-            s = day_types[t]
-
-            x ^= x << _U13
-            x ^= x >> _U7
-            x ^= x << _U17
-            u = (x >> _U11) * _INV_2_53
-            if u < eps:
-                x ^= x << _U13
-                x ^= x >> _U7
-                x ^= x << _U17
-                a = int(((x >> _U11) * _INV_2_53) * n_actions)
-            else:
-                a = 0
-                best = q[s, 0]
-                for j in range(1, n_actions):
-                    if q[s, j] > best:
-                        best = q[s, j]
-                        a = j
-
-            d = demand_table[s, a]
-            if noise_sigma > 0.0:
-                x ^= x << _U13
-                x ^= x >> _U7
-                x ^= x << _U17
-                u1 = ((x >> _U11) + _U1) * _INV_2_53
-                x ^= x << _U13
-                x ^= x >> _U7
-                x ^= x << _U17
-                u2 = (x >> _U11) * _INV_2_53
-                z = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
-                d = d * (1.0 + noise_sigma * z)
-                if d < 0.0:
-                    d = 0.0
-            r = margins[a] * d
-
-            ns = next_day_types[t]
-            m = q[ns, 0]
-            for j in range(1, n_actions):
-                if q[ns, j] > m:
-                    m = q[ns, j]
-
-            q[s, a] = (1.0 - alpha) * q[s, a] + alpha * (r + gamma * m)
-            visits[s, a] += 1
-            total += r
-        episode_rewards[ep] = total
-        if record_policies:
-            for st in range(n_states):
-                a = 0
-                best = q[st, 0]
-                for j in range(1, n_actions):
-                    if q[st, j] > best:
-                        best = q[st, j]
-                        a = j
-                policies[ep, st] = a
-
-    return q, episode_rewards, visits, policies
-
-
-if HAVE_NUMBA:
-    _train_numba = numba.njit(cache=True, nogil=True)(_train_loop)
-else:  # pragma: no cover
-    _train_numba = None
-
-
-def _train_python(
-    demand_table,
-    margins,
-    day_types,
-    next_day_types,
-    eps_schedule,
-    alpha,
-    gamma,
-    rng_state,
-    noise_sigma,
-    record_policies,
-):
-    """Pure-Python twin of ``_train_loop`` (Python-int RNG, list rows)."""
-    n_states, n_actions = demand_table.shape
-    episodes = eps_schedule.shape[0]
-    steps = day_types.shape[0]
-    mask = (1 << 64) - 1
-
-    q = [[0.0] * n_actions for _ in range(n_states)]
-    visits = [[0] * n_actions for _ in range(n_states)]
-    episode_rewards = np.zeros(episodes)
-    policies = np.zeros((episodes if record_policies else 0, n_states), dtype=np.int64)
-
-    # plain Python floats/ints: same IEEE values, much faster scalar ops
-    dem = [[float(v) for v in row] for row in demand_table]
-    marg = [float(v) for v in margins]
-    days = day_types.tolist()
-    next_days = next_day_types.tolist()
-    eps_list = eps_schedule.tolist()
-    x = int(rng_state)
-
-    for ep in range(episodes):
-        eps = eps_list[ep]
-        total = 0.0
-        for t in range(steps):
-            s = days[t]
-
-            x ^= (x << 13) & mask
-            x ^= x >> 7
-            x ^= (x << 17) & mask
-            if (x >> 11) * _INV_2_53 < eps:
-                x ^= (x << 13) & mask
-                x ^= x >> 7
-                x ^= (x << 17) & mask
-                a = int((x >> 11) * _INV_2_53 * n_actions)
-            else:
-                row = q[s]
-                a = 0
-                best = row[0]
-                for j in range(1, n_actions):
-                    if row[j] > best:
-                        best = row[j]
-                        a = j
-
-            d = dem[s][a]
-            if noise_sigma > 0.0:
-                x ^= (x << 13) & mask
-                x ^= x >> 7
-                x ^= (x << 17) & mask
-                u1 = ((x >> 11) + 1) * _INV_2_53
-                x ^= (x << 13) & mask
-                x ^= x >> 7
-                x ^= (x << 17) & mask
-                u2 = (x >> 11) * _INV_2_53
-                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-                d = d * (1.0 + noise_sigma * z)
-                if d < 0.0:
-                    d = 0.0
-            r = marg[a] * d
-
-            nrow = q[next_days[t]]
-            m = nrow[0]
-            for j in range(1, n_actions):
-                if nrow[j] > m:
-                    m = nrow[j]
-
-            q[s][a] = (1.0 - alpha) * q[s][a] + alpha * (r + gamma * m)
-            visits[s][a] += 1
-            total += r
-        episode_rewards[ep] = total
-        if record_policies:
-            for st in range(n_states):
-                row = q[st]
-                a = 0
-                best = row[0]
-                for j in range(1, n_actions):
-                    if row[j] > best:
-                        best = row[j]
-                        a = j
-                policies[ep, st] = a
-
-    return (
-        np.array(q, dtype=np.float64),
-        episode_rewards,
-        np.array(visits, dtype=np.int64),
-        policies,
-    )
+def resolve_backend() -> str:
+    """Name of the training kernel; read by the benchmark manifest."""
+    return "python"
 
 
 def run_train_kernel(
@@ -263,32 +42,73 @@ def run_train_kernel(
     rng_state: int,
     noise_sigma: float = 0.0,
     record_policies: bool = False,
-    backend: str | None = None,
 ):
-    """Dispatch to the selected backend; returns (q, episode_rewards, visits, policies)."""
-    chosen = resolve_backend(backend)
-    if chosen == "numba":
-        return _train_numba(
-            demand_table,
-            margins,
-            day_types,
-            next_day_types,
-            eps_schedule,
-            float(alpha),
-            float(gamma),
-            np.uint64(rng_state),
-            float(noise_sigma),
-            record_policies,
-        )
-    return _train_python(
-        demand_table,
-        margins,
-        day_types,
-        next_day_types,
-        eps_schedule,
-        float(alpha),
-        float(gamma),
-        int(rng_state),
-        float(noise_sigma),
-        record_policies,
+    """Train one Q table; returns (q, episode_rewards, visits, policies).
+
+    ``demand_table`` holds the noise-free demand per (state, action),
+    ``margins`` the price minus unit cost per action, ``day_types`` and
+    ``next_day_types`` the state of each calendar step and of its
+    following day, ``eps_schedule`` the epsilon per episode, and
+    ``rng_state`` a nonzero xorshift64 state.
+    """
+    n_states, n_actions = demand_table.shape
+    alpha = float(alpha)
+    gamma = float(gamma)
+    noise_sigma = float(noise_sigma)
+
+    # plain Python floats/ints: same IEEE values, much faster scalar ops
+    dem = demand_table.tolist()
+    marg = margins.tolist()
+    steps = list(zip(day_types.tolist(), next_day_types.tolist()))
+    x = int(rng_state)
+
+    q = [[0.0] * n_actions for _ in range(n_states)]
+    visits = [[0] * n_actions for _ in range(n_states)]
+    episode_rewards = []
+    policies = []
+
+    for eps in eps_schedule.tolist():
+        total = 0.0
+        for s, ns in steps:
+            row = q[s]
+
+            x ^= (x << 13) & MASK64
+            x ^= x >> 7
+            x ^= (x << 17) & MASK64
+            if (x >> 11) * _INV_2_53 < eps:
+                x ^= (x << 13) & MASK64
+                x ^= x >> 7
+                x ^= (x << 17) & MASK64
+                a = int((x >> 11) * _INV_2_53 * n_actions)
+            else:
+                a = row.index(max(row))
+
+            d = dem[s][a]
+            if noise_sigma > 0.0:
+                x ^= (x << 13) & MASK64
+                x ^= x >> 7
+                x ^= (x << 17) & MASK64
+                u1 = ((x >> 11) + 1) * _INV_2_53
+                x ^= (x << 13) & MASK64
+                x ^= x >> 7
+                x ^= (x << 17) & MASK64
+                u2 = (x >> 11) * _INV_2_53
+                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+                d = d * (1.0 + noise_sigma * z)
+                if d < 0.0:
+                    d = 0.0
+            r = marg[a] * d
+
+            row[a] = (1.0 - alpha) * row[a] + alpha * (r + gamma * max(q[ns]))
+            visits[s][a] += 1
+            total += r
+        episode_rewards.append(total)
+        if record_policies:
+            policies.append([row.index(max(row)) for row in q])
+
+    return (
+        np.array(q, dtype=np.float64),
+        np.array(episode_rewards, dtype=np.float64),
+        np.array(visits, dtype=np.int64),
+        np.array(policies, dtype=np.int64).reshape(-1, n_states),
     )

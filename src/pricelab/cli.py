@@ -102,7 +102,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             if key == "grid_span":
                 lo, hi = value
                 return (float(lo), float(hi))
-            return CONFIG_KEYS[key](value) if key in CONFIG_KEYS else value
+            if CONFIG_KEYS[key] is int and (
+                isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+            ):
+                raise ValueError(f"expected an integer, got {value!r}")
+            return CONFIG_KEYS[key](value)
         except (TypeError, ValueError) as exc:
             raise CliError(f"invalid config value for {key!r}: {exc}") from None
 
@@ -135,14 +139,19 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _parse_catalog_file(path: str):
+    p = Path(path)
+    if not p.is_file():
+        raise CliError(f"catalog file not found: {path}")
+    # utf-8-sig drops the byte-order mark spreadsheets put before the header
+    return parse_catalog(p.read_text(encoding="utf-8-sig"))
+
+
 def _load_catalog(args: argparse.Namespace):
     path = getattr(args, "catalog", None)
     if path is None:
         return sample_catalog(), None
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"catalog file not found: {path}")
-    specs, report = parse_catalog(p.read_text(encoding="utf-8"))
+    specs, report = _parse_catalog_file(path)
     if report.rejections:
         print(
             f"pricelab: warning: {len(report.rejections)} catalog rows rejected; "
@@ -165,11 +174,7 @@ def _cmd_sample_catalog(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    path = args.catalog
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"catalog file not found: {path}")
-    specs, report = parse_catalog(p.read_text(encoding="utf-8"))
+    _, report = _parse_catalog_file(args.catalog)
     lines = []
     for o in report.outcomes:
         if o.accepted:
@@ -238,7 +243,7 @@ def _cmd_optimize(args) -> int:
             }
             for name, day, opt in rows
         ]
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     elif args.format == "markdown":
         headers = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
         lines = ["| " + " | ".join(headers) + " |", "| " + " | ".join(["---"] * len(headers)) + " |"]
@@ -355,10 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"pricelab: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"pricelab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,8 +84,8 @@ class DayModulation:
     weekend: float = 1.0
 
     def __post_init__(self):
-        if self.weekday <= 0 or self.weekend <= 0:
-            raise ValueError("day multipliers must be > 0")
+        if not all(math.isfinite(m) and m > 0 for m in (self.weekday, self.weekend)):
+            raise ValueError("day multipliers must be finite and > 0")
 
     def multiplier(self, day: DayType) -> float:
         return self.weekday if day is DayType.WEEKDAY else self.weekend

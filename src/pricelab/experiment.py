@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -26,7 +27,7 @@ import numpy as np
 from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum
 from .domain import DayModulation, DayType, ProductSpec, default_price_grid, demand
 from .qlearn import Hyperparams, evaluate_greedy, train
-from .rng import split_seed
+from .rng import MASK64, split_seed
 
 COST_POLICY_KINDS = ("catalog", "zero", "fraction")
 
@@ -64,10 +65,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         lo, hi = self.grid_span
-        if not (0 < lo < hi):
-            raise ValueError("grid_span must satisfy 0 < lo < hi")
+        if not (0 < lo < hi < math.inf):
+            raise ValueError("grid_span must be finite and satisfy 0 < lo < hi")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        if not (0 <= self.master_seed <= MASK64):
+            raise ValueError("master_seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def render_report(
         doc = {"rows": [_row_as_dict(r) for r in rows]}
         if config is not None:
             doc = {"config": _config_as_dict(config), "rows": doc["rows"]}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     if format == "markdown":
         lines = ["| " + " | ".join(_MD_HEADERS) + " |", "| " + " | ".join(["---"] * len(_MD_HEADERS)) + " |"]

@@ -193,13 +193,11 @@ def train(
     *,
     noise_sigma: float = 0.0,
     record_policies: bool = False,
-    backend: str | None = None,
 ) -> tuple[QTable, TrainingTrace]:
     """Run the full training loop for one product.
 
-    Returns the learned table and a per-episode trace.  ``backend``
-    forces 'numba' or 'python'; by default the compiled kernel is used
-    when available (see the PRICELAB_NO_NUMBA environment flag).
+    Returns the learned table and a per-episode trace; ``record_policies``
+    adds the greedy action per state after every episode to the trace.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
@@ -216,7 +214,6 @@ def train(
         seed_to_state(hp.seed),
         noise_sigma=noise_sigma,
         record_policies=record_policies,
-        backend=backend,
     )
     trace = TrainingTrace(
         epsilons=eps,

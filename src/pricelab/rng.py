@@ -2,8 +2,8 @@
 
 The generator is Marsaglia's xorshift64 (shift triple 13, 7, 17), chosen
 because its state transition uses only shifts and xors, so the exact same
-bit stream is produced by the pure-Python loop, the numba-compiled kernel,
-and any other faithful port.  Seeds are expanded into a nonzero initial
+bit stream is produced by this class, the training kernel, and any other
+faithful port.  Seeds are expanded into a nonzero initial
 state with the SplitMix64 finalizer, which also provides the stream
 splitting used to derive independent per-product seeds from one master
 seed.

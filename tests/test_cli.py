@@ -62,6 +62,29 @@ class TestValidate:
         assert excinfo.value.code == 2
 
 
+class TestFileBoundary:
+    @pytest.mark.parametrize(
+        "argv", [["optimize"], ["train", "--product", 'Sony 40" FHD', *FAST]], ids=["optimize", "train"]
+    )
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.csv"
+        code, _, err = run(capsys, [*argv, "-o", str(target)])
+        assert code == 2
+        assert err.startswith("pricelab: error:")
+        assert str(target) in err
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    def test_catalog_with_byte_order_mark(self, tmp_path, capsys, command):
+        cat = tmp_path / "bom.csv"
+        cat.write_bytes(
+            "\ufeffproduct_name,price_elasticity,base_price,base_demand\nTV,-1.0,99.0,10.0\n".encode("utf-8")
+        )
+        code, out, err = run(capsys, [command, "--catalog", str(cat)])
+        assert code == 0
+        assert err == ""
+        assert "TV" in out
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -112,6 +135,33 @@ class TestConfigFile:
         code, _, err = run(capsys, ["compare", "--config", str(cfg)])
         assert code == 2
         assert "cfg.json" in err
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--weekend-multiplier", "inf", "--format", "json"], None),
+            (["--weekday-multiplier", "nan"], None),
+            (["--grid-span", "0.5", "inf"], None),
+            (["--seed", str(2**64)], None),
+            (["--seed", "-1"], None),
+            ([], {"episodes": 2.9}),
+            ([], {"episodes": True}),
+        ],
+        ids=["weekend-inf-json", "weekday-nan", "grid-span-inf", "seed-2**64", "seed-minus-1",
+             "episodes-float", "episodes-bool"],
+    )
+    def test_out_of_range_values_exit_two(self, tmp_path, capsys, flags, config):
+        argv = ["compare", *flags]
+        if config is None:
+            argv += FAST
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("pricelab: error:")
 
     def test_invalid_value_exits_two_naming_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

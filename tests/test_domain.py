@@ -64,6 +64,11 @@ class TestDayTypes:
             DayModulation(weekday=0.0)
         with pytest.raises(ValueError):
             DayModulation(weekend=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                DayModulation(weekday=bad)
+            with pytest.raises(ValueError):
+                DayModulation(weekend=bad)
 
     def test_market_state(self):
         MarketState(product_index=0, day_type=DayType.WEEKEND)

@@ -61,6 +61,12 @@ class TestExperimentConfig:
             ExperimentConfig(grid_span=(0.0, 2.0))
         with pytest.raises(ValueError):
             ExperimentConfig(grid_points=1)
+        for span in ((0.5, float("inf")), (float("nan"), 2.0), (0.5, float("nan"))):
+            with pytest.raises(ValueError):
+                ExperimentConfig(grid_span=span)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                ExperimentConfig(master_seed=seed)
 
 
 class TestSeedSplitting:
@@ -169,6 +175,13 @@ class TestRenderReport:
             assert rendered["rl"]["profit"] == row.rl_profit
             assert rendered["analytic"]["price"] == row.analytic.price
             assert rendered["grid_search"]["clamped"] == row.grid_search.clamped
+
+    def test_json_rejects_non_finite_values(self):
+        row = ComparisonRow(
+            product_name="x", day_type=DayType.WEEKDAY, rl_price=1.0, rl_demand=1.0, rl_profit=float("inf")
+        )
+        with pytest.raises(ValueError):
+            render_report([row], "json")
 
     def test_markdown_headers_and_footnote(self, rows):
         text = render_report(rows, "markdown")

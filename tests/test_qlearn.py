@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pricelab import _kernels
-from pricelab.domain import DayModulation, DayType, PriceGrid, ProductSpec, default_price_grid, demand, reward
+from pricelab.domain import (
+    DayModulation,
+    DayType,
+    PriceGrid,
+    ProductSpec,
+    default_price_grid,
+    demand,
+    noisy_demand,
+    reward,
+)
 from pricelab.qlearn import (
     GreedyOutcome,
     Hyperparams,
@@ -24,8 +32,6 @@ from pricelab.qlearn import (
 from pricelab.rng import XorShift64
 
 S24 = ProductSpec(name='Samsung 24" HD', base_demand=80.0, base_price=109.2, elasticity=-0.5)
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba is not installed")
 
 
 def small_hp(**kw):
@@ -189,6 +195,8 @@ class TestTrainContract:
         # one greedy-only episode touches a single action per state
         assert (trace.visit_counts > 0).sum() <= 2
         assert np.count_nonzero(q.values) <= 2
+        # the all-zero rows tie, and ties break toward the lowest index
+        assert trace.visit_counts[:, 0].sum() == 7
 
     def test_trace_contents(self):
         grid = default_price_grid(S24, 5)
@@ -231,54 +239,44 @@ class TestTrainContract:
 class TestReplayParity:
     """Training must equal a step-by-step replay through the public ops."""
 
-    def replay(self, spec, grid, modulation, hp):
+    def replay(self, spec, grid, modulation, hp, noise_sigma):
+        """Returns the table, per-episode reward totals, visit counts and
+        per-episode greedy policies."""
         q = QTable.zeros(2, len(grid))
         rng = XorShift64(hp.seed)
         days = calendar_day_types(hp.steps_per_episode)
         nxt = calendar_next_day_types(hp.steps_per_episode)
+        visits = np.zeros((2, len(grid)), dtype=np.int64)
+        totals = []
+        policies = []
         for episode in range(hp.episodes):
             eps = epsilon_at(hp, episode)
+            total = 0.0
             for t in range(hp.steps_per_episode):
                 s = int(days[t])
                 a = select_action(q, s, eps, rng)
                 price = grid[a]
                 mult = modulation.multiplier(DayType(s))
-                d = demand(spec, price, mult)
-                update_q(q, s, a, reward(spec, price, d), int(nxt[t]), hp)
-        return q
+                r = reward(spec, price, noisy_demand(spec, price, mult, noise_sigma, rng))
+                update_q(q, s, a, r, int(nxt[t]), hp)
+                visits[s, a] += 1
+                total += r
+            totals.append(total)
+            policies.append([q.argmax_action(0), q.argmax_action(1)])
+        return q, np.array(totals), visits, np.array(policies, dtype=np.int64)
 
-    @pytest.mark.parametrize("backend", ["python", pytest.param("numba", marks=needs_numba)])
-    def test_kernel_matches_public_ops(self, backend):
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.2])
+    def test_kernel_matches_public_ops(self, noise_sigma):
         spec = ProductSpec(name="costy", base_demand=40.0, base_price=142.7, elasticity=-1.9, unit_cost=30.0)
         grid = default_price_grid(spec, 7)
         modulation = DayModulation(weekday=1.0, weekend=1.2)
         hp = small_hp(episodes=120, steps_per_episode=7, seed=42)
-        q_train, _ = train(spec, grid, modulation, hp, backend=backend)
-        q_replay = self.replay(spec, grid, modulation, hp)
+        q_train, trace = train(spec, grid, modulation, hp, noise_sigma=noise_sigma, record_policies=True)
+        q_replay, totals, visits, policies = self.replay(spec, grid, modulation, hp, noise_sigma)
         assert np.array_equal(q_train.values, q_replay.values)
-
-
-class TestBackendEquivalence:
-    @needs_numba
-    def test_bitwise_equal_tables_and_traces(self):
-        grid = default_price_grid(S24, 21)
-        hp = small_hp(episodes=300)
-        qn, tn = train(S24, grid, hp=hp, backend="numba", record_policies=True)
-        qp, tp = train(S24, grid, hp=hp, backend="python", record_policies=True)
-        assert np.array_equal(qn.values, qp.values)
-        assert np.array_equal(tn.episode_rewards, tp.episode_rewards)
-        assert np.array_equal(tn.visit_counts, tp.visit_counts)
-        assert np.array_equal(tn.greedy_policies, tp.greedy_policies)
-
-    def test_env_flag_selects_python(self, monkeypatch):
-        monkeypatch.setenv(_kernels.DISABLE_ENV, "1")
-        assert _kernels.resolve_backend(None) == "python"
-        monkeypatch.setenv(_kernels.DISABLE_ENV, "")
-        assert _kernels.resolve_backend(None) == ("numba" if _kernels.HAVE_NUMBA else "python")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.resolve_backend("fortran")
+        assert np.array_equal(trace.episode_rewards, totals)
+        assert np.array_equal(trace.visit_counts, visits)
+        assert np.array_equal(trace.greedy_policies, policies)
 
 
 class TestNoiseHook:
@@ -289,14 +287,13 @@ class TestNoiseHook:
         q_zero, _ = train(S24, grid, hp=hp, noise_sigma=0.0)
         assert np.array_equal(q_default.values, q_zero.values)
 
-    @pytest.mark.parametrize("backend", ["python", pytest.param("numba", marks=needs_numba)])
-    def test_noise_deterministic_per_backend(self, backend):
+    def test_noise_deterministic(self):
         grid = default_price_grid(S24, 5)
         hp = small_hp(episodes=50)
-        q1, _ = train(S24, grid, hp=hp, noise_sigma=0.2, backend=backend)
-        q2, _ = train(S24, grid, hp=hp, noise_sigma=0.2, backend=backend)
+        q1, _ = train(S24, grid, hp=hp, noise_sigma=0.2)
+        q2, _ = train(S24, grid, hp=hp, noise_sigma=0.2)
         assert np.array_equal(q1.values, q2.values)
-        q3, _ = train(S24, grid, hp=hp, noise_sigma=0.0, backend=backend)
+        q3, _ = train(S24, grid, hp=hp, noise_sigma=0.0)
         assert not np.array_equal(q1.values, q3.values)
         assert np.isfinite(q1.values).all()
 
