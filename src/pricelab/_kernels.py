@@ -1,11 +1,19 @@
-"""Training inner loop: one scalar Q-learning walk over Python floats.
+"""Training inner loops: a scalar Q-learning walk and its lockstep twin.
 
 The Q-update walk is inherently sequential (each step reads the table the
-previous step wrote), so the hot path is a tight scalar loop.  It draws
-from the same xorshift64 bit stream as ``pricelab.rng.XorShift64`` and
-applies float operations in the same order as the public
-``select_action``, ``noisy_demand`` and ``update_q`` ops; the test suite
-replays training through those ops and asserts bitwise-equal results.
+previous step wrote), so ``run_train_kernel`` is a tight scalar loop over
+Python floats.  It draws from the same xorshift64 bit stream as
+``pricelab.rng.XorShift64`` and applies float operations in the same order
+as the public ``select_action``, ``noisy_demand`` and ``update_q`` ops; the
+test suite replays training through those ops and asserts bitwise-equal
+results.
+
+``run_lockstep_kernel`` walks many products at once: products that share a
+calendar, an epsilon schedule and an action count step together as numpy
+lanes, one array operation per lane-wide step.  Every lane performs the
+same float operations as the scalar walk, so each lane's table is bitwise
+equal to that product's scalar result.  Its fixed cost per step is higher,
+so it pays off only for many products.
 
 Kernel conventions: uniform doubles are the top 53 bits of each 64-bit
 word scaled by 2**-53; an exploration step consumes one draw for the
@@ -112,3 +120,77 @@ def run_train_kernel(
         np.array(visits, dtype=np.int64),
         np.array(policies, dtype=np.int64).reshape(-1, n_states),
     )
+
+
+_SHIFT_7 = np.uint64(7)
+_SHIFT_11 = np.uint64(11)
+_SHIFT_13 = np.uint64(13)
+_SHIFT_17 = np.uint64(17)
+
+
+def _xorshift_lanes(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
+    """One xorshift64 step of every lane of ``src``, written to ``dst``."""
+    np.left_shift(src, _SHIFT_13, out=tmp)
+    np.bitwise_xor(src, tmp, out=dst)
+    np.right_shift(dst, _SHIFT_7, out=tmp)
+    dst ^= tmp
+    np.left_shift(dst, _SHIFT_17, out=tmp)
+    dst ^= tmp
+
+
+def run_lockstep_kernel(
+    rewards: np.ndarray,
+    day_types: np.ndarray,
+    next_day_types: np.ndarray,
+    eps_schedule: np.ndarray,
+    alpha: float,
+    gamma: float,
+    rng_states: np.ndarray,
+) -> np.ndarray:
+    """Train one Q table per lane; returns the ``(lanes, states, actions)`` tables.
+
+    ``rewards[p, s, a]`` is lane ``p``'s noise-free reward (margin times
+    demand), ``rng_states`` one nonzero xorshift64 state per lane; the
+    calendar, epsilon schedule, ``alpha`` and ``gamma`` are shared.  Each
+    lane's table is bitwise equal to ``run_train_kernel`` on that lane's
+    inputs without noise.
+    """
+    n_lanes, n_states, n_actions = rewards.shape
+    alpha = float(alpha)
+    gamma = float(gamma)
+    keep = 1.0 - alpha
+
+    # state-major layout: the rows of one state are one contiguous block
+    q = np.zeros((n_states, n_lanes, n_actions))
+    q_flat = [q[s].reshape(-1) for s in range(n_states)]
+    r_flat = [np.ascontiguousarray(rewards[:, s, :]).reshape(-1) for s in range(n_states)]
+    lane_offsets = np.arange(n_lanes) * n_actions
+    x = np.array(rng_states, dtype=np.uint64)
+    x2 = np.empty_like(x)
+    top = np.empty_like(x)
+    tmp = np.empty_like(x)
+    # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
+    # (k * 2**-53) * n does
+    action_scale = np.float64(n_actions * _INV_2_53)
+    steps = list(zip(day_types.tolist(), next_day_types.tolist()))
+
+    for eps in eps_schedule.tolist():
+        # for an integer k: k * 2**-53 < eps  <=>  k < ceil(eps * 2**53)
+        explore_below = np.uint64(math.ceil(eps * 9007199254740992.0))
+        for s, ns in steps:
+            _xorshift_lanes(x, x, tmp)
+            np.right_shift(x, _SHIFT_11, out=top)
+            explore = top < explore_below
+            # every lane draws the action word; only exploring lanes keep it
+            _xorshift_lanes(x, x2, tmp)
+            np.right_shift(x2, _SHIFT_11, out=top)
+            a = q[s].argmax(axis=1)  # ties break toward the lowest index
+            np.copyto(a, (top * action_scale).astype(a.dtype), where=explore)
+            np.copyto(x, x2, where=explore)
+
+            idx = lane_offsets + a
+            best_next = q[ns].max(axis=1)
+            qs = q_flat[s]
+            qs[idx] = keep * qs[idx] + alpha * (r_flat[s][idx] + gamma * best_next)
+
+    return np.ascontiguousarray(q.transpose(1, 0, 2))

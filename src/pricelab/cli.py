@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +29,7 @@ from .experiment import (
     ExperimentConfig,
     derive_product_seed,
     export_revenue_curves,
+    markdown_escape,
     render_report,
     run_experiment,
 )
@@ -99,14 +99,17 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     def take(key: str, default):
         value = settings.get(key, default)
         try:
+            kind = CONFIG_KEYS[key]
+            numbers = value if key == "grid_span" else [value]
+            # JSON true/false would otherwise convert to 1 and 0
+            if kind is not str and any(isinstance(v, bool) for v in numbers):
+                raise ValueError(f"expected a number, got {value!r}")
             if key == "grid_span":
                 lo, hi = value
                 return (float(lo), float(hi))
-            if CONFIG_KEYS[key] is int and (
-                isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
-            ):
+            if kind is int and isinstance(value, float) and not value.is_integer():
                 raise ValueError(f"expected an integer, got {value!r}")
-            return CONFIG_KEYS[key](value)
+            return kind(value)
         except (TypeError, ValueError) as exc:
             raise CliError(f"invalid config value for {key!r}: {exc}") from None
 
@@ -249,7 +252,7 @@ def _cmd_optimize(args) -> int:
         lines = ["| " + " | ".join(headers) + " |", "| " + " | ".join(["---"] * len(headers)) + " |"]
         for name, day, opt in rows:
             lines.append(
-                f"| {name} | {day} | {opt.method.value} | {opt.price:.1f} | "
+                f"| {markdown_escape(name)} | {day} | {opt.method.value} | {opt.price:.1f} | "
                 f"{opt.demand:.1f} | {opt.profit:.2f} | {str(opt.clamped).lower()} |"
             )
         text = "\n".join(lines) + "\n"
@@ -272,10 +275,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    jobs = args.jobs if args.jobs is not None else min(len(catalog), os.cpu_count() or 1)
-    if jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    rows: list[ComparisonRow] = run_experiment(catalog, config, jobs=jobs)
+    rows: list[ComparisonRow] = run_experiment(catalog, config)
     _write_output(render_report(rows, args.format, config), args.output)
     return 0
 
@@ -349,7 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_config_flags(p)
     p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
-    p.add_argument("--jobs", type=int, help="parallel product workers (default: product count capped at CPUs)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help="accepted for compatibility, must be >= 1; has no effect on output or speed "
+        "(large catalogs train in lockstep in one process)",
+    )
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -7,9 +7,10 @@ Reports render as CSV, JSON (full precision, with a config provenance
 block), or Markdown.
 
 Everything is deterministic given the catalog and config: per-product
-seeds are derived from the master seed by a frozen splitting function
-(see ``pricelab.rng.split_seed``), so products may train concurrently
-and the report never depends on scheduling.
+seeds are derived from the master seed and the catalog index by a frozen
+splitting function (see ``pricelab.rng.split_seed``), and large catalogs
+train in lockstep with results bitwise equal to training each product
+alone.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import dataclasses
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum
-from .domain import DayModulation, DayType, ProductSpec, default_price_grid, demand
-from .qlearn import Hyperparams, evaluate_greedy, train
+from .domain import DayModulation, DayType, PriceGrid, ProductSpec, default_price_grid, demand
+from .qlearn import Hyperparams, QTable, evaluate_greedy, reward_tables, train, train_lockstep
 from .rng import MASK64, split_seed
 
 COST_POLICY_KINDS = ("catalog", "zero", "fraction")
@@ -89,23 +89,47 @@ class ComparisonRow:
     error: str | None = None
 
 
+# Catalogs with at least this many trainable products train in lockstep
+# (``qlearn.train_lockstep``); smaller ones train product by product, where
+# the scalar kernel's lower fixed cost per step wins.  Both give the same
+# tables, so the choice changes speed only.
+LOCKSTEP_MIN_PRODUCTS = 16
+
+_DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
+
+
 def derive_product_seed(master_seed: int, product_index: int) -> int:
     """Frozen master-seed splitting; documented in ``pricelab.rng``."""
     return split_seed(master_seed, product_index)
 
 
-def _product_rows(spec: ProductSpec, index: int, config: ExperimentConfig) -> list[ComparisonRow]:
+@dataclass(frozen=True)
+class _Setup:
+    """One product ready to train: costed spec, price grid, seeded
+    hyperparameters and its reward table."""
+
+    costed: ProductSpec
+    grid: PriceGrid
+    hp: Hyperparams
+    rewards: np.ndarray
+
+
+def _setup(spec: ProductSpec, index: int, config: ExperimentConfig) -> _Setup:
     costed = config.cost_policy.apply(spec)
     lo_ratio, hi_ratio = config.grid_span
     grid = default_price_grid(costed, config.grid_points, lo_ratio, hi_ratio)
-    bounds = (grid.lo, grid.hi)
     hp = replace(config.hyperparams, seed=derive_product_seed(config.master_seed, index))
+    demand_table, margins = reward_tables(costed, grid, config.modulation, hp.gamma)
+    return _Setup(costed, grid, hp, margins * demand_table)
 
-    q, _ = train(costed, grid, config.modulation, hp)
+
+def _comparison_rows(name: str, setup: _Setup, q: QTable, config: ExperimentConfig) -> list[ComparisonRow]:
+    costed, grid = setup.costed, setup.grid
+    bounds = (grid.lo, grid.hi)
     greedy = evaluate_greedy(q, costed, grid, config.modulation)
 
     rows = []
-    for day, rl in zip((DayType.WEEKDAY, DayType.WEEKEND), greedy):
+    for day, rl in zip(_DAYS, greedy):
         mult = config.modulation.multiplier(day)
         ana = analytic_optimum(costed, bounds, mult)
         gs = grid_search_optimum(costed, grid, mult)
@@ -114,7 +138,7 @@ def _product_rows(spec: ProductSpec, index: int, config: ExperimentConfig) -> li
         ratio = rl.profit / best if best > 0 else None
         rows.append(
             ComparisonRow(
-                product_name=spec.name,
+                product_name=name,
                 day_type=day,
                 rl_price=rl.price,
                 rl_demand=rl.demand,
@@ -128,34 +152,50 @@ def _product_rows(spec: ProductSpec, index: int, config: ExperimentConfig) -> li
     return rows
 
 
-def run_experiment(
-    catalog: list[ProductSpec], config: ExperimentConfig, jobs: int = 1
-) -> list[ComparisonRow]:
+def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:
     """Train and compare every product; rows come back in catalog order.
 
-    A failing product contributes error-marked rows instead of aborting
-    the batch.  ``jobs > 1`` trains products concurrently; results are
-    identical to the sequential schedule.
+    Three phases: set every product up (cost policy, grid, seed, reward
+    table), train them all, then evaluate each greedy policy against the
+    baselines.  A product that fails any phase contributes error-marked
+    rows instead of aborting the batch; its seed comes from its catalog
+    index, so it never shifts the seeds of the others.
     """
     if not catalog:
         raise ValueError("catalog must be non-empty")
 
-    def one(index: int) -> list[ComparisonRow]:
-        spec = catalog[index]
-        try:
-            return _product_rows(spec, index, config)
-        except Exception as exc:  # failed product becomes a marked row, batch continues
-            return [
-                ComparisonRow(product_name=spec.name, day_type=day, error=str(exc))
-                for day in (DayType.WEEKDAY, DayType.WEEKEND)
-            ]
+    per_product: list[list[ComparisonRow]] = [[] for _ in catalog]
 
-    indices = range(len(catalog))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_product = list(pool.map(one, indices))
+    def fail(index: int, exc: Exception) -> None:
+        # a failed product becomes marked rows; the batch continues
+        per_product[index] = [
+            ComparisonRow(product_name=catalog[index].name, day_type=day, error=str(exc)) for day in _DAYS
+        ]
+
+    setups: dict[int, _Setup] = {}
+    for index, spec in enumerate(catalog):
+        try:
+            setups[index] = _setup(spec, index, config)
+        except Exception as exc:
+            fail(index, exc)
+
+    tables: dict[int, QTable] = {}
+    if len(setups) >= LOCKSTEP_MIN_PRODUCTS:
+        rewards = np.stack([s.rewards for s in setups.values()])
+        seeds = [s.hp.seed for s in setups.values()]
+        tables = dict(zip(setups, train_lockstep(rewards, config.hyperparams, seeds)))
     else:
-        per_product = [one(i) for i in indices]
+        for index, s in setups.items():
+            try:
+                tables[index], _ = train(s.costed, s.grid, config.modulation, s.hp)
+            except Exception as exc:
+                fail(index, exc)
+
+    for index, q in tables.items():
+        try:
+            per_product[index] = _comparison_rows(catalog[index].name, setups[index], q, config)
+        except Exception as exc:
+            fail(index, exc)
 
     return [row for rows in per_product for row in rows]
 
@@ -233,6 +273,11 @@ _MD_HEADERS = [
 ]
 
 
+def markdown_escape(text: str) -> str:
+    """A Markdown table cell: a literal ``|`` would end the cell."""
+    return text.replace("|", "\\|")
+
+
 def render_report(
     rows: list[ComparisonRow], format: str = "csv", config: ExperimentConfig | None = None
 ) -> str:
@@ -271,12 +316,13 @@ def render_report(
             return [f"{opt.price:.1f}{mark}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
 
         for row in rows:
+            name = markdown_escape(row.product_name)
             if row.error:
-                cells = [row.product_name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
+                cells = [name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
             else:
                 ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
                 cells = (
-                    [row.product_name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
+                    [name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
                     + price_cell(row.analytic)
                     + price_cell(row.grid_search)
                     + price_cell(row.line_search)

@@ -8,8 +8,8 @@ calendar day's state.  Action selection is epsilon-greedy with a
 per-episode exponentially decaying epsilon held above a floor.
 
 Given identical inputs (including the seed carried by Hyperparams) a
-training run is bitwise deterministic, and independent runs may execute
-in parallel freely: nothing is shared.
+training run is bitwise deterministic.  ``train_lockstep`` trains many
+products in one pass and gives each the table ``train`` would.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import csv
 from dataclasses import dataclass
 
@@ -171,10 +172,16 @@ def calendar_next_day_types(steps: int) -> np.ndarray:
     return np.array([0 if (t + 1) % 7 < 5 else 1 for t in range(steps)], dtype=np.int64)
 
 
-def _reward_tables(
-    spec: ProductSpec, grid: PriceGrid, modulation: DayModulation
+def reward_tables(
+    spec: ProductSpec, grid: PriceGrid, modulation: DayModulation, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free demand per (day type, price) plus per-price margins."""
+    """Noise-free demand per (day type, price) plus per-price margins.
+
+    Rejects a product whose rewards (margin times demand) overflow: when
+    every reward is finite and so is the bound ``max|r| / (1 - gamma)``,
+    every Q entry stays within that bound (Watkins & Dayan, 1992) and no
+    update can reach inf or NaN.
+    """
     prices = grid.as_array()
     mults = modulation.as_array()
     demand_table = np.empty((2, len(prices)))
@@ -182,6 +189,11 @@ def _reward_tables(
         for a, price in enumerate(prices):
             demand_table[s, a] = demand(spec, price, mults[s])
     margins = prices - spec.unit_cost
+    # a NaN or inf reward propagates through the max, so one test covers both
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.abs(margins * demand_table).max()) / (1.0 - gamma)
+    if not math.isfinite(bound):
+        raise ValueError(f"rewards overflow: max |reward| / (1 - gamma) is {bound}")
     return demand_table, margins
 
 
@@ -201,7 +213,7 @@ def train(
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    demand_table, margins = _reward_tables(spec, grid, modulation)
+    demand_table, margins = reward_tables(spec, grid, modulation, hp.gamma)
     eps = epsilon_schedule(hp)
     values, episode_rewards, visits, policies = _kernels.run_train_kernel(
         demand_table,
@@ -222,6 +234,26 @@ def train(
         greedy_policies=policies if record_policies else None,
     )
     return QTable(values), trace
+
+
+def train_lockstep(rewards: np.ndarray, hp: Hyperparams, seeds: list[int]) -> list[QTable]:
+    """Train many products at once, without noise or a trace.
+
+    ``rewards[p]`` is product ``p``'s noise-free reward table (margins
+    times the demand of ``reward_tables``) and ``seeds[p]`` its seed;
+    ``hp.seed`` is not used.  Each table is bitwise equal to the one
+    ``train`` returns for that product and seed.
+    """
+    values = _kernels.run_lockstep_kernel(
+        rewards,
+        calendar_day_types(hp.steps_per_episode),
+        calendar_next_day_types(hp.steps_per_episode),
+        epsilon_schedule(hp),
+        hp.alpha,
+        hp.gamma,
+        np.array([seed_to_state(seed) for seed in seeds], dtype=np.uint64),
+    )
+    return [QTable(v) for v in values]
 
 
 def evaluate_greedy(

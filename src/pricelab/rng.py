@@ -46,14 +46,13 @@ def split_seed(master_seed: int, index: int) -> int:
 
     Child ``i`` is the ``(i + 1)``-th output of the SplitMix64 stream
     seeded with ``master_seed``.  The mapping is frozen: serialized runs
-    refer to it for reproducibility.
+    refer to it for reproducibility.  The stream's state is a Weyl
+    sequence, so the state before that output is ``master + i * gamma``
+    and one mix computes it (Steele, Lea & Flood, OOPSLA 2014).
     """
     if index < 0:
         raise ValueError("index must be >= 0")
-    state = master_seed & MASK64
-    out = 0
-    for _ in range(index + 1):
-        state, out = splitmix64(state)
+    _, out = splitmix64((master_seed + index * _SPLITMIX_GAMMA) & MASK64)
     return out
 
 

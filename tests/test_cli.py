@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -146,9 +147,11 @@ class TestConfigFile:
             (["--seed", "-1"], None),
             ([], {"episodes": 2.9}),
             ([], {"episodes": True}),
+            ([], {"alpha": True}),
+            ([], {"grid_span": [True, 2.0]}),
         ],
         ids=["weekend-inf-json", "weekday-nan", "grid-span-inf", "seed-2**64", "seed-minus-1",
-             "episodes-float", "episodes-bool"],
+             "episodes-float", "episodes-bool", "alpha-bool", "grid-span-bool"],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, flags, config):
         argv = ["compare", *flags]
@@ -215,6 +218,22 @@ class TestCompare:
         code, _, err = run(capsys, ["compare", "--jobs", "0", *FAST])
         assert code == 2
 
+    def test_overflowing_product_becomes_error_row(self, tmp_path, capsys):
+        header = "product_name,price_elasticity,base_price,base_demand\n"
+        fine = tmp_path / "fine.csv"
+        fine.write_text(header + "Fine TV,-1.0,100.0,10.0\n")
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(header + "Fine TV,-1.0,100.0,10.0\nBig,-0.5,100.0,1e307\n")
+        code, out, _ = run(capsys, ["compare", "--catalog", str(fine), *FAST, "--format", "json"])
+        assert code == 0
+        expected = json.loads(out)["rows"]
+        code, out, _ = run(capsys, ["compare", "--catalog", str(mixed), *FAST, "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[:2] == expected
+        assert [r["product"] for r in rows[2:]] == ["Big", "Big"]
+        assert all("rewards overflow" in r["error"] and r["rl"] is None for r in rows[2:])
+
 
 class TestTrain:
     def test_writes_table_and_sidecar(self, tmp_path, capsys):
@@ -274,3 +293,15 @@ class TestOptimize:
         code, out, _ = run(capsys, ["optimize", "--format", "markdown"])
         assert code == 0
         assert "| Product | Day | Method | Optimal Price | Optimal Demand | Profit | Clamped |" in out
+
+
+def test_markdown_escapes_pipe_in_product_names(tmp_path, capsys):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("product_name,price_elasticity,base_price,base_demand\nA|B,-1.0,100.0,10.0\n")
+    for command in (["optimize"], ["compare", *FAST]):
+        code, out, _ = run(capsys, [*command, "--catalog", str(cat), "--format", "markdown"])
+        assert code == 0
+        table = [line for line in out.splitlines() if line.startswith("|")]
+        columns = {len(re.split(r"(?<!\\)\|", line)) for line in table}
+        assert len(columns) == 1, command
+        assert "| A\\|B |" in out

@@ -95,11 +95,40 @@ class TestRunExperiment:
         config = quick_config()
         assert run_experiment(sample_specs[:3], config) == run_experiment(sample_specs[:3], config)
 
-    def test_parallel_equals_sequential(self, sample_specs):
-        config = quick_config()
-        seq = run_experiment(sample_specs, config, jobs=1)
-        par = run_experiment(sample_specs, config, jobs=4)
-        assert seq == par
+    @pytest.mark.parametrize(
+        "config",
+        [
+            quick_config(),
+            quick_config(
+                hyperparams=Hyperparams(episodes=300, steps_per_episode=10, alpha=0.3, gamma=0.7),
+                modulation=DayModulation(1.0, 1.2),
+                cost_policy=CostPolicy("fraction", 0.4),
+                master_seed=2**63 + 7,
+            ),
+        ],
+        ids=["zero-cost", "fraction-weekend-uplift"],
+    )
+    def test_lockstep_rows_equal_per_product_training(self, config, monkeypatch):
+        import pricelab.experiment as experiment_module
+
+        catalog = [
+            ProductSpec(name=f"P{i}", base_demand=20.0 + 7 * i, base_price=30.0 + 11 * i,
+                        elasticity=-0.3 - 0.4 * (i % 9), unit_cost=0.3 * (i % 3) * (30.0 + 11 * i))
+            for i in range(experiment_module.LOCKSTEP_MIN_PRODUCTS + 3)
+        ]
+        # fails setup: its rewards overflow
+        catalog.insert(5, ProductSpec(name="Big", base_demand=1e307, base_price=100.0, elasticity=-0.5))
+
+        def no_scalar_training(*args, **kwargs):
+            raise AssertionError("trained product by product")
+
+        with monkeypatch.context() as m:
+            m.setattr(experiment_module, "train", no_scalar_training)
+            lockstep = run_experiment(catalog, config)
+        monkeypatch.setattr(experiment_module, "LOCKSTEP_MIN_PRODUCTS", len(catalog) + 1)
+        assert lockstep == run_experiment(catalog, config)
+        assert [r.error is not None for r in lockstep].count(True) == 2
+        assert "rewards overflow" in lockstep[10].error
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from pricelab.qlearn import (
     hyperparams_to_json,
     qtable_from_csv,
     qtable_to_csv,
+    reward_tables,
     select_action,
     train,
+    train_lockstep,
     update_q,
 )
 from pricelab.rng import XorShift64
@@ -223,10 +226,13 @@ class TestTrainContract:
     def test_q_bounds_invariant(self):
         grid = default_price_grid(S24, 11)
         hp = small_hp(episodes=400)
-        q, _ = train(S24, grid, hp=hp)
+        demand_table, margins = reward_tables(S24, grid, DayModulation(), hp.gamma)
+        scalar, _ = train(S24, grid, hp=hp)
+        [lockstep] = train_lockstep((margins * demand_table)[None], hp, [hp.seed])
         r_max = max(reward(S24, p, demand(S24, p)) for p in grid)
-        assert (q.values >= 0.0).all()
-        assert (q.values <= r_max / (1.0 - hp.gamma) * (1 + 1e-12)).all()
+        for q in (scalar, lockstep):
+            assert (q.values >= 0.0).all()
+            assert (q.values <= r_max / (1.0 - hp.gamma) * (1 + 1e-12)).all()
 
     def test_visit_counts_cover_week_shape(self):
         grid = default_price_grid(S24, 5)
@@ -234,6 +240,44 @@ class TestTrainContract:
         # 5 of 7 steps are weekdays
         assert trace.visit_counts[0].sum() == 100 * 5
         assert trace.visit_counts[1].sum() == 100 * 2
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "hp",
+        [
+            small_hp(episodes=300, steps_per_episode=10, alpha=0.3, gamma=0.7, epsilon_decay=0.99),
+            # never explores: every choice from the zero table is a greedy tie
+            small_hp(epsilon_start=0.0, epsilon_min=0.0),
+        ],
+        ids=["explore", "greedy-ties"],
+    )
+    def test_tables_bitwise_equal_to_train(self, hp):
+        specs = [
+            S24,
+            ProductSpec(name="b", base_demand=40.0, base_price=20.0, elasticity=-3.1, unit_cost=12.0),
+            ProductSpec(name="c", base_demand=0.0, base_price=5.0, elasticity=-1.0),
+        ]
+        modulation = DayModulation(1.0, 1.2)
+        seeds = [0, 2**64 - 1, 12345]
+        grids = [default_price_grid(spec, 9) for spec in specs]
+        rewards = []
+        for spec, grid in zip(specs, grids):
+            demand_table, margins = reward_tables(spec, grid, modulation, hp.gamma)
+            rewards.append(margins * demand_table)
+        tables = train_lockstep(np.array(rewards), hp, seeds)
+        for spec, grid, seed, q in zip(specs, grids, seeds, tables):
+            expected, _ = train(spec, grid, modulation, replace(hp, seed=seed))
+            assert q.values.tobytes() == expected.values.tobytes()
+
+    def test_rejects_overflowing_rewards(self):
+        big = ProductSpec(name="big", base_demand=1e307, base_price=100.0, elasticity=-0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            train(big, default_price_grid(big, 5), hp=small_hp())
+        # finite rewards whose discounted bound overflows
+        near = ProductSpec(name="near", base_demand=1e306, base_price=100.0, elasticity=-0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            reward_tables(near, default_price_grid(near, 5), DayModulation(), 0.9)
 
 
 class TestReplayParity:

@@ -39,12 +39,13 @@ def test_seed_to_state_nonzero():
 
 
 def test_split_seed_is_stream_output():
-    # child i must be the (i+1)-th output of the stream seeded by master
-    master = 99
-    state = master
-    for i in range(10):
-        state, out = splitmix64(state)
-        assert split_seed(master, i) == out
+    # child i must be the (i+1)-th output of the stream seeded by master;
+    # the large masters make the state wrap around 2**64
+    for master in (0, 99, 2**63 + 7, MASK64):
+        state = master
+        for i in range(300):
+            state, out = splitmix64(state)
+            assert split_seed(master, i) == out, (master, i)
 
 
 def test_split_seed_distinct_and_deterministic():
