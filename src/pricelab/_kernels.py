@@ -8,6 +8,16 @@ as the public ``select_action``, ``noisy_demand`` and ``update_q`` ops; the
 test suite replays training through those ops and asserts bitwise-equal
 results.
 
+Each update changes one entry, so the scalar walk keeps every state's
+greedy result current instead of scanning its row twice per step:
+``best[s]`` is the float ``max(q[s])`` would return and ``arg[s]`` the
+lowest index holding it.  Greedy selection reads ``arg[s]`` and the
+bootstrap reads ``best[ns]`` before the write.  After ``q[s][a] = v``, a
+value above the best, or equal to it at an index no higher than
+``arg[s]``, becomes the new best; a fall of the greedy entry itself
+rescans the row; any other write leaves both unchanged.  This keeps the
+lowest-index tie-break and even the sign of a zero best.
+
 ``run_lockstep_kernel`` walks many products at once: products that share a
 calendar, an epsilon schedule and an action count step together as numpy
 lanes, one array operation per lane-wide step.  Every lane performs the
@@ -62,36 +72,42 @@ def run_train_kernel(
     n_states, n_actions = demand_table.shape
     alpha = float(alpha)
     gamma = float(gamma)
+    keep = 1.0 - alpha
     noise_sigma = float(noise_sigma)
 
     # plain Python floats/ints: same IEEE values, much faster scalar ops
     dem = demand_table.tolist()
     marg = margins.tolist()
-    steps = list(zip(day_types.tolist(), next_day_types.tolist()))
     x = int(rng_state)
 
     q = [[0.0] * n_actions for _ in range(n_states)]
     visits = [[0] * n_actions for _ in range(n_states)]
+    # best[s] is the float max(q[s]) returns, arg[s] the lowest index holding it
+    best = [0.0] * n_states
+    arg = [0] * n_states
+    calendar = [
+        (s, ns, q[s], dem[s], visits[s]) for s, ns in zip(day_types.tolist(), next_day_types.tolist())
+    ]
     episode_rewards = []
     policies = []
 
     for eps in eps_schedule.tolist():
+        # for an integer k: k * 2**-53 < eps  <=>  k < ceil(eps * 2**53)
+        explore_below = math.ceil(eps * 9007199254740992.0)
         total = 0.0
-        for s, ns in steps:
-            row = q[s]
-
+        for s, ns, row, dem_s, visits_s in calendar:
             x ^= (x << 13) & MASK64
             x ^= x >> 7
             x ^= (x << 17) & MASK64
-            if (x >> 11) * _INV_2_53 < eps:
+            if (x >> 11) < explore_below:
                 x ^= (x << 13) & MASK64
                 x ^= x >> 7
                 x ^= (x << 17) & MASK64
                 a = int((x >> 11) * _INV_2_53 * n_actions)
             else:
-                a = row.index(max(row))
+                a = arg[s]
 
-            d = dem[s][a]
+            d = dem_s[a]
             if noise_sigma > 0.0:
                 x ^= (x << 13) & MASK64
                 x ^= x >> 7
@@ -107,12 +123,22 @@ def run_train_kernel(
                     d = 0.0
             r = marg[a] * d
 
-            row[a] = (1.0 - alpha) * row[a] + alpha * (r + gamma * max(q[ns]))
-            visits[s][a] += 1
+            # bootstrap read before the write: ns may equal s
+            v = keep * row[a] + alpha * (r + gamma * best[ns])
+            row[a] = v
+            if v > best[s] or (v == best[s] and a <= arg[s]):
+                best[s] = v
+                arg[s] = a
+            elif a == arg[s]:
+                # the greedy value fell: rescan the row
+                b = max(row)
+                best[s] = b
+                arg[s] = row.index(b)
+            visits_s[a] += 1
             total += r
         episode_rewards.append(total)
         if record_policies:
-            policies.append([row.index(max(row)) for row in q])
+            policies.append(list(arg))
 
     return (
         np.array(q, dtype=np.float64),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -231,6 +232,8 @@ def _cmd_optimize(args) -> int:
                 grid_search_optimum(costed, grid, mult),
                 line_search_optimum(costed, bounds, mult),
             ):
+                if not (math.isfinite(opt.demand) and math.isfinite(opt.profit)):
+                    raise CliError(f"product {spec.name!r}: {opt.method.value} optimum overflows")
                 rows.append((spec.name, day.label, opt))
 
     if args.format == "json":

@@ -90,9 +90,6 @@ class DayModulation:
     def multiplier(self, day: DayType) -> float:
         return self.weekday if day is DayType.WEEKDAY else self.weekend
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.weekday, self.weekend], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class MarketState:
@@ -212,7 +209,10 @@ def default_price_grid(
         raise ValueError("num_points must be >= 2")
     if not (0 < lo_ratio < hi_ratio):
         raise ValueError("need 0 < lo_ratio < hi_ratio")
-    values = np.linspace(lo_ratio * spec.base_price, hi_ratio * spec.base_price, num_points)
+    hi = hi_ratio * spec.base_price
+    if not math.isfinite(hi):
+        raise ValueError(f"grid upper bound {hi_ratio} * base_price overflows")
+    values = np.linspace(lo_ratio * spec.base_price, hi, num_points)
     return PriceGrid(tuple(float(v) for v in values))
 
 

@@ -93,7 +93,7 @@ class ComparisonRow:
 # (``qlearn.train_lockstep``); smaller ones train product by product, where
 # the scalar kernel's lower fixed cost per step wins.  Both give the same
 # tables, so the choice changes speed only.
-LOCKSTEP_MIN_PRODUCTS = 16
+LOCKSTEP_MIN_PRODUCTS = 32
 
 _DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
 
@@ -157,16 +157,17 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
 
     Three phases: set every product up (cost policy, grid, seed, reward
     table), train them all, then evaluate each greedy policy against the
-    baselines.  A product that fails any phase contributes error-marked
-    rows instead of aborting the batch; its seed comes from its catalog
-    index, so it never shifts the seeds of the others.
+    baselines.  A product whose input fails any phase (a ``ValueError``)
+    contributes error-marked rows instead of aborting the batch; its seed
+    comes from its catalog index, so it never shifts the seeds of the
+    others.  Any other exception is a defect and propagates.
     """
     if not catalog:
         raise ValueError("catalog must be non-empty")
 
     per_product: list[list[ComparisonRow]] = [[] for _ in catalog]
 
-    def fail(index: int, exc: Exception) -> None:
+    def fail(index: int, exc: ValueError) -> None:
         # a failed product becomes marked rows; the batch continues
         per_product[index] = [
             ComparisonRow(product_name=catalog[index].name, day_type=day, error=str(exc)) for day in _DAYS
@@ -176,7 +177,7 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
     for index, spec in enumerate(catalog):
         try:
             setups[index] = _setup(spec, index, config)
-        except Exception as exc:
+        except ValueError as exc:
             fail(index, exc)
 
     tables: dict[int, QTable] = {}
@@ -188,13 +189,13 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
         for index, s in setups.items():
             try:
                 tables[index], _ = train(s.costed, s.grid, config.modulation, s.hp)
-            except Exception as exc:
+            except ValueError as exc:
                 fail(index, exc)
 
     for index, q in tables.items():
         try:
             per_product[index] = _comparison_rows(catalog[index].name, setups[index], q, config)
-        except Exception as exc:
+        except ValueError as exc:
             fail(index, exc)
 
     return [row for rows in per_product for row in rows]

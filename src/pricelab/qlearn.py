@@ -182,13 +182,14 @@ def reward_tables(
     every Q entry stays within that bound (Watkins & Dayan, 1992) and no
     update can reach inf or NaN.
     """
-    prices = grid.as_array()
-    mults = modulation.as_array()
-    demand_table = np.empty((2, len(prices)))
+    # Python floats, not numpy scalars: the same IEEE results, but an
+    # overflow yields inf silently instead of a RuntimeWarning
+    mults = (modulation.weekday, modulation.weekend)
+    demand_table = np.empty((2, len(grid)))
     for s in range(2):
-        for a, price in enumerate(prices):
+        for a, price in enumerate(grid.prices):
             demand_table[s, a] = demand(spec, price, mults[s])
-    margins = prices - spec.unit_cost
+    margins = grid.as_array() - spec.unit_cost
     # a NaN or inf reward propagates through the max, so one test covers both
     with np.errstate(over="ignore", invalid="ignore"):
         bound = float(np.abs(margins * demand_table).max()) / (1.0 - gamma)

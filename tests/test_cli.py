@@ -294,6 +294,16 @@ class TestOptimize:
         assert code == 0
         assert "| Product | Day | Method | Optimal Price | Optimal Demand | Profit | Clamped |" in out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_overflowing_product_exits_two_naming_it(self, tmp_path, capsys, fmt):
+        cat = tmp_path / "cat.csv"
+        header = "product_name,price_elasticity,base_price,base_demand\n"
+        cat.write_text(header + "Fine,-1.0,100.0,10.0\nBig,-0.5,100.0,1e307\n")
+        code, out, err = run(capsys, ["optimize", "--catalog", str(cat), "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert "'Big'" in err and "overflows" in err
+
 
 def test_markdown_escapes_pipe_in_product_names(tmp_path, capsys):
     cat = tmp_path / "cat.csv"

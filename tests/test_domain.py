@@ -216,6 +216,10 @@ class TestDefaultPriceGrid:
         with pytest.raises(ValueError):
             default_price_grid(spec, 5, lo_ratio=2.0, hi_ratio=1.0)
 
+    def test_rejects_overflowing_upper_bound(self):
+        with pytest.raises(ValueError, match="overflows"):
+            default_price_grid(spec_of(-1.0, 1.7e308, 10.0))
+
 
 class TestZeroDemandPrice:
     def test_formula(self):

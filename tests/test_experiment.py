@@ -141,7 +141,7 @@ class TestRunExperiment:
 
         def flaky_train(spec, *args, **kwargs):
             if spec.name == sample_specs[1].name:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return real_train(spec, *args, **kwargs)
 
         monkeypatch.setattr(experiment_module, "train", flaky_train)
@@ -152,6 +152,17 @@ class TestRunExperiment:
         assert all(r.product_name == sample_specs[1].name for r in failed)
         assert all("boom" in r.error for r in failed)
         assert all(r.rl_price is None and r.analytic is None for r in failed)
+
+    def test_defect_propagates(self, sample_specs, monkeypatch):
+        # only input errors (ValueError) become rows; anything else is a bug
+        import pricelab.experiment as experiment_module
+
+        def broken_train(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(experiment_module, "train", broken_train)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(sample_specs[:2], quick_config())
 
     def test_rl_matches_grid_search_at_full_defaults(self, sample_specs):
         config = ExperimentConfig(cost_policy=CostPolicy("zero"))

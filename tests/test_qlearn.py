@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pricelab import _kernels
 from pricelab.domain import (
     DayModulation,
     DayType,
@@ -32,7 +33,7 @@ from pricelab.qlearn import (
     train_lockstep,
     update_q,
 )
-from pricelab.rng import XorShift64
+from pricelab.rng import XorShift64, seed_to_state
 
 S24 = ProductSpec(name='Samsung 24" HD', base_demand=80.0, base_price=109.2, elasticity=-0.5)
 
@@ -309,18 +310,56 @@ class TestReplayParity:
             policies.append([q.argmax_action(0), q.argmax_action(1)])
         return q, np.array(totals), visits, np.array(policies, dtype=np.int64)
 
-    @pytest.mark.parametrize("noise_sigma", [0.0, 0.2])
-    def test_kernel_matches_public_ops(self, noise_sigma):
-        spec = ProductSpec(name="costy", base_demand=40.0, base_price=142.7, elasticity=-1.9, unit_cost=30.0)
+    @pytest.mark.parametrize(
+        "unit_cost, noise_sigma, hp",
+        [
+            pytest.param(30.0, 0.0, small_hp(episodes=120, seed=42), id="0.0"),
+            pytest.param(30.0, 0.2, small_hp(episodes=120, seed=42), id="0.2"),
+            # negative margins below the cost: zero demand earns a reward of -0.0
+            pytest.param(0.9 * 142.7, 0.0, small_hp(episodes=120, seed=42), id="negative-margin-0.0"),
+            pytest.param(0.9 * 142.7, 0.5, small_hp(episodes=120, seed=42), id="negative-margin-0.5"),
+            pytest.param(0.9 * 142.7, 2.0, small_hp(episodes=120, seed=42), id="negative-margin-2.0"),
+            # greedy only: each losing greedy value falls and the row's best moves on
+            pytest.param(
+                0.9 * 142.7, 0.0, small_hp(episodes=120, seed=42, epsilon_start=0.0, epsilon_min=0.0), id="greedy-only"
+            ),
+        ],
+    )
+    def test_kernel_matches_public_ops(self, unit_cost, noise_sigma, hp):
+        spec = ProductSpec(name="costy", base_demand=40.0, base_price=142.7, elasticity=-1.9, unit_cost=unit_cost)
         grid = default_price_grid(spec, 7)
         modulation = DayModulation(weekday=1.0, weekend=1.2)
-        hp = small_hp(episodes=120, steps_per_episode=7, seed=42)
         q_train, trace = train(spec, grid, modulation, hp, noise_sigma=noise_sigma, record_policies=True)
         q_replay, totals, visits, policies = self.replay(spec, grid, modulation, hp, noise_sigma)
         assert np.array_equal(q_train.values, q_replay.values)
         assert np.array_equal(trace.episode_rewards, totals)
         assert np.array_equal(trace.visit_counts, visits)
         assert np.array_equal(trace.greedy_policies, policies)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_kernel_tie_breaks_match_public_ops(self, gamma):
+        # integer demands with repeated values: with alpha = 1 many updates
+        # write a value equal to the row's best, at a lower or higher index
+        demand_table = np.array([[0.0, 5.0, 0.0, 5.0, 2.0, 5.0], [1.0, 3.0, 3.0, 0.0, 3.0, 1.0]])
+        margins = np.ones(6)
+        days = calendar_day_types(7)
+        nxt = calendar_next_day_types(7)
+        for seed in range(20):
+            hp = Hyperparams(alpha=1.0, gamma=gamma, epsilon_decay=0.9, episodes=30, seed=seed)
+            eps = epsilon_schedule(hp)
+            values, _, _, policies = _kernels.run_train_kernel(
+                demand_table, margins, days, nxt, eps, hp.alpha, hp.gamma, seed_to_state(seed), record_policies=True
+            )
+            q = QTable.zeros(2, 6)
+            rng = XorShift64(seed)
+            expected = []
+            for episode_eps in eps:
+                for s, ns in zip(days, nxt):
+                    a = select_action(q, int(s), float(episode_eps), rng)
+                    update_q(q, int(s), a, margins[a] * demand_table[s, a], int(ns), hp)
+                expected.append([q.argmax_action(0), q.argmax_action(1)])
+            assert values.tobytes() == q.values.tobytes(), seed
+            assert policies.tolist() == expected, seed
 
 
 class TestNoiseHook:
