@@ -11,6 +11,7 @@ from .baselines import (
     analytic_optimum,
     grid_search_optimum,
     line_search_optimum,
+    optima,
     profit_at,
 )
 from .catalog import (
@@ -24,12 +25,12 @@ from .catalog import (
 from .domain import (
     DayModulation,
     DayType,
-    MarketState,
     PriceGrid,
     ProductSpec,
     default_price_grid,
     demand,
     noisy_demand,
+    price_grids,
     reward,
     revenue_curve,
     zero_demand_price,
@@ -67,7 +68,6 @@ __all__ = [
     "ExperimentConfig",
     "GreedyOutcome",
     "Hyperparams",
-    "MarketState",
     "Method",
     "Optimum",
     "PriceGrid",
@@ -89,7 +89,9 @@ __all__ = [
     "grid_search_optimum",
     "line_search_optimum",
     "noisy_demand",
+    "optima",
     "parse_catalog",
+    "price_grids",
     "profit_at",
     "render_report",
     "revenue_curve",

@@ -14,6 +14,23 @@ Profit ``(p - c) * demand(p)`` is quadratic in price while demand is
 positive and identically zero beyond the zero-demand price, so it is
 unimodal on any interval that starts below that point; the golden
 section's bracketing logic relies on that.
+
+``optima`` runs all three over a whole catalog at once, one float64 lane
+per product, and every lane equals the one-product scalar arithmetic bit
+for bit:
+
+- analytic: the clamp is ``np.where`` on the comparisons Python's ``max``
+  and ``min`` make, so NaN and signed zeros resolve as they would;
+- grid search: a profit wins only if strictly greater than the best so
+  far, so the lowest index wins ties, a NaN profit is skipped and a NaN
+  at index 0 keeps index 0 (plain ``np.argmax`` would pick the NaN);
+- golden section: each lane runs its own iteration count, computed with
+  ``math.log`` per product (``np.log`` need not give libm's bits); a lane
+  whose count is used up is masked and keeps its bracket.
+
+Results come back as Python floats and bools (``tolist``), so reports
+print exactly what scalar code would.  ``analytic_optimum``,
+``grid_search_optimum`` and ``line_search_optimum`` are one-lane calls.
 """
 
 from __future__ import annotations
@@ -22,10 +39,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import PriceGrid, ProductSpec, demand, reward, zero_demand_price
+import numpy as np
+
+from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, demand, reward
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+_LOG_INV_PHI = math.log(_INV_PHI)
+# products per block in ``optima``: bounds the size of the array temporaries,
+# so memory does not grow with the catalog beyond the results themselves
+_BLOCK = 512
 
 
 class Method(Enum):
@@ -34,7 +57,7 @@ class Method(Enum):
     LINE_SEARCH = "LineSearch"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Optimum:
     price: float
     demand: float
@@ -47,11 +70,116 @@ def profit_at(spec: ProductSpec, price: float, multiplier: float = 1.0) -> float
     return reward(spec, price, demand(spec, price, multiplier))
 
 
-def _check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
+def _results(
+    method: Method, lanes: ProductLanes, price: np.ndarray, multiplier: float, clamped: np.ndarray
+) -> list[Optimum]:
+    d = lanes.demand(price, multiplier)
+    profit = lanes.reward(price, d)
+    return [
+        Optimum(p, q, f, method, k)
+        for p, q, f, k in zip(price.ravel().tolist(), d.ravel().tolist(), profit.ravel().tolist(),
+                              clamped.ravel().tolist())
+    ]
+
+
+def _analytic(lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float) -> list[Optimum]:
+    e, p0, c = lanes.elasticity, lanes.base_price, lanes.unit_cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        vertex = c / 2.0 + p0 * (e - 1.0) / (2.0 * e)
+        zero_demand = p0 * (1.0 - 1.0 / e)
+    hi_eff = np.where(zero_demand < hi, zero_demand, hi)  # min(hi, zero_demand)
+    floor = np.where(lo > vertex, lo, vertex)  # max(vertex, lo)
+    price = np.where(hi_eff < floor, hi_eff, floor)  # min(floor, hi_eff)
+    return _results(Method.ANALYTIC, lanes, price, multiplier, price != vertex)
+
+
+def _grid_search(lanes: ProductLanes, grids: np.ndarray, multiplier: float) -> list[Optimum]:
+    profit = lanes.reward(grids, lanes.demand(grids, multiplier))
+    nan = np.isnan(profit)
+    best = np.where(nan, -np.inf, profit).argmax(axis=1)
+    best[nan[:, 0]] = 0
+    price = np.take_along_axis(grids, best[:, None], axis=1)
+    clamped = (best == 0) | (best == grids.shape[1] - 1)
+    return _results(Method.GRID_SEARCH, lanes, price, multiplier, clamped)
+
+
+def _line_search(
+    lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float, tolerance: float
+) -> list[Optimum]:
+    if tolerance <= 0:
+        raise ValueError("tolerance must be > 0")
+
+    def profit(x):
+        return lanes.reward(x, lanes.demand(x, multiplier))
+
+    a, b = lo, hi
+    # inf and nan arise silently, as in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = b - a
+        counts = [
+            math.ceil(math.log(tolerance / w) / _LOG_INV_PHI) if w > tolerance else 0 for w in h.ravel().tolist()
+        ]
+        shrinks = np.array(counts, dtype=np.int64).reshape(-1, 1) - 1  # -1: the bracket is already narrow
+        c = a + _INV_PHI_SQ * h
+        d = a + _INV_PHI * h
+        fc, fd = profit(c), profit(d)
+        for i in range(max(counts, default=0) - 1):
+            live = i < shrinks
+            left = live & (fc > fd)  # keep [a, d]: d <- c, new c
+            right = live & ~(fc > fd)  # keep [c, b]: c <- d, new d
+            b = np.where(left, d, b)
+            a = np.where(right, c, a)
+            h = np.where(live, _INV_PHI * h, h)
+            x = np.where(left, a + _INV_PHI_SQ * h, a + _INV_PHI * h)
+            fx = profit(x)
+            c, d, fc, fd = (
+                np.where(left, x, np.where(right, d, c)),
+                np.where(left, c, np.where(right, x, d)),
+                np.where(left, fx, np.where(right, fd, fc)),
+                np.where(left, fc, np.where(right, fx, fd)),
+            )
+        searched = shrinks >= 0
+        b = np.where(searched & (fc > fd), d, b)
+        a = np.where(searched & ~(fc > fd), c, a)
+        price = (a + b) / 2.0
+        clamped = ((price - lo) <= tolerance) | ((hi - price) <= tolerance)
+    return _results(Method.LINE_SEARCH, lanes, price, multiplier, clamped)
+
+
+def optima(
+    specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0, tolerance: float = 1e-4
+) -> tuple[list[Optimum], list[Optimum], list[Optimum]]:
+    """Analytic, grid-search and line-search optima of every product.
+
+    ``grids`` is the ``(len(specs), points)`` array ``domain.price_grids``
+    returns; the analytic and line searches run over each row's
+    ``[first, last]`` price.  Each list is in ``specs`` order.
+    """
+    results = ([], [], [])
+    for start in range(0, len(specs), _BLOCK):
+        lanes = ProductLanes.of(specs[start : start + _BLOCK])
+        block = grids[start : start + _BLOCK]
+        lo, hi = block[:, :1], block[:, -1:]
+        results[0].extend(_analytic(lanes, lo, hi, multiplier))
+        results[1].extend(_grid_search(lanes, block, multiplier))
+        results[2].extend(_line_search(lanes, lo, hi, multiplier, tolerance))
+    return results
+
+
+def optima_by_day(
+    specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation
+) -> list[tuple[tuple[Optimum, Optimum, Optimum], ...]]:
+    """Per product, per day type (Weekday, Weekend): its analytic,
+    grid-search and line-search optima, from one ``optima`` call per day."""
+    per_day = [zip(*optima(specs, grids, modulation.multiplier(day))) for day in DayType]
+    return list(zip(*per_day))
+
+
+def _one_lane_bounds(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = bounds
     if lo <= 0 or lo >= hi:
         raise ValueError(f"need 0 < lo < hi, got {bounds!r}")
-    return lo, hi
+    return np.array([[lo]], dtype=np.float64), np.array([[hi]], dtype=np.float64)
 
 
 def analytic_optimum(
@@ -63,16 +191,8 @@ def analytic_optimum(
     interval is the given bounds intersected with the zero-demand price,
     beyond which the parabola formula no longer describes profit.
     """
-    if spec.elasticity >= 0:
-        raise ValueError("analytic optimum requires elasticity < 0")
-    lo, hi = _check_bounds(bounds)
-    vertex = spec.unit_cost / 2.0 + spec.base_price * (spec.elasticity - 1.0) / (
-        2.0 * spec.elasticity
-    )
-    hi_eff = min(hi, zero_demand_price(spec))
-    price = min(max(vertex, lo), hi_eff)
-    d = demand(spec, price, multiplier)
-    return Optimum(price, d, reward(spec, price, d), Method.ANALYTIC, clamped=price != vertex)
+    lo, hi = _one_lane_bounds(bounds)
+    return _analytic(ProductLanes.of([spec]), lo, hi, multiplier)[0]
 
 
 def grid_search_optimum(
@@ -83,22 +203,7 @@ def grid_search_optimum(
     The result is flagged clamped when the maximizer sits on either grid
     endpoint, meaning the grid span (not the curve) decided it.
     """
-    best_i = 0
-    best = profit_at(spec, grid[0], multiplier)
-    for i in range(1, len(grid)):
-        p = profit_at(spec, grid[i], multiplier)
-        if p > best:
-            best = p
-            best_i = i
-    price = grid[best_i]
-    d = demand(spec, price, multiplier)
-    return Optimum(
-        price,
-        d,
-        reward(spec, price, d),
-        Method.GRID_SEARCH,
-        clamped=best_i in (0, len(grid) - 1),
-    )
+    return _grid_search(ProductLanes.of([spec]), np.array([grid.prices], dtype=np.float64), multiplier)[0]
 
 
 def line_search_optimum(
@@ -114,39 +219,5 @@ def line_search_optimum(
     flat (clipped-demand) stretch the shrinking bracket still terminates
     and the midpoint's profit is no worse than both endpoints'.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
-    lo, hi = _check_bounds(bounds)
-
-    a, b = lo, hi
-    h = b - a
-    if h > tolerance:
-        n = int(math.ceil(math.log(tolerance / h) / math.log(_INV_PHI)))
-        c = a + _INV_PHI_SQ * h
-        d_pt = a + _INV_PHI * h
-        fc = profit_at(spec, c, multiplier)
-        fd = profit_at(spec, d_pt, multiplier)
-        for _ in range(n - 1):
-            if fc > fd:
-                b = d_pt
-                d_pt = c
-                fd = fc
-                h = _INV_PHI * h
-                c = a + _INV_PHI_SQ * h
-                fc = profit_at(spec, c, multiplier)
-            else:
-                a = c
-                c = d_pt
-                fc = fd
-                h = _INV_PHI * h
-                d_pt = a + _INV_PHI * h
-                fd = profit_at(spec, d_pt, multiplier)
-        if fc > fd:
-            b = d_pt
-        else:
-            a = c
-
-    price = (a + b) / 2.0
-    d = demand(spec, price, multiplier)
-    clamped = (price - lo) <= tolerance or (hi - price) <= tolerance
-    return Optimum(price, d, reward(spec, price, d), Method.LINE_SEARCH, clamped=clamped)
+    lo, hi = _one_lane_bounds(bounds)
+    return _line_search(ProductLanes.of([spec]), lo, hi, multiplier, tolerance)[0]

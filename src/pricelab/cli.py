@@ -15,15 +15,17 @@ or OS entropy.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum
+from .baselines import optima_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
-from .domain import DayModulation, DayType, default_price_grid
+from .domain import DayModulation, DayType, default_price_grid, price_grids
 from .experiment import (
     ComparisonRow,
     CostPolicy,
@@ -219,22 +221,16 @@ def _cmd_train(args) -> int:
 def _cmd_optimize(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    lo_r, hi_r = config.grid_span
+    costed = [config.cost_policy.apply(spec) for spec in catalog]
+    grids = price_grids(costed, config.grid_points, *config.grid_span)
+    labels = [day.label for day in DayType]
     rows = []
-    for spec in catalog:
-        costed = config.cost_policy.apply(spec)
-        grid = default_price_grid(costed, config.grid_points, lo_r, hi_r)
-        bounds = (grid.lo, grid.hi)
-        for day in (DayType.WEEKDAY, DayType.WEEKEND):
-            mult = config.modulation.multiplier(day)
-            for opt in (
-                analytic_optimum(costed, bounds, mult),
-                grid_search_optimum(costed, grid, mult),
-                line_search_optimum(costed, bounds, mult),
-            ):
+    for spec, by_day in zip(catalog, optima_by_day(costed, grids, config.modulation)):
+        for label, opts in zip(labels, by_day):
+            for opt in opts:
                 if not (math.isfinite(opt.demand) and math.isfinite(opt.profit)):
                     raise CliError(f"product {spec.name!r}: {opt.method.value} optimum overflows")
-                rows.append((spec.name, day.label, opt))
+                rows.append((spec.name, label, opt))
 
     if args.format == "json":
         doc = [
@@ -260,11 +256,8 @@ def _cmd_optimize(args) -> int:
             )
         text = "\n".join(lines) + "\n"
     else:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"])
         for name, day, opt in rows:
             writer.writerow(

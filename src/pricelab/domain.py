@@ -92,18 +92,6 @@ class DayModulation:
 
 
 @dataclass(frozen=True)
-class MarketState:
-    """Discrete environment state: product identity crossed with day type."""
-
-    product_index: int
-    day_type: DayType
-
-    def __post_init__(self):
-        if self.product_index < 0:
-            raise ValueError("product_index must be >= 0")
-
-
-@dataclass(frozen=True)
 class PriceGrid:
     """Ordered, finite action set of candidate prices."""
 
@@ -198,6 +186,98 @@ def revenue_curve(
     return out
 
 
+@dataclass(frozen=True)
+class ProductLanes:
+    """Many products' model parameters as float64 columns of shape (n, 1),
+    which broadcast against ``(n, points)`` price arrays.
+
+    ``demand`` and ``reward`` evaluate the scalar functions' IEEE
+    operations in the same order, so every lane equals the scalar result
+    bit for bit.  Overflow gives inf or nan without a warning, as Python
+    float arithmetic does.
+    """
+
+    base_demand: np.ndarray
+    base_price: np.ndarray
+    elasticity: np.ndarray
+    unit_cost: np.ndarray
+
+    @classmethod
+    def of(cls, specs: list[ProductSpec]) -> ProductLanes:
+        cols = np.array(
+            [(s.base_demand, s.base_price, s.elasticity, s.unit_cost) for s in specs], dtype=np.float64
+        ).reshape(-1, 4)
+        return cls(*(cols[:, k : k + 1] for k in range(4)))
+
+    def demand(self, prices: np.ndarray, multiplier: float = 1.0) -> np.ndarray:
+        d0, p0 = self.base_demand, self.base_price
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = multiplier * (d0 + d0 * self.elasticity * (prices - p0) / p0)
+        return np.where(raw > 0.0, raw, 0.0)
+
+    def reward(self, prices: np.ndarray, demand_values: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (prices - self.unit_cost) * demand_values
+
+
+def _uniform_grids(
+    base_prices: list[float], num_points: int, lo_ratio: float, hi_ratio: float
+) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Grids over ``[lo_ratio * p0, hi_ratio * p0]``, one row per base price,
+    and the first unusable row with its reason (None when all are usable).
+
+    Each row is ``np.linspace(lo, hi, num_points)`` bit for bit: numpy's
+    own ``arange(n) * step + start`` with the stop written into the last
+    column.  Calling ``np.linspace`` on the stacked bounds would not be:
+    if any row's step underflows to 0, numpy switches every row to
+    divide-then-multiply.  Such a row repeats prices and is rejected here.
+    """
+    if num_points < 2:
+        raise ValueError("num_points must be >= 2")
+    if not (0 < lo_ratio < hi_ratio):
+        raise ValueError("need 0 < lo_ratio < hi_ratio")
+    base = np.array(base_prices, dtype=np.float64).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = lo_ratio * base
+        stop = hi_ratio * base
+        step = (stop - start) / (num_points - 1)
+        grids = np.arange(num_points, dtype=np.float64) * step + start
+        grids[:, -1:] = stop
+        overflows = ~np.isfinite(stop[:, 0])
+        nonpositive = grids[:, 0] <= 0
+        unordered = (grids[:, 1:] <= grids[:, :-1]).any(axis=1)
+    bad = overflows | nonpositive | unordered
+    if not bad.any():
+        return grids, None
+    i = int(bad.argmax())
+    if overflows[i]:
+        reason = f"grid upper bound {hi_ratio} * base_price overflows"
+    elif nonpositive[i]:
+        reason = "prices must be > 0"
+    else:
+        reason = "prices must be strictly increasing"
+    return grids, (i, reason)
+
+
+def price_grids(
+    specs: list[ProductSpec],
+    num_points: int = 21,
+    lo_ratio: float = 0.5,
+    hi_ratio: float = 2.0,
+) -> np.ndarray:
+    """``(len(specs), num_points)`` float64 array of uniform price grids,
+    row i equal to ``default_price_grid(specs[i], ...)``.
+
+    Raises ValueError naming the first product whose upper bound
+    overflows or whose prices are not positive and strictly increasing.
+    """
+    grids, bad = _uniform_grids([s.base_price for s in specs], num_points, lo_ratio, hi_ratio)
+    if bad is not None:
+        i, reason = bad
+        raise ValueError(f"product {specs[i].name!r}: {reason}")
+    return grids
+
+
 def default_price_grid(
     spec: ProductSpec,
     num_points: int = 21,
@@ -205,15 +285,10 @@ def default_price_grid(
     hi_ratio: float = 2.0,
 ) -> PriceGrid:
     """Uniform grid over ``[lo_ratio * p0, hi_ratio * p0]``, inclusive."""
-    if num_points < 2:
-        raise ValueError("num_points must be >= 2")
-    if not (0 < lo_ratio < hi_ratio):
-        raise ValueError("need 0 < lo_ratio < hi_ratio")
-    hi = hi_ratio * spec.base_price
-    if not math.isfinite(hi):
-        raise ValueError(f"grid upper bound {hi_ratio} * base_price overflows")
-    values = np.linspace(lo_ratio * spec.base_price, hi, num_points)
-    return PriceGrid(tuple(float(v) for v in values))
+    grids, bad = _uniform_grids([spec.base_price], num_points, lo_ratio, hi_ratio)
+    if bad is not None:
+        raise ValueError(bad[1])
+    return PriceGrid(tuple(grids[0].tolist()))
 
 
 def zero_demand_price(spec: ProductSpec) -> float:

@@ -18,14 +18,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum
-from .domain import DayModulation, DayType, PriceGrid, ProductSpec, default_price_grid, demand
+from .baselines import Optimum, optima_by_day
+from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, default_price_grid, price_grids
 from .qlearn import Hyperparams, QTable, evaluate_greedy, reward_tables, train, train_lockstep
 from .rng import MASK64, split_seed
 
@@ -123,17 +124,12 @@ def _setup(spec: ProductSpec, index: int, config: ExperimentConfig) -> _Setup:
     return _Setup(costed, grid, hp, margins * demand_table)
 
 
-def _comparison_rows(name: str, setup: _Setup, q: QTable, config: ExperimentConfig) -> list[ComparisonRow]:
-    costed, grid = setup.costed, setup.grid
-    bounds = (grid.lo, grid.hi)
-    greedy = evaluate_greedy(q, costed, grid, config.modulation)
-
+def _comparison_rows(
+    name: str, setup: _Setup, q: QTable, config: ExperimentConfig, by_day: tuple[tuple[Optimum, ...], ...]
+) -> list[ComparisonRow]:
+    greedy = evaluate_greedy(q, setup.costed, setup.grid, config.modulation)
     rows = []
-    for day, rl in zip(_DAYS, greedy):
-        mult = config.modulation.multiplier(day)
-        ana = analytic_optimum(costed, bounds, mult)
-        gs = grid_search_optimum(costed, grid, mult)
-        ls = line_search_optimum(costed, bounds, mult)
+    for day, rl, (ana, gs, ls) in zip(_DAYS, greedy, by_day):
         best = max(ana.profit, gs.profit, ls.profit)
         ratio = rl.profit / best if best > 0 else None
         rows.append(
@@ -192,9 +188,13 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
             except ValueError as exc:
                 fail(index, exc)
 
-    for index, q in tables.items():
+    # the baselines of every trained product in one batch per day type
+    trained = [setups[index] for index in tables]
+    grids = np.array([s.grid.prices for s in trained], dtype=np.float64).reshape(len(trained), config.grid_points)
+    baselines = optima_by_day([s.costed for s in trained], grids, config.modulation)
+    for (index, q), by_day in zip(tables.items(), baselines):
         try:
-            per_product[index] = _comparison_rows(catalog[index].name, setups[index], q, config)
+            per_product[index] = _comparison_rows(catalog[index].name, setups[index], q, config, by_day)
         except ValueError as exc:
             fail(index, exc)
 
@@ -338,36 +338,52 @@ def render_report(
     raise ValueError(f"unknown report format {format!r}")
 
 
+# products per block of the curve export: bounds the arrays and strings
+# held at once (unblocked, peak memory grows with the catalog)
+_CURVE_BLOCK = 64
+
+
 def export_revenue_curves(
     catalog: list[ProductSpec], config: ExperimentConfig, samples_per_curve: int = 101
 ) -> str:
     """Long-format CSV of (product, day, price, demand, revenue, profit).
 
     Prices sample the grid span uniformly; values are written at full
-    precision so downstream plots and checks see exactly what the model
-    computed.
+    precision (``repr``) so downstream plots and checks see exactly what
+    the model computed.  A product whose grid is unusable is an error
+    naming it.
     """
     if samples_per_curve < 2:
         raise ValueError("samples_per_curve must be >= 2")
     lo_ratio, hi_ratio = config.grid_span
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["product", "day", "price", "demand", "revenue", "profit"])
-    for spec in catalog:
-        costed = config.cost_policy.apply(spec)
-        prices = np.linspace(lo_ratio * costed.base_price, hi_ratio * costed.base_price, samples_per_curve)
-        for day in (DayType.WEEKDAY, DayType.WEEKEND):
-            mult = config.modulation.multiplier(day)
-            for price in prices:
-                d = demand(costed, float(price), mult)
-                writer.writerow(
-                    [
-                        spec.name,
-                        day.label,
-                        repr(float(price)),
-                        repr(d),
-                        repr(float(price) * d),
-                        repr((float(price) - costed.unit_cost) * d),
-                    ]
-                )
-    return buf.getvalue()
+    days = [(day.label, config.modulation.multiplier(day)) for day in _DAYS]
+    parts = ["product,day,price,demand,revenue,profit\n"]
+    names = io.StringIO()
+    quote = csv.writer(names, lineterminator="\n")
+    for start in range(0, len(catalog), _CURVE_BLOCK):
+        block = catalog[start : start + _CURVE_BLOCK]
+        costed = [config.cost_policy.apply(spec) for spec in block]
+        prices = price_grids(costed, samples_per_curve, lo_ratio, hi_ratio)
+        lanes = ProductLanes.of(costed)
+        # equal day multipliers give equal curves: format each distinct one once
+        curves = {}
+        for _, mult in days:
+            if mult not in curves:
+                d = lanes.demand(prices, mult)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    revenue = prices * d
+                columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), lanes.reward(prices, d).tolist())
+                curves[mult] = [list(map("%r,%r,%r,%r".__mod__, zip(*rows))) for rows in columns]
+        # each name as the csv module quotes it; writerow returns the row's length
+        names.seek(0)
+        names.truncate()
+        ends = list(itertools.accumulate(quote.writerow([spec.name]) for spec in block))
+        text = names.getvalue()
+        lines = []
+        for i, (a, b) in enumerate(zip([0, *ends], ends)):
+            name = text[a : b - 1]
+            for label, mult in days:
+                prefix = f"{name},{label},"
+                lines.append(prefix + ("\n" + prefix).join(curves[mult][i]) + "\n")
+        parts.append("".join(lines))
+    return "".join(parts)

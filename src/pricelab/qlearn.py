@@ -277,16 +277,13 @@ def evaluate_greedy(
     return out
 
 
-STATE_LABELS = ("Weekday", "Weekend")
-
-
 def qtable_to_csv(q: QTable, grid: PriceGrid) -> str:
     """Serialize: header row of grid prices, one row per state label."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["state"] + [repr(p) for p in grid])
     for s in range(q.state_count):
-        writer.writerow([STATE_LABELS[s]] + [repr(float(v)) for v in q.values[s]])
+        writer.writerow([DayType(s).label] + [repr(float(v)) for v in q.values[s]])
     return buf.getvalue()
 
 

@@ -1,12 +1,17 @@
 import dataclasses
+import math
+import random
 
+import numpy as np
 import pytest
 
 from pricelab.baselines import (
     Method,
+    Optimum,
     analytic_optimum,
     grid_search_optimum,
     line_search_optimum,
+    optima,
     profit_at,
 )
 from pricelab.domain import (
@@ -14,6 +19,8 @@ from pricelab.domain import (
     ProductSpec,
     default_price_grid,
     demand,
+    price_grids,
+    reward,
     zero_demand_price,
 )
 
@@ -189,3 +196,179 @@ class TestCrossMethodInvariants:
         base = grid_search_optimum(S24, grid, 1.0)
         bumped = grid_search_optimum(S24, grid, 1.2)
         assert bumped.profit == pytest.approx(1.2 * base.profit, rel=1e-12)
+
+
+# --- scalar oracle ----------------------------------------------------------
+# The one-product Python-float loops the batch lanes replaced.  Every lane of
+# ``optima`` and every one-lane call must reproduce them bit for bit.
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def oracle_analytic(spec, bounds, multiplier=1.0):
+    lo, hi = bounds
+    vertex = spec.unit_cost / 2.0 + spec.base_price * (spec.elasticity - 1.0) / (2.0 * spec.elasticity)
+    hi_eff = min(hi, zero_demand_price(spec))
+    price = min(max(vertex, lo), hi_eff)
+    d = demand(spec, price, multiplier)
+    return Optimum(price, d, reward(spec, price, d), Method.ANALYTIC, price != vertex)
+
+
+def oracle_grid_search(spec, prices, multiplier=1.0):
+    best_i = 0
+    best = profit_at(spec, prices[0], multiplier)
+    for i in range(1, len(prices)):
+        p = profit_at(spec, prices[i], multiplier)
+        if p > best:
+            best = p
+            best_i = i
+    price = prices[best_i]
+    d = demand(spec, price, multiplier)
+    clamped = best_i in (0, len(prices) - 1)
+    return Optimum(price, d, reward(spec, price, d), Method.GRID_SEARCH, clamped)
+
+
+def oracle_line_search(spec, bounds, multiplier=1.0, tolerance=1e-4):
+    lo, hi = bounds
+    a, b = lo, hi
+    h = b - a
+    if h > tolerance:
+        n = int(math.ceil(math.log(tolerance / h) / math.log(_INV_PHI)))
+        c = a + _INV_PHI_SQ * h
+        d_pt = a + _INV_PHI * h
+        fc = profit_at(spec, c, multiplier)
+        fd = profit_at(spec, d_pt, multiplier)
+        for _ in range(n - 1):
+            if fc > fd:
+                b = d_pt
+                d_pt = c
+                fd = fc
+                h = _INV_PHI * h
+                c = a + _INV_PHI_SQ * h
+                fc = profit_at(spec, c, multiplier)
+            else:
+                a = c
+                c = d_pt
+                fc = fd
+                h = _INV_PHI * h
+                d_pt = a + _INV_PHI * h
+                fd = profit_at(spec, d_pt, multiplier)
+        if fc > fd:
+            b = d_pt
+        else:
+            a = c
+    price = (a + b) / 2.0
+    d = demand(spec, price, multiplier)
+    clamped = (price - lo) <= tolerance or (hi - price) <= tolerance
+    return Optimum(price, d, reward(spec, price, d), Method.LINE_SEARCH, clamped)
+
+
+def same_float(a, b):
+    """Equal as the reports print them: same value and sign, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def assert_same(got, want):
+    assert type(got.price) is float and type(got.clamped) is bool
+    assert got.method is want.method
+    assert got.clamped == want.clamped, (got, want)
+    for field in ("price", "demand", "profit"):
+        assert same_float(getattr(got, field), getattr(want, field)), (field, got, want)
+
+
+def random_specs(count, seed):
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        p0 = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+        specs.append(
+            ProductSpec(
+                name=f"p{i}",
+                base_demand=rng.choice([0.0, rng.uniform(0.0, 500.0), 1e308]),
+                base_price=p0,
+                elasticity=-math.exp(rng.uniform(math.log(0.01), math.log(30.0))),
+                unit_cost=rng.choice([0.0, p0 * rng.uniform(0.0, 0.99)]),
+            )
+        )
+    return specs
+
+
+def edge_lanes():
+    """(spec, grid prices) lanes that stress each batch rule."""
+    inf_demand = dict(base_demand=1e308, base_price=100.0, elasticity=-10.0)
+    return [
+        # NaN profit at grid index 0: unit cost on the first price, infinite demand
+        (ProductSpec("nan-first", unit_cost=50.0, **inf_demand), [50.0, 60.0, 70.0, 80.0, 90.0]),
+        # NaN mid-row, +inf after it: the first strictly greater profit must win
+        (ProductSpec("nan-mid", unit_cost=60.0, **inf_demand), [50.0, 60.0, 70.0, 80.0, 90.0]),
+        # exact 0.0 ties beyond the zero-demand price (105): the first one wins
+        (
+            ProductSpec("zero-ties", base_demand=40.0, base_price=100.0, elasticity=-20.0, unit_cost=99.5),
+            [50.0, 80.0, 99.0, 110.0, 120.0, 130.0],
+        ),
+        # zero base demand: every profit is 0.0
+        (ProductSpec("no-demand", base_demand=0.0, base_price=10.0, elasticity=-1.0), [5.0, 10.0, 20.0]),
+        # brackets under the tolerance (no golden-section step), one step, and many
+        (ProductSpec("narrow", base_demand=5.0, base_price=1e-4, elasticity=-2.0), [4e-5, 1e-4]),
+        (ProductSpec("one-step", base_demand=5.0, base_price=1e-4, elasticity=-2.0), [5e-5, 2e-4]),
+        (ProductSpec("wide", base_demand=5.0, base_price=1e9, elasticity=-0.5), [5e8, 1e9, 2e9]),
+        # a vertex that overflows to NaN: p0 * (e - 1) / (2e) is -inf / -inf
+        (ProductSpec("nan-vertex", base_demand=1.0, base_price=1e308, elasticity=-1e308), [5e307, 1e308]),
+    ]
+
+
+class TestLanesMatchScalarOracle:
+    @pytest.mark.parametrize("multiplier", [1.0, 1.2, 0.7])
+    @pytest.mark.parametrize("points, span", [(21, (0.5, 2.0)), (7, (0.3, 3.0)), (2, (0.9, 1.1))])
+    def test_random_catalog(self, multiplier, points, span):
+        specs = random_specs(300, seed=points * 31 + int(multiplier * 10))
+        grids = price_grids(specs, points, *span)
+        ana, gs, ls = optima(specs, grids, multiplier)
+        for spec, row, a, g, l in zip(specs, grids.tolist(), ana, gs, ls):
+            bounds = (row[0], row[-1])
+            assert_same(a, oracle_analytic(spec, bounds, multiplier))
+            assert_same(g, oracle_grid_search(spec, row, multiplier))
+            assert_same(l, oracle_line_search(spec, bounds, multiplier))
+
+    @pytest.mark.parametrize("multiplier", [1.0, 1.2])
+    def test_edge_lanes_in_one_batch(self, multiplier):
+        lanes = edge_lanes()
+        points = max(len(prices) for _, prices in lanes)
+        # pad each row with prices above its last so every lane has the same width
+        rows = [prices + [prices[-1] * (1.01 + 0.01 * k) for k in range(points - len(prices))] for _, prices in lanes]
+        specs = [spec for spec, _ in lanes]
+        ana, gs, ls = optima(specs, np.array(rows), multiplier)
+        for spec, row, a, g, l in zip(specs, rows, ana, gs, ls):
+            bounds = (row[0], row[-1])
+            assert_same(a, oracle_analytic(spec, bounds, multiplier))
+            assert_same(g, oracle_grid_search(spec, row, multiplier))
+            assert_same(l, oracle_line_search(spec, bounds, multiplier))
+
+    def test_edge_lanes_pick_the_scalar_indices(self):
+        by_name = {spec.name: (spec, prices) for spec, prices in edge_lanes()}
+        picks = {}
+        for name in ("nan-first", "nan-mid", "zero-ties", "no-demand"):
+            spec, prices = by_name[name]
+            picks[name] = grid_search_optimum(spec, PriceGrid(tuple(prices))).price
+        assert picks == {"nan-first": 50.0, "nan-mid": 70.0, "zero-ties": 110.0, "no-demand": 5.0}
+
+    @pytest.mark.parametrize("bounds", [(float("nan"), 300.0), (50.0, float("nan")), (54.6, 218.4)])
+    def test_one_lane_calls_with_unchecked_bounds(self, bounds):
+        # NaN passes the bounds check (every comparison is false); the clamp
+        # must then resolve as Python's max/min do, not as np.maximum/np.minimum
+        for mult in (1.0, 1.2):
+            assert_same(analytic_optimum(S24, bounds, mult), oracle_analytic(S24, bounds, mult))
+            assert_same(line_search_optimum(S24, bounds, mult), oracle_line_search(S24, bounds, mult))
+
+    def test_one_lane_calls(self):
+        for spec, prices in edge_lanes():
+            bounds = (prices[0], prices[-1])
+            assert_same(analytic_optimum(spec, bounds), oracle_analytic(spec, bounds))
+            assert_same(grid_search_optimum(spec, PriceGrid(tuple(prices))), oracle_grid_search(spec, prices))
+            assert_same(line_search_optimum(spec, bounds), oracle_line_search(spec, bounds))
+
+    def test_empty_catalog(self):
+        assert optima([], price_grids([])) == ([], [], [])

@@ -305,6 +305,24 @@ class TestOptimize:
         assert "'Big'" in err and "overflows" in err
 
 
+@pytest.mark.parametrize("command", ["curve", "optimize"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("Huge,-0.5,1.7e308,1.0,0", "product 'Huge': grid upper bound 2.0 * base_price overflows"),
+        ("Tiny,-1.0,5e-324,10.0,0", "product 'Tiny': prices must be > 0"),
+    ],
+    ids=["huge", "tiny"],
+)
+def test_unusable_price_grid_exits_two_naming_product(tmp_path, capsys, command, row, message):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("product_name,price_elasticity,base_price,base_demand,unit_cost\nFine,-1.0,100.0,10.0,0\n" + row + "\n")
+    code, out, err = run(capsys, [command, "--catalog", str(cat)])
+    assert code == 2
+    assert out == ""
+    assert err == f"pricelab: error: {message}\n"
+
+
 def test_markdown_escapes_pipe_in_product_names(tmp_path, capsys):
     cat = tmp_path / "cat.csv"
     cat.write_text("product_name,price_elasticity,base_price,base_demand\nA|B,-1.0,100.0,10.0\n")

@@ -1,16 +1,19 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from pricelab.domain import (
     DayModulation,
     DayType,
-    MarketState,
     PriceGrid,
     ProductSpec,
+    _uniform_grids,
     default_price_grid,
     demand,
     noisy_demand,
+    price_grids,
     reward,
     revenue_curve,
     zero_demand_price,
@@ -69,11 +72,6 @@ class TestDayTypes:
                 DayModulation(weekday=bad)
             with pytest.raises(ValueError):
                 DayModulation(weekend=bad)
-
-    def test_market_state(self):
-        MarketState(product_index=0, day_type=DayType.WEEKEND)
-        with pytest.raises(ValueError):
-            MarketState(product_index=-1, day_type=DayType.WEEKDAY)
 
 
 class TestPriceGrid:
@@ -219,6 +217,47 @@ class TestDefaultPriceGrid:
     def test_rejects_overflowing_upper_bound(self):
         with pytest.raises(ValueError, match="overflows"):
             default_price_grid(spec_of(-1.0, 1.7e308, 10.0))
+
+
+class TestPriceGrids:
+    @pytest.mark.parametrize("points, tiny_ok", [(2, True), (3, True), (21, False), (101, False)])
+    def test_rows_equal_per_product_linspace(self, points, tiny_ok):
+        rng = random.Random(points)
+        bases = [math.exp(rng.uniform(math.log(1e-300), math.log(1e300))) for _ in range(200)]
+        # 1e-323 spans 3 subnormal steps: from 21 points on, its step underflows
+        # to 0 (np.linspace on the stacked bounds would then alter its neighbours)
+        bases[100:100] = [109.2, 1e-323, 444.7]
+        grids, bad = _uniform_grids(bases, points, 0.5, 2.0)
+        assert bad == (None if tiny_ok else (101, "prices must be strictly increasing"))
+        for i, p0 in enumerate(bases):
+            if bad is None or i != bad[0]:
+                assert grids[i].tobytes() == np.linspace(0.5 * p0, 2.0 * p0, points).tobytes(), i
+
+    def test_default_grid_is_the_one_row_case(self, sample_specs):
+        grids = price_grids(sample_specs, 21, 0.4, 2.5)
+        for spec, row in zip(sample_specs, grids.tolist()):
+            assert default_price_grid(spec, 21, 0.4, 2.5).prices == tuple(row)
+
+    @pytest.mark.parametrize(
+        "p0, reason",
+        [
+            (1.7e308, "grid upper bound 2.0 * base_price overflows"),
+            (5e-324, "prices must be > 0"),
+            (1e-323, "prices must be strictly increasing"),
+        ],
+    )
+    def test_names_the_first_bad_product(self, p0, reason):
+        specs = [spec_of(-1.0, 100.0, 10.0, name="ok"), spec_of(-1.0, p0, 10.0, name="bad"),
+                 spec_of(-1.0, 1.7e308, 10.0, name="later")]
+        with pytest.raises(ValueError) as excinfo:
+            price_grids(specs, 21)
+        assert str(excinfo.value) == f"product 'bad': {reason}"
+        with pytest.raises(ValueError) as excinfo:
+            default_price_grid(specs[1], 21)
+        assert str(excinfo.value) == reason
+
+    def test_empty_catalog(self):
+        assert price_grids([], 5).shape == (0, 5)
 
 
 class TestZeroDemandPrice:
