@@ -30,7 +30,9 @@ for bit:
 
 Results come back as Python floats and bools (``tolist``), so reports
 print exactly what scalar code would.  ``analytic_optimum``,
-``grid_search_optimum`` and ``line_search_optimum`` are one-lane calls.
+``grid_search_optimum`` and ``line_search_optimum`` are one-lane calls;
+each pays numpy's per-operation overhead (golden section: about 2 ms), so
+more than a few products belong in one ``optima`` call.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 _LOG_INV_PHI = math.log(_INV_PHI)
-# products per block in ``optima``: bounds the size of the array temporaries,
-# so memory does not grow with the catalog beyond the results themselves
-_BLOCK = 512
 
 
 class Method(Enum):
@@ -155,15 +154,13 @@ def optima(
     returns; the analytic and line searches run over each row's
     ``[first, last]`` price.  Each list is in ``specs`` order.
     """
-    results = ([], [], [])
-    for start in range(0, len(specs), _BLOCK):
-        lanes = ProductLanes.of(specs[start : start + _BLOCK])
-        block = grids[start : start + _BLOCK]
-        lo, hi = block[:, :1], block[:, -1:]
-        results[0].extend(_analytic(lanes, lo, hi, multiplier))
-        results[1].extend(_grid_search(lanes, block, multiplier))
-        results[2].extend(_line_search(lanes, lo, hi, multiplier, tolerance))
-    return results
+    lanes = ProductLanes.of(specs)
+    lo, hi = grids[:, :1], grids[:, -1:]
+    return (
+        _analytic(lanes, lo, hi, multiplier),
+        _grid_search(lanes, grids, multiplier),
+        _line_search(lanes, lo, hi, multiplier, tolerance),
+    )
 
 
 def optima_by_day(

@@ -23,7 +23,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import optima_by_day
+# perfbench/tracing.py times the one-product optimizers as attributes of this
+# module, so they stay importable here; optimize itself makes one batch call per day type
+from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import DayModulation, DayType, default_price_grid, price_grids
 from .experiment import (

@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import Optimum, optima_by_day
+# perfbench/tracing.py times the one-product optimizers as attributes of this
+# module, so they stay importable here; the evaluation makes one batch call per day type
+from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
 from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, default_price_grid, price_grids
 from .qlearn import Hyperparams, QTable, evaluate_greedy, reward_tables, train, train_lockstep
 from .rng import MASK64, split_seed
