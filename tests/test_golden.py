@@ -3,8 +3,12 @@
 ``optimize`` (csv, json, markdown) and ``curve --samples 21`` run on the
 embedded sample and on a seeded 300-row synthetic catalog, each at the
 defaults and under a weekend uplift with a cost fraction; ``compare``
-runs on a 40-product catalog, which trains in lockstep.  A refactor of
-the baselines, grids or renderers must leave every digest unchanged.
+runs on a 40-product catalog, which trains in lockstep, and on the
+14-product sample, which trains product by product, both also with rows
+whose grid or rewards are unusable.  ``train`` (table and sidecar),
+``validate`` and ``sample-catalog`` are pinned too.  A refactor of the
+baselines, grids, product setup or renderers must leave every digest
+unchanged.
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import random
 
 import pytest
 
+from pricelab.catalog import sample_catalog, serialize_catalog
 from pricelab.cli import main
 
 UPLIFT = ["--weekend-multiplier", "1.2", "--cost-policy", "fraction", "--cost-fraction", "0.4"]
@@ -105,3 +110,86 @@ def test_curve_digest(tmp_path, catalogs, catalog, setting):
 def test_compare_digest(tmp_path, catalogs, fmt):
     argv = ["compare", "--episodes", "20", "--format", fmt, *UPLIFT]
     assert run_to_file(tmp_path, catalogs["forty"], argv) == COMPARE_GOLDEN[fmt]
+
+
+# rows no product pipeline may silently drop: two unusable price grids and
+# one product whose rewards overflow; every other row must come out as usual
+BAD_ROWS = "Huge,-0.5,1.7e308,1.0,0\nTiny,-1.0,5e-324,10.0,0\nBig,-0.5,100.0,1e307,0\n"
+
+# one row per rejection reason, between accepted rows
+REJECTING_CATALOG = HEADER + (
+    "Fine,-1.0,100.0,10.0,0\n"
+    "Flat,0.5,100.0,10.0,0\n"
+    "Free,-1.0,0.0,10.0,0\n"
+    "Costly,-1.0,100.0,10.0,150.0\n"
+    "Fine,-2.0,50.0,5.0,0\n"
+    "Broken,-1.0,abc,10.0,0\n"
+    "Short,-1.0\n"
+    '"Quoted, name",-0.8,423.8,27.0,10.0\n'
+)
+
+
+def run_with_code(tmp_path, argv, code) -> str:
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == code
+    return digest(out)
+
+
+def write_catalog(tmp_path, text):
+    path = tmp_path / "catalog.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+TRAIN_GOLDEN = {
+    "table": "af49d5b04c09337a5e918dfacfc35e8405b1db4c6c0b52efecff6c280ea52e03",
+    "sidecar": "7b0f16f00a9f480aafe138c0de0ac39f2e66365c242dc4f6c33f2c6ce76422e7",
+}
+
+OTHER_GOLDEN = {
+    "validate": "009e56c9020c9703e8ee6df3050db6a83f4669b2ca491fb919b17c0a7d217d3d",
+    "sample-catalog": "cfaf85671c1d35eef84174ab28ec5cffeeb41a49397648fbe0722bcedb31b715",
+    "compare-markdown": "b4dd8f442994f1a99f3ae80e6482b55fe74ca1a350241e906204ef133d6f3b12",
+    "compare-sample": "044682133f79b22a67d268663c47398a00a2175927630bf2f3a00db380924a1c",
+    "compare-bad-rows-sample-csv": "c1aeb1fb080ca9666337789d9acccca5131b0ff046f90c39a49c491ea91be3c3",
+    "compare-bad-rows-forty-csv": "52159107f5a81a21bb97455a20096345f22b9e3ab98a195e73d11dda501b522c",
+    "compare-bad-rows-sample-markdown": "7879bec78144b641d78a6947f44c6b59cc03394db5c467e31608aa5ddc519dcb",
+}
+
+
+def test_train_digest(tmp_path):
+    argv = ["train", "--product", 'Samsung 55" 4K', "--episodes", "300", "--seed", "7", *UPLIFT]
+    assert main([*argv, "-o", str(tmp_path / "q.csv")]) == 0
+    got = {"table": digest(tmp_path / "q.csv"), "sidecar": digest(tmp_path / "q.hyperparams.json")}
+    assert got == TRAIN_GOLDEN
+
+
+def test_validate_digest(tmp_path):
+    catalog = write_catalog(tmp_path, REJECTING_CATALOG)
+    got = run_with_code(tmp_path, ["validate", "--catalog", str(catalog)], 1)
+    assert got == OTHER_GOLDEN["validate"]
+
+
+def test_sample_catalog_digest(tmp_path):
+    assert run_with_code(tmp_path, ["sample-catalog"], 0) == OTHER_GOLDEN["sample-catalog"]
+
+
+def test_compare_markdown_digest(tmp_path, catalogs):
+    argv = ["compare", "--episodes", "20", "--format", "markdown", *UPLIFT]
+    assert run_to_file(tmp_path, catalogs["forty"], argv) == OTHER_GOLDEN["compare-markdown"]
+
+
+def test_compare_sample_digest(tmp_path):
+    # 14 products: below LOCKSTEP_MIN_PRODUCTS, so each trains alone
+    argv = ["compare", "--episodes", "50", *UPLIFT]
+    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["compare-sample"]
+
+
+@pytest.mark.parametrize("base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown")])
+def test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt):
+    # the sample plus three bad rows trains product by product, the forty in lockstep
+    text = serialize_catalog(sample_catalog()) if base == "sample" else catalogs[base].read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    catalog = write_catalog(tmp_path, "".join(lines[:4]) + BAD_ROWS + "".join(lines[4:]))
+    argv = ["compare", "--episodes", "20", "--format", fmt]
+    assert run_to_file(tmp_path, catalog, argv) == OTHER_GOLDEN[f"compare-bad-rows-{base}-{fmt}"]
