@@ -39,7 +39,6 @@ from .experiment import (
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
-    derive_product_seed,
     export_revenue_curves,
     render_report,
     run_experiment,
@@ -81,7 +80,6 @@ __all__ = [
     "analytic_optimum",
     "default_price_grid",
     "demand",
-    "derive_product_seed",
     "epsilon_at",
     "epsilon_schedule",
     "evaluate_greedy",

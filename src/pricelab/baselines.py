@@ -174,8 +174,8 @@ def optima_by_day(
 
 def _one_lane_bounds(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = bounds
-    if lo <= 0 or lo >= hi:
-        raise ValueError(f"need 0 < lo < hi, got {bounds!r}")
+    if not (0 < lo < hi < math.inf):  # NaN fails every comparison
+        raise ValueError(f"need 0 < lo < hi < inf, got {bounds!r}")
     return np.array([[lo]], dtype=np.float64), np.array([[hi]], dtype=np.float64)
 
 

@@ -15,26 +15,27 @@ or OS entropy.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
-# perfbench/tracing.py times the one-product optimizers as attributes of this
-# module, so they stay importable here; optimize itself makes one batch call per day type
+# perfbench/tracing.py times the one-product optimizers and default_price_grid as
+# attributes of this module, so they stay importable here; optimize makes one batch
+# call per day type, and prepare_products builds every grid in one call
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
-from .domain import DayModulation, DayType, default_price_grid, price_grids
+from .domain import DayModulation, DayType, PriceGrid, default_price_grid  # noqa: F401
 from .experiment import (
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
-    derive_product_seed,
+    csv_table,
     export_revenue_curves,
     markdown_escape,
+    markdown_table,
+    prepare_products,
     render_report,
     run_experiment,
 )
@@ -78,73 +79,42 @@ def _read_config_file(path: str) -> dict:
     return raw
 
 
+def _convert(key: str, value):
+    kind = CONFIG_KEYS[key]
+    try:
+        numbers = value if key == "grid_span" else [value]
+        # JSON true/false would otherwise convert to 1 and 0
+        if kind is not str and any(isinstance(v, bool) for v in numbers):
+            raise ValueError(f"expected a number, got {value!r}")
+        if key == "grid_span":
+            lo, hi = value
+            return (float(lo), float(hi))
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid config value for {key!r}: {exc}") from None
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    settings: dict = {}
-    if getattr(args, "config", None):
-        settings.update(_read_config_file(args.config))
+    settings = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    settings.update((key, value) for key in CONFIG_KEYS if (value := getattr(args, key, None)) is not None)
 
-    overrides = {
-        "alpha": getattr(args, "alpha", None),
-        "gamma": getattr(args, "gamma", None),
-        "epsilon_start": getattr(args, "epsilon_start", None),
-        "epsilon_min": getattr(args, "epsilon_min", None),
-        "epsilon_decay": getattr(args, "epsilon_decay", None),
-        "episodes": getattr(args, "episodes", None),
-        "steps_per_episode": getattr(args, "steps_per_episode", None),
-        "grid_points": getattr(args, "grid_points", None),
-        "grid_span": getattr(args, "grid_span", None),
-        "weekday_multiplier": getattr(args, "weekday_multiplier", None),
-        "weekend_multiplier": getattr(args, "weekend_multiplier", None),
-        "cost_policy": getattr(args, "cost_policy", None),
-        "cost_fraction": getattr(args, "cost_fraction", None),
-        "master_seed": getattr(args, "seed", None),
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-
-    def take(key: str, default):
-        value = settings.get(key, default)
-        try:
-            kind = CONFIG_KEYS[key]
-            numbers = value if key == "grid_span" else [value]
-            # JSON true/false would otherwise convert to 1 and 0
-            if kind is not str and any(isinstance(v, bool) for v in numbers):
-                raise ValueError(f"expected a number, got {value!r}")
-            if key == "grid_span":
-                lo, hi = value
-                return (float(lo), float(hi))
-            if kind is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"expected an integer, got {value!r}")
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"invalid config value for {key!r}: {exc}") from None
+    def given(**keys: str) -> dict:
+        # {field: config key} -> the converted settings as keyword arguments;
+        # an unset key leaves its field at the dataclass default
+        return {field: _convert(key, settings[key]) for field, key in keys.items() if key in settings}
 
     try:
-        hp = Hyperparams(
-            alpha=take("alpha", 0.1),
-            gamma=take("gamma", 0.9),
-            epsilon_start=take("epsilon_start", 1.0),
-            epsilon_min=take("epsilon_min", 0.35),
-            epsilon_decay=take("epsilon_decay", 0.995),
-            episodes=take("episodes", 10_000),
-            steps_per_episode=take("steps_per_episode", 7),
-        )
-        config = ExperimentConfig(
-            hyperparams=hp,
-            grid_points=take("grid_points", 21),
-            grid_span=take("grid_span", (0.5, 2.0)),
-            modulation=DayModulation(
-                weekday=take("weekday_multiplier", 1.0),
-                weekend=take("weekend_multiplier", 1.0),
-            ),
-            cost_policy=CostPolicy(
-                kind=take("cost_policy", "catalog"),
-                fraction=take("cost_fraction", 0.0),
-            ),
-            master_seed=take("master_seed", 0),
+        return ExperimentConfig(
+            hyperparams=Hyperparams(**given(**{f.name: f.name for f in fields(Hyperparams)})),
+            **given(grid_points="grid_points", grid_span="grid_span"),
+            modulation=DayModulation(**given(weekday="weekday_multiplier", weekend="weekend_multiplier")),
+            cost_policy=CostPolicy(**given(kind="cost_policy", fraction="cost_fraction")),
+            **given(master_seed="master_seed"),
         )
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}") from None
-    return config
 
 
 def _parse_catalog_file(path: str):
@@ -201,38 +171,49 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+def _prepare(catalog, config: ExperimentConfig):
+    """The costed specs and price grids of ``catalog``; the first unusable
+    product is an error naming it."""
+    costed, grids, unusable = prepare_products(catalog, config)
+    if unusable:
+        index = min(unusable)
+        raise CliError(f"product {catalog[index].name!r}: {unusable[index]}")
+    return costed, grids
+
+
 def _cmd_train(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    matches = [(i, s) for i, s in enumerate(catalog) if s.name == args.product]
+    matches = [i for i, s in enumerate(catalog) if s.name == args.product]
     if not matches:
         raise CliError(f"product not found in catalog: {args.product!r}")
-    index, spec = matches[0]
-    costed = config.cost_policy.apply(spec)
-    lo, hi = config.grid_span
-    grid = default_price_grid(costed, config.grid_points, lo, hi)
-    hp = replace(config.hyperparams, seed=derive_product_seed(config.master_seed, index))
-    q, _trace = train(costed, grid, config.modulation, hp)
+    (spec,), grids = _prepare([catalog[matches[0]]], config)
+    grid = PriceGrid(tuple(grids[0].tolist()))
+    hp = config.seeded(matches[0])
+    q, _trace = train(spec, grid, config.modulation, hp)
     _write_output(qtable_to_csv(q, grid), args.output)
-    if args.output and args.output != "-":
+    # the sidecar goes only next to a regular file (not /dev/null, a pipe, ...)
+    if args.output not in (None, "-") and Path(args.output).is_file():
         sidecar = Path(args.output).with_suffix(".hyperparams.json")
         sidecar.write_text(hyperparams_to_json(hp), encoding="utf-8")
     return 0
 
 
+_OPTIMIZE_COLUMNS = ["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"]
+_OPTIMIZE_HEADERS = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
+
+
 def _cmd_optimize(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    costed = [config.cost_policy.apply(spec) for spec in catalog]
-    grids = price_grids(costed, config.grid_points, *config.grid_span)
-    labels = [day.label for day in DayType]
+    costed, grids = _prepare(catalog, config)
     rows = []
     for spec, by_day in zip(catalog, optima_by_day(costed, grids, config.modulation)):
-        for label, opts in zip(labels, by_day):
+        for day, opts in zip(DayType, by_day):
             for opt in opts:
                 if not (math.isfinite(opt.demand) and math.isfinite(opt.profit)):
                     raise CliError(f"product {spec.name!r}: {opt.method.value} optimum overflows")
-                rows.append((spec.name, label, opt))
+                rows.append((spec.name, day.label, opt))
 
     if args.format == "json":
         doc = [
@@ -248,24 +229,17 @@ def _cmd_optimize(args) -> int:
             for name, day, opt in rows
         ]
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    elif args.format == "markdown":
-        headers = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
-        lines = ["| " + " | ".join(headers) + " |", "| " + " | ".join(["---"] * len(headers)) + " |"]
-        for name, day, opt in rows:
-            lines.append(
-                f"| {markdown_escape(name)} | {day} | {opt.method.value} | {opt.price:.1f} | "
-                f"{opt.demand:.1f} | {opt.profit:.2f} | {str(opt.clamped).lower()} |"
-            )
-        text = "\n".join(lines) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"])
-        for name, day, opt in rows:
-            writer.writerow(
-                [name, day, opt.method.value, f"{opt.price:.1f}", f"{opt.demand:.1f}", f"{opt.profit:.2f}", str(opt.clamped).lower()]
-            )
-        text = buf.getvalue()
+        cells = [
+            [name, day, opt.method.value, f"{opt.price:.1f}", f"{opt.demand:.1f}", f"{opt.profit:.2f}",
+             str(opt.clamped).lower()]
+            for name, day, opt in rows
+        ]
+        if args.format == "markdown":
+            escaped = ([markdown_escape(name), *rest] for name, *rest in cells)
+            text = markdown_table(_OPTIMIZE_HEADERS, escaped, None)
+        else:
+            text = csv_table(_OPTIMIZE_COLUMNS, cells)
     _write_output(text, args.output)
     return 0
 
@@ -291,7 +265,7 @@ def _add_common(parser: argparse.ArgumentParser, *, catalog_required: bool = Fal
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file; flags override file values")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument("--seed", type=int, dest="master_seed", help="master seed (default 0)")
     parser.add_argument("--episodes", type=int)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--gamma", type=float)
@@ -331,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train",
         help="train one product and write its Q-table CSV",
-        description="Train one product and write its Q-table CSV; when --output is a "
-        "file, a <output>.hyperparams.json provenance sidecar is written next to it.",
+        description="Train one product and write its Q-table CSV; when --output names a "
+        "regular file, a <output>.hyperparams.json provenance sidecar is written next to it.",
     )
     _add_common(p)
     _add_config_flags(p)

@@ -222,15 +222,15 @@ class ProductLanes:
 
 def _uniform_grids(
     base_prices: list[float], num_points: int, lo_ratio: float, hi_ratio: float
-) -> tuple[np.ndarray, tuple[int, str] | None]:
+) -> tuple[np.ndarray, dict[int, str]]:
     """Grids over ``[lo_ratio * p0, hi_ratio * p0]``, one row per base price,
-    and the first unusable row with its reason (None when all are usable).
+    and ``{row: reason}`` for every unusable row, in row order.
 
     Each row is ``np.linspace(lo, hi, num_points)`` bit for bit: numpy's
     own ``arange(n) * step + start`` with the stop written into the last
     column.  Calling ``np.linspace`` on the stacked bounds would not be:
     if any row's step underflows to 0, numpy switches every row to
-    divide-then-multiply.  Such a row repeats prices and is rejected here.
+    divide-then-multiply.  Such a row repeats prices and is reported here.
     """
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
@@ -246,17 +246,15 @@ def _uniform_grids(
         overflows = ~np.isfinite(stop[:, 0])
         nonpositive = grids[:, 0] <= 0
         unordered = (grids[:, 1:] <= grids[:, :-1]).any(axis=1)
-    bad = overflows | nonpositive | unordered
-    if not bad.any():
-        return grids, None
-    i = int(bad.argmax())
-    if overflows[i]:
-        reason = f"grid upper bound {hi_ratio} * base_price overflows"
-    elif nonpositive[i]:
-        reason = "prices must be > 0"
-    else:
-        reason = "prices must be strictly increasing"
-    return grids, (i, reason)
+    unusable = {}
+    for i in np.flatnonzero(overflows | nonpositive | unordered).tolist():
+        if overflows[i]:
+            unusable[i] = f"grid upper bound {hi_ratio} * base_price overflows"
+        elif nonpositive[i]:
+            unusable[i] = "prices must be > 0"
+        else:
+            unusable[i] = "prices must be strictly increasing"
+    return grids, unusable
 
 
 def price_grids(
@@ -271,9 +269,9 @@ def price_grids(
     Raises ValueError naming the first product whose upper bound
     overflows or whose prices are not positive and strictly increasing.
     """
-    grids, bad = _uniform_grids([s.base_price for s in specs], num_points, lo_ratio, hi_ratio)
-    if bad is not None:
-        i, reason = bad
+    grids, unusable = _uniform_grids([s.base_price for s in specs], num_points, lo_ratio, hi_ratio)
+    if unusable:
+        i, reason = next(iter(unusable.items()))
         raise ValueError(f"product {specs[i].name!r}: {reason}")
     return grids
 
@@ -285,9 +283,9 @@ def default_price_grid(
     hi_ratio: float = 2.0,
 ) -> PriceGrid:
     """Uniform grid over ``[lo_ratio * p0, hi_ratio * p0]``, inclusive."""
-    grids, bad = _uniform_grids([spec.base_price], num_points, lo_ratio, hi_ratio)
-    if bad is not None:
-        raise ValueError(bad[1])
+    grids, unusable = _uniform_grids([spec.base_price], num_points, lo_ratio, hi_ratio)
+    if unusable:
+        raise ValueError(unusable[0])
     return PriceGrid(tuple(grids[0].tolist()))
 
 

@@ -6,11 +6,15 @@ price interval, and emits one comparison row per (product, day type).
 Reports render as CSV, JSON (full precision, with a config provenance
 block), or Markdown.
 
-Everything is deterministic given the catalog and config: per-product
-seeds are derived from the master seed and the catalog index by a frozen
-splitting function (see ``pricelab.rng.split_seed``), and large catalogs
-train in lockstep with results bitwise equal to training each product
-alone.
+Every product reaches training by one path, shared with the CLI's
+``train`` and ``optimize``: ``prepare_products`` applies the cost policy
+and builds all price grids in one call, reporting each unusable product
+with its reason, and ``ExperimentConfig.seeded`` gives a product its
+hyperparameters, with a seed split from the master seed and its catalog
+index by a frozen function (see ``pricelab.rng.split_seed``).  So
+everything is deterministic given the catalog and config, and large
+catalogs train in lockstep with results bitwise equal to training each
+product alone.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# perfbench/tracing.py times the one-product optimizers as attributes of this
-# module, so they stay importable here; the evaluation makes one batch call per day type
+# perfbench/tracing.py times the one-product optimizers and default_price_grid as
+# attributes of this module, so they stay importable here; the evaluation makes one
+# batch call per day type, and prepare_products builds every grid in one call
 from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
-from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, default_price_grid, price_grids
+from .domain import default_price_grid  # noqa: F401
+from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, _uniform_grids, price_grids
 from .qlearn import Hyperparams, QTable, evaluate_greedy, reward_tables, train, train_lockstep
 from .rng import MASK64, split_seed
 
@@ -75,6 +81,31 @@ class ExperimentConfig:
         if not (0 <= self.master_seed <= MASK64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
 
+    def seeded(self, index: int) -> Hyperparams:
+        """The hyperparameters of the product at catalog ``index``, seeded
+        from the master seed by the frozen ``pricelab.rng.split_seed``."""
+        return replace(self.hyperparams, seed=split_seed(self.master_seed, index))
+
+
+def prepare_products(
+    catalog: list[ProductSpec], config: ExperimentConfig
+) -> tuple[list[ProductSpec], np.ndarray, dict[int, str]]:
+    """Every product's costed spec and price grid, from one grid build.
+
+    Returns the specs under the cost policy, the ``(len(catalog),
+    grid_points)`` grids, and ``{index: reason}`` for every product that
+    cannot be used; such a product's spec and grid row are placeholders.
+    """
+    grids, unusable = _uniform_grids([s.base_price for s in catalog], config.grid_points, *config.grid_span)
+    costed = []
+    for index, spec in enumerate(catalog):
+        try:
+            spec = config.cost_policy.apply(spec)
+        except ValueError as exc:  # a cost fraction of a subnormal price can round up to the price
+            unusable[index] = str(exc)
+        costed.append(spec)
+    return costed, grids, unusable
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -101,11 +132,6 @@ LOCKSTEP_MIN_PRODUCTS = 32
 _DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
 
 
-def derive_product_seed(master_seed: int, product_index: int) -> int:
-    """Frozen master-seed splitting; documented in ``pricelab.rng``."""
-    return split_seed(master_seed, product_index)
-
-
 @dataclass(frozen=True)
 class _Setup:
     """One product ready to train: costed spec, price grid, seeded
@@ -115,15 +141,6 @@ class _Setup:
     grid: PriceGrid
     hp: Hyperparams
     rewards: np.ndarray
-
-
-def _setup(spec: ProductSpec, index: int, config: ExperimentConfig) -> _Setup:
-    costed = config.cost_policy.apply(spec)
-    lo_ratio, hi_ratio = config.grid_span
-    grid = default_price_grid(costed, config.grid_points, lo_ratio, hi_ratio)
-    hp = replace(config.hyperparams, seed=derive_product_seed(config.master_seed, index))
-    demand_table, margins = reward_tables(costed, grid, config.modulation, hp.gamma)
-    return _Setup(costed, grid, hp, margins * demand_table)
 
 
 def _comparison_rows(
@@ -165,18 +182,26 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
 
     per_product: list[list[ComparisonRow]] = [[] for _ in catalog]
 
-    def fail(index: int, exc: ValueError) -> None:
+    def fail(index: int, error: str) -> None:
         # a failed product becomes marked rows; the batch continues
         per_product[index] = [
-            ComparisonRow(product_name=catalog[index].name, day_type=day, error=str(exc)) for day in _DAYS
+            ComparisonRow(product_name=catalog[index].name, day_type=day, error=error) for day in _DAYS
         ]
 
+    costed, grids, unusable = prepare_products(catalog, config)
     setups: dict[int, _Setup] = {}
-    for index, spec in enumerate(catalog):
+    for index, spec in enumerate(costed):
+        if index in unusable:
+            fail(index, unusable[index])
+            continue
+        grid = PriceGrid(tuple(grids[index].tolist()))
+        hp = config.seeded(index)
         try:
-            setups[index] = _setup(spec, index, config)
+            demand_table, margins = reward_tables(spec, grid, config.modulation, hp.gamma)
         except ValueError as exc:
-            fail(index, exc)
+            fail(index, str(exc))
+            continue
+        setups[index] = _Setup(spec, grid, hp, margins * demand_table)
 
     tables: dict[int, QTable] = {}
     if len(setups) >= LOCKSTEP_MIN_PRODUCTS:
@@ -188,17 +213,16 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
             try:
                 tables[index], _ = train(s.costed, s.grid, config.modulation, s.hp)
             except ValueError as exc:
-                fail(index, exc)
+                fail(index, str(exc))
 
     # the baselines of every trained product in one batch per day type
-    trained = [setups[index] for index in tables]
-    grids = np.array([s.grid.prices for s in trained], dtype=np.float64).reshape(len(trained), config.grid_points)
-    baselines = optima_by_day([s.costed for s in trained], grids, config.modulation)
+    trained = list(tables)
+    baselines = optima_by_day([costed[index] for index in trained], grids[trained], config.modulation)
     for (index, q), by_day in zip(tables.items(), baselines):
         try:
             per_product[index] = _comparison_rows(catalog[index].name, setups[index], q, config, by_day)
         except ValueError as exc:
-            fail(index, exc)
+            fail(index, str(exc))
 
     return [row for rows in per_product for row in rows]
 
@@ -235,6 +259,20 @@ def _csv_cells(row: ComparisonRow) -> list[str]:
     return cells
 
 
+def _md_cells(row: ComparisonRow) -> list[str]:
+    name = markdown_escape(row.product_name)
+    if row.error:
+        return [name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
+    cells = [name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
+    for opt in (row.analytic, row.grid_search, row.line_search):
+        if opt is None:
+            cells += ["", "", ""]
+        else:
+            cells += [f"{opt.price:.1f}{'†' if opt.clamped else ''}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
+    ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
+    return cells + [ratio]
+
+
 def _row_as_dict(row: ComparisonRow) -> dict:
     def opt_dict(opt: Optimum | None):
         if opt is None:
@@ -255,17 +293,6 @@ def _row_as_dict(row: ComparisonRow) -> dict:
     }
 
 
-def _config_as_dict(config: ExperimentConfig) -> dict:
-    return {
-        "hyperparams": dataclasses.asdict(config.hyperparams),
-        "grid_points": config.grid_points,
-        "grid_span": list(config.grid_span),
-        "modulation": {"weekday": config.modulation.weekday, "weekend": config.modulation.weekend},
-        "cost_policy": {"kind": config.cost_policy.kind, "fraction": config.cost_policy.fraction},
-        "master_seed": config.master_seed,
-    }
-
-
 _MD_HEADERS = [
     "Product", "Day",
     "RL Optimal Price", "RL Optimal Demand", "RL Profit",
@@ -281,6 +308,22 @@ def markdown_escape(text: str) -> str:
     return text.replace("|", "\\|")
 
 
+def csv_table(header: list[str], rows) -> str:
+    """A header and rows of cells as CSV, with ``\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def markdown_table(header: list[str], rows, footer: str | None) -> str:
+    """A header and rows of (already escaped) cells as a Markdown table,
+    followed by ``footer`` after a blank line unless it is None."""
+    lines = "".join(f"| {' | '.join(cells)} |\n" for cells in [header, ["---"] * len(header), *rows])
+    return lines if footer is None else f"{lines}\n{footer}\n"
+
+
 def render_report(
     rows: list[ComparisonRow], format: str = "csv", config: ExperimentConfig | None = None
 ) -> str:
@@ -291,51 +334,23 @@ def render_report(
     baseline prices.
     """
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(_csv_cells(row))
-        return buf.getvalue()
+        return csv_table(_CSV_COLUMNS, map(_csv_cells, rows))
 
     if format == "json":
         doc = {"rows": [_row_as_dict(r) for r in rows]}
         if config is not None:
-            doc = {"config": _config_as_dict(config), "rows": doc["rows"]}
+            doc = {"config": dataclasses.asdict(config), **doc}
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     if format == "markdown":
-        lines = ["| " + " | ".join(_MD_HEADERS) + " |", "| " + " | ".join(["---"] * len(_MD_HEADERS)) + " |"]
-        any_clamped = False
-
-        def price_cell(opt: Optimum | None) -> list[str]:
-            nonlocal any_clamped
-            if opt is None:
-                return ["", "", ""]
-            mark = ""
-            if opt.clamped:
-                any_clamped = True
-                mark = "†"
-            return [f"{opt.price:.1f}{mark}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
-
-        for row in rows:
-            name = markdown_escape(row.product_name)
-            if row.error:
-                cells = [name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
-            else:
-                ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
-                cells = (
-                    [name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
-                    + price_cell(row.analytic)
-                    + price_cell(row.grid_search)
-                    + price_cell(row.line_search)
-                    + [ratio]
-                )
-            lines.append("| " + " | ".join(cells) + " |")
-        if any_clamped:
-            lines.append("")
-            lines.append("† optimum clamped to the search interval boundary.")
-        return "\n".join(lines) + "\n"
+        clamped = any(
+            opt is not None and opt.clamped
+            for row in rows
+            if not row.error
+            for opt in (row.analytic, row.grid_search, row.line_search)
+        )
+        footer = "† optimum clamped to the search interval boundary." if clamped else None
+        return markdown_table(_MD_HEADERS, map(_md_cells, rows), footer)
 
     raise ValueError(f"unknown report format {format!r}")
 

@@ -18,9 +18,9 @@ from pricelab.baselines import analytic_optimum, grid_search_optimum, line_searc
 from pricelab.catalog import parse_catalog, sample_catalog, serialize_catalog
 from pricelab.cli import main
 from pricelab.domain import default_price_grid, demand, reward
-from pricelab.experiment import CostPolicy, ExperimentConfig, derive_product_seed, export_revenue_curves
+from pricelab.experiment import CostPolicy, ExperimentConfig, export_revenue_curves
 from pricelab.qlearn import Hyperparams, calendar_day_types, calendar_next_day_types, evaluate_greedy, train
-from pricelab.rng import XorShift64
+from pricelab.rng import XorShift64, split_seed
 
 GRID_POINTS = 21
 MASTER_SEED = 0
@@ -61,7 +61,7 @@ def canonical_run():
     t0 = time.perf_counter()
     for index, spec in enumerate(sample_catalog()):
         grid = default_price_grid(spec, GRID_POINTS)
-        hp = dataclasses.replace(hp_defaults, seed=derive_product_seed(MASTER_SEED, index))
+        hp = dataclasses.replace(hp_defaults, seed=split_seed(MASTER_SEED, index))
         q, trace = train(spec, grid, hp=hp)
         runs.append({"spec": spec, "grid": grid, "hp": hp, "q": q, "trace": trace})
     elapsed = time.perf_counter() - t0
@@ -179,7 +179,7 @@ def test_reward_scaling_equivariance():
     spec = sample_catalog()[0]
     scaled = dataclasses.replace(spec, base_demand=10.0 * spec.base_demand)
     grid = default_price_grid(spec, GRID_POINTS)
-    hp = dataclasses.replace(Hyperparams(), seed=derive_product_seed(MASTER_SEED, 0))
+    hp = dataclasses.replace(Hyperparams(), seed=split_seed(MASTER_SEED, 0))
     q1, _ = train(spec, grid, hp=hp)
     q10, _ = train(scaled, grid, hp=hp)
     target = 10.0 * q1.values

@@ -71,6 +71,9 @@ class TestAnalytic:
             analytic_optimum(S24, (0.0, 100.0))
         with pytest.raises(ValueError):
             analytic_optimum(S24, (100.0, 100.0))
+        for optimum in (analytic_optimum, line_search_optimum):
+            with pytest.raises(ValueError):
+                optimum(S24, (100.0, float("inf")))
 
 
 class TestGridSearch:
@@ -357,11 +360,16 @@ class TestLanesMatchScalarOracle:
 
     @pytest.mark.parametrize("bounds", [(float("nan"), 300.0), (50.0, float("nan")), (54.6, 218.4)])
     def test_one_lane_calls_with_unchecked_bounds(self, bounds):
-        # NaN passes the bounds check (every comparison is false); the clamp
-        # must then resolve as Python's max/min do, not as np.maximum/np.minimum
+        # a NaN bound is rejected (it once passed the check, every comparison
+        # being false); valid bounds match the scalar oracle
         for mult in (1.0, 1.2):
-            assert_same(analytic_optimum(S24, bounds, mult), oracle_analytic(S24, bounds, mult))
-            assert_same(line_search_optimum(S24, bounds, mult), oracle_line_search(S24, bounds, mult))
+            if math.isnan(sum(bounds)):
+                for optimum in (analytic_optimum, line_search_optimum):
+                    with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
+                        optimum(S24, bounds, mult)
+            else:
+                assert_same(analytic_optimum(S24, bounds, mult), oracle_analytic(S24, bounds, mult))
+                assert_same(line_search_optimum(S24, bounds, mult), oracle_line_search(S24, bounds, mult))
 
     def test_one_lane_calls(self):
         for spec, prices in edge_lanes():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 
 import pytest
@@ -252,6 +253,13 @@ class TestTrain:
         assert hp["episodes"] == 250
         assert hp["alpha"] == 0.1
 
+    def test_no_sidecar_next_to_a_device(self, tmp_path, capsys):
+        out_path = tmp_path / "devnull"
+        out_path.symlink_to(os.devnull)
+        code, _, err = run(capsys, ["train", "--product", 'Samsung 24" HD', *FAST, "-o", str(out_path)])
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["devnull"]
+
     def test_stdout_mode_prints_csv(self, capsys):
         code, out, _ = run(capsys, ["train", "--product", 'Sony 40" FHD', *FAST])
         assert code == 0
@@ -305,7 +313,7 @@ class TestOptimize:
         assert "'Big'" in err and "overflows" in err
 
 
-@pytest.mark.parametrize("command", ["curve", "optimize"])
+@pytest.mark.parametrize("command", ["curve", "optimize", "train"])
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -317,7 +325,10 @@ class TestOptimize:
 def test_unusable_price_grid_exits_two_naming_product(tmp_path, capsys, command, row, message):
     cat = tmp_path / "cat.csv"
     cat.write_text("product_name,price_elasticity,base_price,base_demand,unit_cost\nFine,-1.0,100.0,10.0,0\n" + row + "\n")
-    code, out, err = run(capsys, [command, "--catalog", str(cat)])
+    argv = [command, "--catalog", str(cat)]
+    if command == "train":
+        argv += ["--product", row.split(",")[0]]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == f"pricelab: error: {message}\n"

@@ -227,11 +227,22 @@ class TestPriceGrids:
         # 1e-323 spans 3 subnormal steps: from 21 points on, its step underflows
         # to 0 (np.linspace on the stacked bounds would then alter its neighbours)
         bases[100:100] = [109.2, 1e-323, 444.7]
-        grids, bad = _uniform_grids(bases, points, 0.5, 2.0)
-        assert bad == (None if tiny_ok else (101, "prices must be strictly increasing"))
+        grids, unusable = _uniform_grids(bases, points, 0.5, 2.0)
+        assert unusable == ({} if tiny_ok else {101: "prices must be strictly increasing"})
         for i, p0 in enumerate(bases):
-            if bad is None or i != bad[0]:
+            if i not in unusable:
                 assert grids[i].tobytes() == np.linspace(0.5 * p0, 2.0 * p0, points).tobytes(), i
+
+    def test_reports_every_unusable_row(self):
+        bases = [100.0, 1.7e308, 250.0, 5e-324, 1e-323]
+        grids, unusable = _uniform_grids(bases, 21, 0.5, 2.0)
+        assert unusable == {
+            1: "grid upper bound 2.0 * base_price overflows",
+            3: "prices must be > 0",
+            4: "prices must be strictly increasing",
+        }
+        for i in (0, 2):
+            assert grids[i].tobytes() == np.linspace(0.5 * bases[i], 2.0 * bases[i], 21).tobytes()
 
     def test_default_grid_is_the_one_row_case(self, sample_specs):
         grids = price_grids(sample_specs, 21, 0.4, 2.5)

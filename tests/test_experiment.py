@@ -5,13 +5,13 @@ import json
 import pytest
 
 from pricelab.catalog import sample_catalog
-from pricelab.domain import DayModulation, DayType, ProductSpec
+from pricelab.domain import DayModulation, DayType, ProductSpec, price_grids
 from pricelab.experiment import (
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
-    derive_product_seed,
     export_revenue_curves,
+    prepare_products,
     render_report,
     run_experiment,
 )
@@ -71,12 +71,38 @@ class TestExperimentConfig:
 
 class TestSeedSplitting:
     def test_matches_documented_function(self):
+        config = quick_config(master_seed=12345)
         for i in range(14):
-            assert derive_product_seed(12345, i) == split_seed(12345, i)
+            assert config.seeded(i) == Hyperparams(episodes=300, seed=split_seed(12345, i))
 
     def test_distinct_per_product(self):
-        seeds = [derive_product_seed(0, i) for i in range(14)]
+        seeds = [quick_config().seeded(i).seed for i in range(14)]
         assert len(set(seeds)) == 14
+
+
+class TestPrepareProducts:
+    def test_costs_and_grids_in_one_call(self, sample_specs):
+        config = quick_config(cost_policy=CostPolicy("fraction", 0.4), grid_points=11, grid_span=(0.4, 2.5))
+        costed, grids, unusable = prepare_products(sample_specs, config)
+        assert unusable == {}
+        assert costed == [config.cost_policy.apply(spec) for spec in sample_specs]
+        assert grids.tobytes() == price_grids(sample_specs, 11, 0.4, 2.5).tobytes()
+
+    def test_reports_every_unusable_product(self):
+        catalog = [S24, ProductSpec("Huge", 1.0, 1.7e308, -0.5), S24, ProductSpec("Tiny", 10.0, 5e-324, -1.0)]
+        _, _, unusable = prepare_products(catalog, quick_config())
+        assert unusable == {1: "grid upper bound 2.0 * base_price overflows", 3: "prices must be > 0"}
+        # a cost fraction of a subnormal price can round up to the price itself
+        sub = ProductSpec("Sub", 10.0, 1e-320, -1.0)
+        _, _, unusable = prepare_products([sub], quick_config(grid_points=2, cost_policy=CostPolicy("fraction", 0.99999)))
+        assert unusable == {0: "unit_cost must be < base_price"}
+
+    def test_every_unusable_product_becomes_error_rows(self):
+        catalog = [S24, ProductSpec("Huge", 1.0, 1.7e308, -0.5), ProductSpec("Tiny", 10.0, 5e-324, -1.0)]
+        rows = run_experiment(catalog, quick_config())
+        assert [(r.product_name, r.error) for r in rows[2:]] == [
+            ("Huge", "grid upper bound 2.0 * base_price overflows")] * 2 + [("Tiny", "prices must be > 0")] * 2
+        assert rows[:2] == run_experiment([S24], quick_config())
 
 
 class TestRunExperiment:
@@ -215,6 +241,38 @@ class TestRenderReport:
             assert rendered["rl"]["profit"] == row.rl_profit
             assert rendered["analytic"]["price"] == row.analytic.price
             assert rendered["grid_search"]["clamped"] == row.grid_search.clamped
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(),
+            ExperimentConfig(
+                hyperparams=Hyperparams(episodes=300, steps_per_episode=10, alpha=0.3, gamma=0.7, seed=3),
+                grid_points=11,
+                grid_span=(0.25, 3.0),
+                modulation=DayModulation(1.0, 1.2),
+                cost_policy=CostPolicy("fraction", 0.4),
+                master_seed=2**63 + 7,
+            ),
+        ],
+        ids=["default", "non-default"],
+    )
+    def test_json_config_block_spells_out_every_field(self, config):
+        hp = config.hyperparams
+        block = {
+            "hyperparams": {
+                "alpha": hp.alpha, "gamma": hp.gamma, "epsilon_start": hp.epsilon_start,
+                "epsilon_min": hp.epsilon_min, "epsilon_decay": hp.epsilon_decay, "episodes": hp.episodes,
+                "steps_per_episode": hp.steps_per_episode, "seed": hp.seed,
+            },
+            "grid_points": config.grid_points,
+            "grid_span": list(config.grid_span),
+            "modulation": {"weekday": config.modulation.weekday, "weekend": config.modulation.weekend},
+            "cost_policy": {"kind": config.cost_policy.kind, "fraction": config.cost_policy.fraction},
+            "master_seed": config.master_seed,
+        }
+        expected = json.dumps({"config": block, "rows": []}, indent=2) + "\n"
+        assert render_report([], "json", config) == expected
 
     def test_json_rejects_non_finite_values(self):
         row = ComparisonRow(
