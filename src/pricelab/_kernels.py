@@ -8,6 +8,24 @@ as the public ``select_action``, ``noisy_demand`` and ``update_q`` ops; the
 test suite replays training through those ops and asserts bitwise-equal
 results.
 
+The walk does no random-number work.  Whether a step explores, the action
+it explores and its demand noise depend only on the bit stream and the
+episode's epsilon, never on Q, so ``_episode_draws`` draws them ahead of
+the walk and hands them over a few thousand steps at a time, always in
+whole episodes: per step an action code (the exploring action, or -1 for
+the greedy one) and, with noise, the demand factor.  The stream is
+generated in numpy.  xorshift64 is linear over GF(2) (Marsaglia,
+"Xorshift RNGs", JSS 2003), so the state ``L`` steps ahead is a fixed
+64x64 bit matrix ``M^L`` times the current one (jump-ahead as in Haramoto
+et al., INFORMS JoC 2008).  A cached table of ``M^(j * _SPACING)`` starts
+``_LANES`` lanes ``_SPACING`` words apart, and every lane then steps at
+once.  While epsilon decays, and throughout on the noise path, a Python
+walk over the words sorts them into test, action and noise words.  Once
+epsilon is constant, the words alone fix the sorting, so it runs on whole
+chunks: inside a run of below-threshold words the even offsets are
+exploring test words and the odd offsets their action words, and the word
+after a run is an action word if the run had odd length, else a test word.
+
 Each update changes one entry, so the scalar walk keeps every state's
 greedy result current instead of scanning its row twice per step:
 ``best[s]`` is the float ``max(q[s])`` would return and ``arg[s]`` the
@@ -33,11 +51,13 @@ two more.  Greedy argmax ties break toward the lowest action index.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
-from .rng import _INV_2_53, MASK64
+from .rng import _INV_2_53
 
 _TWO_PI = 6.283185307179586
 
@@ -73,12 +93,11 @@ def run_train_kernel(
     alpha = float(alpha)
     gamma = float(gamma)
     keep = 1.0 - alpha
-    noise_sigma = float(noise_sigma)
 
     # plain Python floats/ints: same IEEE values, much faster scalar ops
     dem = demand_table.tolist()
     marg = margins.tolist()
-    x = int(rng_state)
+    rew = [[m * d for m, d in zip(marg, dem_s)] for dem_s in dem]  # r = marg[a] * d without noise
 
     q = [[0.0] * n_actions for _ in range(n_states)]
     visits = [[0] * n_actions for _ in range(n_states)]
@@ -86,72 +105,171 @@ def run_train_kernel(
     best = [0.0] * n_states
     arg = [0] * n_states
     calendar = [
-        (s, ns, q[s], dem[s], visits[s]) for s, ns in zip(day_types.tolist(), next_day_types.tolist())
+        (s, ns, q[s], dem[s], rew[s], visits[s]) for s, ns in zip(day_types.tolist(), next_day_types.tolist())
     ]
-    episode_rewards = []
+    episode_rewards = np.empty(len(eps_schedule))
     policies = []
 
-    for eps in eps_schedule.tolist():
-        # for an integer k: k * 2**-53 < eps  <=>  k < ceil(eps * 2**53)
-        explore_below = math.ceil(eps * 9007199254740992.0)
-        total = 0.0
-        for s, ns, row, dem_s, visits_s in calendar:
-            x ^= (x << 13) & MASK64
-            x ^= x >> 7
-            x ^= (x << 17) & MASK64
-            if (x >> 11) < explore_below:
-                x ^= (x << 13) & MASK64
-                x ^= x >> 7
-                x ^= (x << 17) & MASK64
-                a = int((x >> 11) * _INV_2_53 * n_actions)
-            else:
-                a = arg[s]
+    draws = _episode_draws(eps_schedule, len(calendar), n_actions, int(rng_state), float(noise_sigma))
+    done = 0  # episodes walked
+    for n_episodes, codes, gains in draws:
+        codes, gains = iter(codes), iter(gains)
+        for episode in range(done, done + n_episodes):
+            total = 0.0
+            # zip stops at the calendar's end, before taking another code
+            for (s, ns, row, dem_s, rew_s, visits_s), a, g in zip(calendar, codes, gains):
+                if a < 0:
+                    a = arg[s]
+                if g is None:
+                    r = rew_s[a]
+                else:
+                    d = dem_s[a] * g
+                    if d < 0.0:
+                        d = 0.0
+                    r = marg[a] * d
 
-            d = dem_s[a]
-            if noise_sigma > 0.0:
-                x ^= (x << 13) & MASK64
-                x ^= x >> 7
-                x ^= (x << 17) & MASK64
-                u1 = ((x >> 11) + 1) * _INV_2_53
-                x ^= (x << 13) & MASK64
-                x ^= x >> 7
-                x ^= (x << 17) & MASK64
-                u2 = (x >> 11) * _INV_2_53
-                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-                d = d * (1.0 + noise_sigma * z)
-                if d < 0.0:
-                    d = 0.0
-            r = marg[a] * d
-
-            # bootstrap read before the write: ns may equal s
-            v = keep * row[a] + alpha * (r + gamma * best[ns])
-            row[a] = v
-            if v > best[s] or (v == best[s] and a <= arg[s]):
-                best[s] = v
-                arg[s] = a
-            elif a == arg[s]:
-                # the greedy value fell: rescan the row
-                b = max(row)
-                best[s] = b
-                arg[s] = row.index(b)
-            visits_s[a] += 1
-            total += r
-        episode_rewards.append(total)
-        if record_policies:
-            policies.append(list(arg))
+                # bootstrap read before the write: ns may equal s
+                v = keep * row[a] + alpha * (r + gamma * best[ns])
+                row[a] = v
+                if v > best[s] or (v == best[s] and a <= arg[s]):
+                    best[s] = v
+                    arg[s] = a
+                elif a == arg[s]:
+                    # the greedy value fell: rescan the row
+                    b = max(row)
+                    best[s] = b
+                    arg[s] = row.index(b)
+                visits_s[a] += 1
+                total += r
+            episode_rewards[episode] = total
+            if record_policies:
+                policies.append(list(arg))
+        done += n_episodes
 
     return (
         np.array(q, dtype=np.float64),
-        np.array(episode_rewards, dtype=np.float64),
+        episode_rewards,
         np.array(visits, dtype=np.int64),
         np.array(policies, dtype=np.int64).reshape(-1, n_states),
     )
+
+
+def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state: int, noise_sigma: float):
+    """Yield the draws of whole episodes as (episodes, codes, gains).
+
+    ``codes`` and ``gains`` hold one entry per step of those episodes: the
+    exploring action, or -1 for the greedy one, and the demand factor
+    ``1 + noise_sigma * z``; without noise ``gains`` repeats None.
+    """
+    n_episodes = len(eps_schedule)
+    # from episode `fixed` on epsilon is constant, so the word layout
+    # vectorizes; noise words keep every episode in the Python walk
+    fixed = n_episodes
+    if noise_sigma == 0.0 and n_episodes:
+        changes = np.flatnonzero(eps_schedule != eps_schedule[-1])
+        fixed = int(changes[-1]) + 1 if len(changes) else 0
+    no_gains = itertools.repeat(None)
+
+    chunks = _top_chunks(state)
+    unread = np.empty(0, dtype=np.uint64)  # the stream from the last refill on
+    window, i = [], 0  # its first words as Python ints, and the next one to read
+    need = 4 * n_steps  # an episode reads at most 4 words a step
+    for eps in eps_schedule[:fixed].tolist():
+        below = _explore_below(eps)
+        if len(window) - i < need:
+            unread = unread[i:]
+            while len(unread) < need:
+                unread = np.concatenate((unread, next(chunks)))
+            window, i = unread[: 16 * need].tolist(), 0
+        codes = []
+        gains = [] if noise_sigma > 0.0 else no_gains
+        for _ in range(n_steps):
+            i += 1
+            if window[i - 1] < below:
+                codes.append(int(window[i] * _INV_2_53 * n_actions))
+                i += 1
+            else:
+                codes.append(-1)
+            if noise_sigma > 0.0:
+                u1 = (window[i] + 1) * _INV_2_53
+                u2 = window[i + 1] * _INV_2_53
+                i += 2
+                gains.append(1.0 + noise_sigma * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)))
+        yield 1, codes, gains
+
+    left = n_episodes - fixed
+    if not left:
+        return
+    below = np.uint64(_explore_below(eps_schedule[-1]))
+    # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
+    # (k * 2**-53) * n does
+    action_scale = np.float64(n_actions * _INV_2_53)
+    carry = False
+    pending = np.empty(0, dtype=np.int64)
+    for chunk in itertools.chain([unread[i:]], chunks):
+        codes, carry = _fixed_layout(chunk, below, carry, action_scale)
+        pending = np.concatenate((pending, codes))
+        k = min(len(pending) // n_steps, left)
+        yield k, pending[: k * n_steps].tolist(), no_gains
+        left -= k
+        if not left:
+            return
+        pending = pending[k * n_steps :]
+
+
+def _explore_below(eps: float) -> int:
+    """The explore test's threshold on the top 53 bits of a word: for an
+    integer k, k * 2**-53 < eps  <=>  k < ceil(eps * 2**53)."""
+    return math.ceil(eps * 9007199254740992.0)
+
+
+def _fixed_layout(top: np.ndarray, below: np.uint64, carry: bool, action_scale: np.float64):
+    """Step codes of consecutive words drawn at one epsilon; returns (codes, carry).
+
+    ``top`` holds the words' top 53 bits.  Word 0 is a test word, or, if
+    ``carry``, the action word of a step begun in the previous chunk.  A
+    step whose test is the last word and explores is left to the next
+    chunk, and the returned ``carry`` says so.
+    """
+    n = len(top)
+    low = top < below
+    if carry:
+        low[0] = False  # an action word; the word after it is a test word
+    # in a run of below-threshold words the even offsets are exploring test
+    # words and the odd offsets their action words; a word past the run is a
+    # test word unless the run had odd length
+    starts = low.copy()
+    np.greater(low[1:], low[:-1], out=starts[1:])
+    pos = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
+    action_word = np.empty(n + 1, dtype=bool)  # index n: the next chunk's word 0
+    action_word[0] = carry
+    action_word[1:] = low & ((pos - run_start) & 1 == 0)
+    actions = np.flatnonzero(action_word[:n])
+    word_codes = np.full(n + 1, -1, dtype=np.int64)
+    word_codes[actions] = (top[actions] * action_scale).astype(np.int64)
+    # a step begins at each test word; its code sits in the word after it
+    begins = np.empty(n + 1, dtype=bool)
+    begins[0] = carry
+    begins[1:] = ~action_word[:n]
+    heads = np.flatnonzero(begins)
+    if action_word[n]:
+        heads = heads[:-1]
+    return word_codes[heads], bool(action_word[n])
 
 
 _SHIFT_7 = np.uint64(7)
 _SHIFT_11 = np.uint64(11)
 _SHIFT_13 = np.uint64(13)
 _SHIFT_17 = np.uint64(17)
+_BITS = np.arange(64, dtype=np.uint64)
+_ONE = np.uint64(1)
+_BYTE = np.uint64(0xFF)
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+
+# the stream is generated _LANES lanes at a time, each _SPACING consecutive words
+_LANES = 256
+_SPACING = 16
 
 
 def _xorshift_lanes(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
@@ -162,6 +280,66 @@ def _xorshift_lanes(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
     dst ^= tmp
     np.left_shift(dst, _SHIFT_17, out=tmp)
     dst ^= tmp
+
+
+def _gf2_apply(columns: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The 64x64 bit matrix whose column i is ``columns[i]``, applied to every word."""
+    # images[k, v]: the image of byte value v at byte position k
+    images = np.zeros((8, 256), dtype=np.uint64)
+    for i, column in enumerate(columns.reshape(8, 8).T):
+        images[:, 1 << i : 2 << i] = images[:, : 1 << i] ^ column[:, None]
+    out = np.zeros_like(words)
+    for shift, image in zip(_BYTE_SHIFTS, images):
+        out ^= image[(words >> shift) & _BYTE]
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _jump_table(spacing: int, lanes: int) -> np.ndarray:
+    """``(64, lanes)`` words: entry (i, j) is ``M^(j * spacing)`` times bit i.
+
+    The state ``j * spacing`` steps after ``x`` is the xor of column j's
+    entries at the set bits of ``x``.  Read-only: every caller shares it.
+    """
+    basis = _ONE << _BITS
+    jump = basis.copy()  # the columns of M^spacing
+    tmp = np.empty_like(jump)
+    for _ in range(spacing):
+        _xorshift_lanes(jump, jump, tmp)
+    table = np.empty((64, lanes), dtype=np.uint64)
+    table[:, 0] = basis
+    filled = 1
+    while filled < lanes:  # jump holds the columns of M^(filled * spacing)
+        n = min(filled, lanes - filled)
+        table[:, filled : filled + n] = _gf2_apply(jump, table[:, :n])
+        jump = _gf2_apply(jump, jump)
+        filled += n
+    table.flags.writeable = False
+    return table
+
+
+def _lane_starts(x: np.uint64, table: np.ndarray) -> np.ndarray:
+    """The states ``0, spacing, 2 * spacing, ...`` steps after ``x``, one per
+    column of its ``_jump_table``."""
+    return np.bitwise_xor.reduce(table[(x >> _BITS) & _ONE != 0], axis=0)
+
+
+def _top_chunks(state: int):
+    """Yield the top 53 bits of the xorshift64 words after ``state``, in
+    stream order, as uint64 arrays of ``_LANES * _SPACING`` words."""
+    table = _jump_table(_SPACING, _LANES)
+    block = np.empty((_SPACING, _LANES), dtype=np.uint64)
+    tmp = np.empty(_LANES, dtype=np.uint64)
+    x = np.uint64(state)
+    while True:
+        lane = _lane_starts(x, table)
+        for t in range(_SPACING):
+            _xorshift_lanes(lane, block[t], tmp)
+            lane = block[t]
+        x = lane[-1]
+        top = np.empty((_LANES, _SPACING), dtype=np.uint64)
+        np.right_shift(block.T, _SHIFT_11, out=top)
+        yield top.reshape(-1)
 
 
 def run_lockstep_kernel(
@@ -201,8 +379,7 @@ def run_lockstep_kernel(
     steps = list(zip(day_types.tolist(), next_day_types.tolist()))
 
     for eps in eps_schedule.tolist():
-        # for an integer k: k * 2**-53 < eps  <=>  k < ceil(eps * 2**53)
-        explore_below = np.uint64(math.ceil(eps * 9007199254740992.0))
+        explore_below = np.uint64(_explore_below(eps))
         for s, ns in steps:
             _xorshift_lanes(x, x, tmp)
             np.right_shift(x, _SHIFT_11, out=top)

@@ -260,17 +260,18 @@ def _csv_cells(row: ComparisonRow) -> list[str]:
 
 
 def _md_cells(row: ComparisonRow) -> list[str]:
-    name = markdown_escape(row.product_name)
     if row.error:
-        return [name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
-    cells = [name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
-    for opt in (row.analytic, row.grid_search, row.line_search):
-        if opt is None:
-            cells += ["", "", ""]
-        else:
-            cells += [f"{opt.price:.1f}{'†' if opt.clamped else ''}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
-    ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
-    return cells + [ratio]
+        cells = [row.product_name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
+    else:
+        cells = [row.product_name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
+        for opt in (row.analytic, row.grid_search, row.line_search):
+            if opt is None:
+                cells += ["", "", ""]
+            else:
+                cells += [f"{opt.price:.1f}{'†' if opt.clamped else ''}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
+        ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
+        cells.append(ratio)
+    return [markdown_escape(cell) for cell in cells]
 
 
 def _row_as_dict(row: ComparisonRow) -> dict:

@@ -15,6 +15,7 @@ products in one pass and gives each the table ``train`` would.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -123,6 +124,16 @@ def epsilon_at(hp: Hyperparams, episode: int) -> float:
 
 
 def epsilon_schedule(hp: Hyperparams) -> np.ndarray:
+    """``epsilon_at`` of every episode, as a new array.
+
+    The products of a run differ only in their seeds, so the schedule is
+    built once per setting and copied out.
+    """
+    return _schedule(dataclasses.replace(hp, seed=0)).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _schedule(hp: Hyperparams) -> np.ndarray:
     return np.array([epsilon_at(hp, k) for k in range(hp.episodes)])
 
 

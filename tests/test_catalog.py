@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pricelab.catalog import (
@@ -119,6 +121,49 @@ class TestParseCatalog:
         _, report = parse_catalog(text)
         assert len(report.outcomes) == 7
         assert report.accepted_count == 7
+
+
+# field pieces a dirty feed might hold: numbers of every kind, words, quotes,
+# separators, control and non-ASCII characters
+FUZZ_PIECES = [
+    "", " ", "0", "-0", "1", "-1.5", "109.2", "1e308", "-1e308", "1.7e308", "5e-324", "1e-400", "1e999",
+    "inf", "-inf", "nan", "NaN", "+7", "1_000", "0x10", "1,5", "١٢", "abc", "Samsung 24\" HD", '"', '""',
+    '"a,b"', '"x', ",", ",,", "\t", "\x00", "\x7f", "é", "💡", "\\", "'", ";", "|", "=1+1",
+]
+
+
+def fuzz_row(rng, n_fields: int) -> str:
+    roll = rng.random()
+    if roll < 0.1:  # any characters at all, on one line
+        return "".join(chr(rng.randrange(1, 0x3000)) for _ in range(rng.randrange(1, 30))).replace("\n", "")
+    if roll < 0.6:  # a plausible row, its fields swapped for pieces at random
+        fields = [rng.choice("abc"), "-1.5", "109.2", "80.0", "20.0"][:n_fields]
+        for _ in range(rng.randrange(0, 3)):
+            fields[rng.randrange(n_fields)] = rng.choice(FUZZ_PIECES)
+    else:
+        fields = ["".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randrange(0, 3))) for _ in range(rng.randrange(8))]
+    return ",".join(fields)
+
+
+class TestParseCatalogFuzz:
+    @pytest.mark.parametrize("header", [HEADER, HEADER + ",unit_cost"])
+    def test_never_raises_and_every_rejection_has_a_reason(self, header):
+        rng = random.Random(20240611)
+        reasons = set(RejectReason)
+        assert len(reasons) == 5
+        seen = set()
+        for _ in range(300):
+            rows = [fuzz_row(rng, header.count(",") + 1) for _ in range(rng.randrange(1, 10))]
+            specs, report = parse_catalog(header + "\n" + "\n".join(rows) + "\n")
+            assert report.accepted_count == len(specs)
+            for outcome in report.outcomes:
+                assert outcome.accepted == (outcome.reason is None)
+                assert outcome.accepted or outcome.reason in reasons, outcome
+                seen.add(outcome.reason)
+        # the rows reach every verdict (None: accepted) the header allows
+        if "unit_cost" not in header:
+            reasons.discard(RejectReason.COST_EXCEEDS_PRICE)
+        assert seen == reasons | {None}
 
 
 class TestRoundTrip:

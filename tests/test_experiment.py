@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import re
 
 import pytest
 
@@ -293,6 +295,18 @@ class TestRenderReport:
         rows = [ComparisonRow(product_name="x", day_type=DayType.WEEKDAY, error="boom")]
         text = render_report(rows, "markdown")
         assert "error: boom" in text
+
+    def test_markdown_escapes_every_cell(self, rows):
+        # a reward-overflow message and a product name, each holding a literal |
+        error = "rewards overflow: max |reward| / (1 - gamma) is inf"
+        bad = [ComparisonRow(product_name="a|b", day_type=day, error=error) for day in DayType]
+        good = [dataclasses.replace(row, product_name="c|d") for row in rows[:2]]
+        lines = render_report(good + bad, "markdown").splitlines()
+        # a table line is "| cell | ... |": the unescaped pipes bound 15 cells
+        counts = [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines[:6]]
+        assert counts == [15] * 6
+        assert r"error: rewards overflow: max \|reward\| / (1 - gamma) is inf" in lines[4]
+        assert lines[2].startswith(r"| c\|d |") and lines[4].startswith(r"| a\|b |")
 
     def test_unknown_format_rejected(self, rows):
         with pytest.raises(ValueError):

@@ -153,7 +153,7 @@ OTHER_GOLDEN = {
     "compare-sample": "044682133f79b22a67d268663c47398a00a2175927630bf2f3a00db380924a1c",
     "compare-bad-rows-sample-csv": "c1aeb1fb080ca9666337789d9acccca5131b0ff046f90c39a49c491ea91be3c3",
     "compare-bad-rows-forty-csv": "52159107f5a81a21bb97455a20096345f22b9e3ab98a195e73d11dda501b522c",
-    "compare-bad-rows-sample-markdown": "7879bec78144b641d78a6947f44c6b59cc03394db5c467e31608aa5ddc519dcb",
+    "compare-bad-rows-sample-markdown": "ab1ab80fca85d595d3c4ff3919a0e14e5483ad80465be002048a10ba0af13c6f",
 }
 
 

@@ -97,6 +97,13 @@ class TestEpsilonSchedule:
         assert sched.shape == (40,)
         assert all(sched[k] == epsilon_at(hp, k) for k in range(40))
 
+    def test_schedule_is_a_new_array_per_call(self):
+        # built once per setting, whatever the seed, and copied out
+        hp = small_hp(episodes=40)
+        epsilon_schedule(hp)[:] = 2.0
+        again = epsilon_schedule(replace(hp, seed=99))
+        assert all(again[k] == epsilon_at(hp, k) for k in range(40))
+
 
 class TestSelectAction:
     def test_pure_exploitation_unique_max(self):
