@@ -5,19 +5,21 @@ embedded sample and on a seeded 300-row synthetic catalog, each at the
 defaults and under a weekend uplift with a cost fraction; ``compare``
 runs on a 40-product catalog, which trains in lockstep, and on the
 14-product sample, which trains product by product, both also with rows
-whose grid or rewards are unusable.  ``train`` (table and sidecar),
+whose grid or rewards are unusable, and ``compare --format json`` runs on
+names JSON must escape on both training paths.  ``train`` (table and sidecar),
 ``validate`` and ``sample-catalog`` are pinned too.  A refactor of the
 baselines, grids, product setup or renderers must leave every digest
 unchanged.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
 
 import pytest
 
-from pricelab.catalog import sample_catalog, serialize_catalog
+from pricelab.catalog import parse_catalog, sample_catalog, serialize_catalog
 from pricelab.cli import main
 
 UPLIFT = ["--weekend-multiplier", "1.2", "--cost-policy", "fraction", "--cost-fraction", "0.4"]
@@ -154,6 +156,9 @@ OTHER_GOLDEN = {
     "compare-bad-rows-sample-csv": "c1aeb1fb080ca9666337789d9acccca5131b0ff046f90c39a49c491ea91be3c3",
     "compare-bad-rows-forty-csv": "52159107f5a81a21bb97455a20096345f22b9e3ab98a195e73d11dda501b522c",
     "compare-bad-rows-sample-markdown": "ab1ab80fca85d595d3c4ff3919a0e14e5483ad80465be002048a10ba0af13c6f",
+    "compare-bad-rows-forty-json": "35addf5d6f7843f1c4a4d31bc6eba016e1111327266c7895e86cffd586af6cde",
+    "compare-escaped-names-14-json": "8c262c3d7190f7427f6d7df48dd39cd03e0bfb11be35b6df38c202aeca35616e",
+    "compare-escaped-names-40-json": "f6736f1e4129381a282bfc44ffa66573d3cbc8e99c27e4c436754784497f04b8",
 }
 
 
@@ -185,7 +190,9 @@ def test_compare_sample_digest(tmp_path):
     assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["compare-sample"]
 
 
-@pytest.mark.parametrize("base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown")])
+@pytest.mark.parametrize(
+    "base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown"), ("forty", "json")]
+)
 def test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt):
     # the sample plus three bad rows trains product by product, the forty in lockstep
     text = serialize_catalog(sample_catalog()) if base == "sample" else catalogs[base].read_text(encoding="utf-8")
@@ -193,3 +200,19 @@ def test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt):
     catalog = write_catalog(tmp_path, "".join(lines[:4]) + BAD_ROWS + "".join(lines[4:]))
     argv = ["compare", "--episodes", "20", "--format", fmt]
     assert run_to_file(tmp_path, catalog, argv) == OTHER_GOLDEN[f"compare-bad-rows-{base}-{fmt}"]
+
+
+# names the JSON writer must escape: quote, backslash, slash, tab and non-ASCII
+ESCAPED_NAMES = ('Say "hi"', "back\\slash", "a/b", "tab\there", "Café", "€ 99", 'all "\\/\té€')
+
+
+@pytest.mark.parametrize("rows", [14, 40])
+def test_compare_escaped_names_json_digest(tmp_path, rows):
+    # 14 products train product by product, 40 in lockstep
+    specs, _ = parse_catalog(synthetic_catalog(rows, 14))
+    names = [f"{ESCAPED_NAMES[i % len(ESCAPED_NAMES)]} {i}" for i in range(rows)]
+    renamed = [dataclasses.replace(spec, name=name) for spec, name in zip(specs, names)]
+    catalog = write_catalog(tmp_path, serialize_catalog(renamed))
+    assert [s.name for s in parse_catalog(catalog.read_text(encoding="utf-8"))[0]] == names
+    argv = ["compare", "--episodes", "20", "--format", "json", "--catalog", str(catalog)]
+    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN[f"compare-escaped-names-{rows}-json"]
