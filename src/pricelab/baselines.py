@@ -167,9 +167,14 @@ def optima_by_day(
     specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation
 ) -> list[tuple[tuple[Optimum, Optimum, Optimum], ...]]:
     """Per product, per day type (Weekday, Weekend): its analytic,
-    grid-search and line-search optima, from one ``optima`` call per day."""
-    per_day = [zip(*optima(specs, grids, modulation.multiplier(day))) for day in DayType]
-    return list(zip(*per_day))
+    grid-search and line-search optima, from one ``optima`` call per
+    distinct day multiplier (equal multipliers give equal optima)."""
+    by_multiplier = {}
+    for day in DayType:
+        m = modulation.multiplier(day)
+        if m not in by_multiplier:
+            by_multiplier[m] = list(zip(*optima(specs, grids, m)))
+    return list(zip(*(by_multiplier[modulation.multiplier(day)] for day in DayType)))
 
 
 def _one_lane_bounds(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:

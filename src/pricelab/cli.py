@@ -292,7 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", help="output path (default: standard output)")
     p.set_defaults(func=_cmd_sample_catalog)
 
-    p = sub.add_parser("validate", help="validate a catalog file; exit 1 on any rejected row")
+    p = sub.add_parser(
+        "validate",
+        help="validate a catalog file; exit 1 on any rejected row",
+        description="Validate each row of a catalog file; exit 1 on any rejected row. Price grids are "
+        "not checked: they depend on --grid-span and --grid-points, which validate does not take, so a "
+        "row whose grid is unusable at the span used later (say, a base price near the float maximum) is "
+        "accepted here; optimize, curve and train then exit 2 naming it, and compare gives it error rows.",
+    )
     _add_common(p, catalog_required=True)
     p.set_defaults(func=_cmd_validate)
 

@@ -15,6 +15,14 @@ index by a frozen function (see ``pricelab.rng.split_seed``).  So
 everything is deterministic given the catalog and config, and large
 catalogs train in lockstep with results bitwise equal to training each
 product alone.
+
+Only training loops over products, and only below
+``LOCKSTEP_MIN_PRODUCTS``.  The setup (``qlearn.reward_lanes``), the
+greedy evaluation (``qlearn.greedy_lanes``) and the baselines
+(``baselines.optima_by_day``) are passes over the whole catalog, and the
+JSON report is written row by row from a fixed template that equals
+``json.dumps(report, indent=2, allow_nan=False)`` byte for byte:
+``json.dumps`` uses its C encoder only without ``indent``.
 """
 
 from __future__ import annotations
@@ -25,17 +33,20 @@ import io
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-# perfbench/tracing.py times the one-product optimizers and default_price_grid as
-# attributes of this module, so they stay importable here; the evaluation makes one
-# batch call per day type, and prepare_products builds every grid in one call
+# perfbench/tracing.py times the one-product optimizers, default_price_grid and
+# evaluate_greedy as attributes of this module, so they stay importable here; the
+# evaluation makes one batch call per distinct day multiplier and one greedy_lanes
+# call, and prepare_products builds every grid in one call
 from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, _uniform_grids, price_grids
-from .qlearn import Hyperparams, QTable, evaluate_greedy, reward_tables, train, train_lockstep
+from .qlearn import evaluate_greedy  # noqa: F401
+from .qlearn import Hyperparams, QTable, greedy_lanes, reward_lanes, train, train_lockstep
 from .rng import MASK64, split_seed
 
 COST_POLICY_KINDS = ("catalog", "zero", "fraction")
@@ -81,10 +92,15 @@ class ExperimentConfig:
         if not (0 <= self.master_seed <= MASK64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
 
+    def seed(self, index: int) -> int:
+        """The seed of the product at catalog ``index``, split from the
+        master seed by the frozen ``pricelab.rng.split_seed``."""
+        return split_seed(self.master_seed, index)
+
     def seeded(self, index: int) -> Hyperparams:
-        """The hyperparameters of the product at catalog ``index``, seeded
-        from the master seed by the frozen ``pricelab.rng.split_seed``."""
-        return replace(self.hyperparams, seed=split_seed(self.master_seed, index))
+        """The hyperparameters of the product at catalog ``index``, with
+        its ``seed``."""
+        return replace(self.hyperparams, seed=self.seed(index))
 
 
 def prepare_products(
@@ -132,47 +148,13 @@ LOCKSTEP_MIN_PRODUCTS = 32
 _DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """One product ready to train: costed spec, price grid, seeded
-    hyperparameters and its reward table."""
-
-    costed: ProductSpec
-    grid: PriceGrid
-    hp: Hyperparams
-    rewards: np.ndarray
-
-
-def _comparison_rows(
-    name: str, setup: _Setup, q: QTable, config: ExperimentConfig, by_day: tuple[tuple[Optimum, ...], ...]
-) -> list[ComparisonRow]:
-    greedy = evaluate_greedy(q, setup.costed, setup.grid, config.modulation)
-    rows = []
-    for day, rl, (ana, gs, ls) in zip(_DAYS, greedy, by_day):
-        best = max(ana.profit, gs.profit, ls.profit)
-        ratio = rl.profit / best if best > 0 else None
-        rows.append(
-            ComparisonRow(
-                product_name=name,
-                day_type=day,
-                rl_price=rl.price,
-                rl_demand=rl.demand,
-                rl_profit=rl.profit,
-                analytic=ana,
-                grid_search=gs,
-                line_search=ls,
-                rl_vs_best_profit_ratio=ratio,
-            )
-        )
-    return rows
-
-
 def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:
     """Train and compare every product; rows come back in catalog order.
 
-    Three phases: set every product up (cost policy, grid, seed, reward
-    table), train them all, then evaluate each greedy policy against the
-    baselines.  A product whose input fails any phase (a ``ValueError``)
+    Three phases, each a pass over the whole catalog except scalar
+    training: set every product up (cost policy, grid, seed, reward
+    table), train them all, then read every greedy policy and run the
+    baselines.  A product whose input fails a phase (a ``ValueError``)
     contributes error-marked rows instead of aborting the batch; its seed
     comes from its catalog index, so it never shifts the seeds of the
     others.  Any other exception is a defect and propagates.
@@ -180,51 +162,59 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
     if not catalog:
         raise ValueError("catalog must be non-empty")
 
-    per_product: list[list[ComparisonRow]] = [[] for _ in catalog]
-
-    def fail(index: int, error: str) -> None:
-        # a failed product becomes marked rows; the batch continues
-        per_product[index] = [
-            ComparisonRow(product_name=catalog[index].name, day_type=day, error=error) for day in _DAYS
-        ]
-
-    costed, grids, unusable = prepare_products(catalog, config)
-    setups: dict[int, _Setup] = {}
-    for index, spec in enumerate(costed):
-        if index in unusable:
-            fail(index, unusable[index])
-            continue
-        grid = PriceGrid(tuple(grids[index].tolist()))
-        hp = config.seeded(index)
-        try:
-            demand_table, margins = reward_tables(spec, grid, config.modulation, hp.gamma)
-        except ValueError as exc:
-            fail(index, str(exc))
-            continue
-        setups[index] = _Setup(spec, grid, hp, margins * demand_table)
+    costed, grids, errors = prepare_products(catalog, config)
+    usable = [index for index in range(len(catalog)) if index not in errors]
+    demand_table, margins, overflow = reward_lanes(
+        ProductLanes.of([costed[index] for index in usable]), grids[usable], config.modulation, config.hyperparams.gamma
+    )
+    errors.update((usable[row], reason) for row, reason in overflow.items())
+    ok = [row for row in range(len(usable)) if row not in overflow]
 
     tables: dict[int, QTable] = {}
-    if len(setups) >= LOCKSTEP_MIN_PRODUCTS:
-        rewards = np.stack([s.rewards for s in setups.values()])
-        seeds = [s.hp.seed for s in setups.values()]
-        tables = dict(zip(setups, train_lockstep(rewards, config.hyperparams, seeds)))
+    if len(ok) >= LOCKSTEP_MIN_PRODUCTS:
+        trainable = [usable[row] for row in ok]
+        rewards = margins[ok, None, :] * demand_table[ok]
+        seeds = [config.seed(index) for index in trainable]
+        tables = dict(zip(trainable, train_lockstep(rewards, config.hyperparams, seeds)))
     else:
-        for index, s in setups.items():
+        for row in ok:
+            index = usable[row]
+            grid = PriceGrid(tuple(grids[index].tolist()))
             try:
-                tables[index], _ = train(s.costed, s.grid, config.modulation, s.hp)
+                tables[index], _ = train(costed[index], grid, config.modulation, config.seeded(index))
             except ValueError as exc:
-                fail(index, str(exc))
+                errors[index] = str(exc)
 
-    # the baselines of every trained product in one batch per day type
+    # every trained product's greedy policy and baselines in one pass
     trained = list(tables)
-    baselines = optima_by_day([costed[index] for index in trained], grids[trained], config.modulation)
-    for (index, q), by_day in zip(tables.items(), baselines):
-        try:
-            per_product[index] = _comparison_rows(catalog[index].name, setups[index], q, config, by_day)
-        except ValueError as exc:
-            fail(index, str(exc))
+    specs = [costed[index] for index in trained]
+    trained_grids = grids[trained]
+    values = np.array([tables[index].values for index in trained]).reshape(len(trained), 2, config.grid_points)
+    greedy = greedy_lanes(values, ProductLanes.of(specs), trained_grids, config.modulation)
+    baselines = optima_by_day(specs, trained_grids, config.modulation)
+    evaluated = dict(zip(trained, zip(*(a.tolist() for a in greedy), baselines)))
 
-    return [row for rows in per_product for row in rows]
+    rows = []
+    for index, spec in enumerate(catalog):
+        if index in errors:
+            rows += [ComparisonRow(product_name=spec.name, day_type=day, error=errors[index]) for day in _DAYS]
+            continue
+        for day, price, d, profit, (ana, gs, ls) in zip(_DAYS, *evaluated[index]):
+            best = max(ana.profit, gs.profit, ls.profit)
+            rows.append(
+                ComparisonRow(
+                    product_name=spec.name,
+                    day_type=day,
+                    rl_price=price,
+                    rl_demand=d,
+                    rl_profit=profit,
+                    analytic=ana,
+                    grid_search=gs,
+                    line_search=ls,
+                    rl_vs_best_profit_ratio=profit / best if best > 0 else None,
+                )
+            )
+    return rows
 
 
 # --- rendering -------------------------------------------------------------
@@ -274,24 +264,41 @@ def _md_cells(row: ComparisonRow) -> list[str]:
     return [markdown_escape(cell) for cell in cells]
 
 
-def _row_as_dict(row: ComparisonRow) -> dict:
-    def opt_dict(opt: Optimum | None):
-        if opt is None:
-            return None
-        return {"price": opt.price, "demand": opt.demand, "profit": opt.profit, "clamped": opt.clamped}
+# render_report's JSON as json.dumps(indent=2) lays it out: one comparison
+# row, its RL block and one optimum
+_JSON_ROW = (
+    '    {\n      "product": %s,\n      "day": %s,\n      "rl": %s,\n      "analytic": %s,\n'
+    '      "grid_search": %s,\n      "line_search": %s,\n      "rl_vs_best_profit_ratio": %s,\n'
+    '      "error": %s\n    }'
+)
+_JSON_RL = '{\n        "price": %s,\n        "demand": %s,\n        "profit": %s\n      }'
+_JSON_OPT = '{\n        "price": %s,\n        "demand": %s,\n        "profit": %s,\n        "clamped": %s\n      }'
+_JSON_BOOL = {True: "true", False: "false"}
 
-    return {
-        "product": row.product_name,
-        "day": row.day_type.label,
-        "rl": None
-        if row.rl_price is None
-        else {"price": row.rl_price, "demand": row.rl_demand, "profit": row.rl_profit},
-        "analytic": opt_dict(row.analytic),
-        "grid_search": opt_dict(row.grid_search),
-        "line_search": opt_dict(row.line_search),
-        "rl_vs_best_profit_ratio": row.rl_vs_best_profit_ratio,
-        "error": row.error,
-    }
+
+def _json_float(v: float | None, _repr=float.__repr__) -> str:
+    """``v`` as ``json.dumps(allow_nan=False)`` writes a float or None."""
+    if v is None:
+        return "null"
+    if v - v == 0.0:  # finite: inf - inf and nan - nan are nan
+        return _repr(v)
+    raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+
+
+def _json_row(row: ComparisonRow) -> str:
+    # the values are formatted in document order, so the first non-finite
+    # one raises, as it would in json.dumps
+    f = _json_float
+    rl = "null" if row.rl_price is None else _JSON_RL % (f(row.rl_price), f(row.rl_demand), f(row.rl_profit))
+    opts = [
+        "null" if opt is None else _JSON_OPT % (f(opt.price), f(opt.demand), f(opt.profit), _JSON_BOOL[opt.clamped])
+        for opt in (row.analytic, row.grid_search, row.line_search)
+    ]
+    error = "null" if row.error is None else encode_basestring_ascii(row.error)
+    return _JSON_ROW % (
+        encode_basestring_ascii(row.product_name), encode_basestring_ascii(row.day_type.label), rl, *opts,
+        f(row.rl_vs_best_profit_ratio), error,
+    )
 
 
 _MD_HEADERS = [
@@ -338,10 +345,11 @@ def render_report(
         return csv_table(_CSV_COLUMNS, map(_csv_cells, rows))
 
     if format == "json":
-        doc = {"rows": [_row_as_dict(r) for r in rows]}
-        if config is not None:
-            doc = {"config": dataclasses.asdict(config), **doc}
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        head = {} if config is None else {"config": dataclasses.asdict(config)}
+        text = json.dumps({**head, "rows": []}, indent=2, allow_nan=False)
+        if rows:  # the rows replace the '[]\n}' json.dumps ends with
+            text = text[: -len("[]\n}")] + "[\n" + ",\n".join(map(_json_row, rows)) + "\n  ]\n}"
+        return text + "\n"
 
     if format == "markdown":
         clamped = any(

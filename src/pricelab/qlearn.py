@@ -9,7 +9,10 @@ per-episode exponentially decaying epsilon held above a floor.
 
 Given identical inputs (including the seed carried by Hyperparams) a
 training run is bitwise deterministic.  ``train_lockstep`` trains many
-products in one pass and gives each the table ``train`` would.
+products in one pass and gives each the table ``train`` would;
+``reward_lanes`` and ``greedy_lanes`` build the reward tables and read
+the greedy policies of a whole catalog at once, and ``reward_tables`` and
+``evaluate_greedy`` are their one-product calls.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .domain import DayModulation, DayType, PriceGrid, ProductSpec, demand, reward
+from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec
 from .rng import MASK64, XorShift64, seed_to_state
 
 
@@ -183,30 +185,39 @@ def calendar_next_day_types(steps: int) -> np.ndarray:
     return np.array([0 if (t + 1) % 7 < 5 else 1 for t in range(steps)], dtype=np.int64)
 
 
+def reward_lanes(
+    lanes: ProductLanes, grids: np.ndarray, modulation: DayModulation, gamma: float
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Every product's noise-free demand per (day type, price), shape
+    ``(n, 2, points)``, its per-price margins ``(n, points)``, and
+    ``{row: reason}`` for each product whose rewards overflow.
+
+    ``grids`` is the ``(n, points)`` array of ``prepare_products``.  A
+    product is rejected unless every reward (margin times demand) is
+    finite and so is the bound ``max|r| / (1 - gamma)``; then every Q
+    entry stays within that bound (Watkins & Dayan, 1992) and no update
+    can reach inf or NaN.  Each row equals the scalar ``demand`` and
+    margin arithmetic of its product bit for bit.
+    """
+    demand_table = np.stack([lanes.demand(grids, m) for m in (modulation.weekday, modulation.weekend)], axis=1)
+    margins = grids - lanes.unit_cost
+    # a NaN or inf reward propagates through the max, so one test covers both
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.abs(margins[:, None, :] * demand_table).max(axis=(1, 2)) / (1.0 - gamma)
+    bad = np.flatnonzero(~np.isfinite(bounds)).tolist()
+    overflow = {i: f"rewards overflow: max |reward| / (1 - gamma) is {bounds[i].item()}" for i in bad}
+    return demand_table, margins, overflow
+
+
 def reward_tables(
     spec: ProductSpec, grid: PriceGrid, modulation: DayModulation, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free demand per (day type, price) plus per-price margins.
-
-    Rejects a product whose rewards (margin times demand) overflow: when
-    every reward is finite and so is the bound ``max|r| / (1 - gamma)``,
-    every Q entry stays within that bound (Watkins & Dayan, 1992) and no
-    update can reach inf or NaN.
-    """
-    # Python floats, not numpy scalars: the same IEEE results, but an
-    # overflow yields inf silently instead of a RuntimeWarning
-    mults = (modulation.weekday, modulation.weekend)
-    demand_table = np.empty((2, len(grid)))
-    for s in range(2):
-        for a, price in enumerate(grid.prices):
-            demand_table[s, a] = demand(spec, price, mults[s])
-    margins = grid.as_array() - spec.unit_cost
-    # a NaN or inf reward propagates through the max, so one test covers both
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(np.abs(margins * demand_table).max()) / (1.0 - gamma)
-    if not math.isfinite(bound):
-        raise ValueError(f"rewards overflow: max |reward| / (1 - gamma) is {bound}")
-    return demand_table, margins
+    """One product's ``reward_lanes``: demand per (day type, price) and
+    per-price margins; a product whose rewards overflow is a ValueError."""
+    demand_table, margins, overflow = reward_lanes(ProductLanes.of([spec]), grid.as_array()[None], modulation, gamma)
+    if overflow:
+        raise ValueError(overflow[0])
+    return demand_table[0], margins[0]
 
 
 def train(
@@ -268,24 +279,31 @@ def train_lockstep(rewards: np.ndarray, hp: Hyperparams, seeds: list[int]) -> li
     return [QTable(v) for v in values]
 
 
+def greedy_lanes(
+    values: np.ndarray, lanes: ProductLanes, grids: np.ndarray, modulation: DayModulation = DayModulation()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every product's greedy price, demand and profit per day type.
+
+    ``values`` stacks the products' Q tables, shape ``(n, 2, points)``;
+    ``grids`` is their ``(n, points)`` price array.  Each result has shape
+    ``(n, 2)``, Weekday then Weekend.  Ties break toward the lowest index,
+    as ``QTable.argmax_action`` does, and demand and profit are recomputed
+    from the model with no exploration and no table mutation.
+    """
+    prices = np.take_along_axis(grids, values.argmax(axis=2), axis=1)
+    demands = lanes.demand(prices, np.array([modulation.weekday, modulation.weekend]))
+    return prices, demands, lanes.reward(prices, demands)
+
+
 def evaluate_greedy(
     q: QTable,
     spec: ProductSpec,
     grid: PriceGrid,
     modulation: DayModulation = DayModulation(),
 ) -> list[GreedyOutcome]:
-    """Best-known action per state, with demand and profit recomputed.
-
-    No exploration and no table mutation; results are ordered Weekday
-    then Weekend.
-    """
-    out = []
-    for day in (DayType.WEEKDAY, DayType.WEEKEND):
-        a = q.argmax_action(int(day))
-        price = grid[a]
-        d = demand(spec, price, modulation.multiplier(day))
-        out.append(GreedyOutcome(day, price, d, reward(spec, price, d)))
-    return out
+    """One product's ``greedy_lanes``, ordered Weekday then Weekend."""
+    lanes = greedy_lanes(q.values[None], ProductLanes.of([spec]), grid.as_array()[None], modulation)
+    return [GreedyOutcome(day, *out) for day, out in zip(DayType, zip(*(a[0].tolist() for a in lanes)))]
 
 
 def qtable_to_csv(q: QTable, grid: PriceGrid) -> str:
