@@ -163,22 +163,20 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
         raise ValueError("catalog must be non-empty")
 
     costed, grids, errors = prepare_products(catalog, config)
-    usable = [index for index in range(len(catalog)) if index not in errors]
     demand_table, margins, overflow = reward_lanes(
-        ProductLanes.of([costed[index] for index in usable]), grids[usable], config.modulation, config.hyperparams.gamma
+        ProductLanes.of(costed), grids, config.modulation, config.hyperparams.gamma
     )
-    errors.update((usable[row], reason) for row, reason in overflow.items())
-    ok = [row for row in range(len(usable)) if row not in overflow]
+    for index, reason in overflow.items():
+        errors.setdefault(index, reason)  # an unusable grid is the first error
+    trainable = [index for index in range(len(catalog)) if index not in errors]
 
     tables: dict[int, QTable] = {}
-    if len(ok) >= LOCKSTEP_MIN_PRODUCTS:
-        trainable = [usable[row] for row in ok]
-        rewards = margins[ok, None, :] * demand_table[ok]
+    if len(trainable) >= LOCKSTEP_MIN_PRODUCTS:
+        rewards = margins[trainable, None, :] * demand_table[trainable]
         seeds = [config.seed(index) for index in trainable]
         tables = dict(zip(trainable, train_lockstep(rewards, config.hyperparams, seeds)))
     else:
-        for row in ok:
-            index = usable[row]
+        for index in trainable:
             grid = PriceGrid(tuple(grids[index].tolist()))
             try:
                 tables[index], _ = train(costed[index], grid, config.modulation, config.seeded(index))

@@ -192,17 +192,17 @@ def reward_lanes(
     ``(n, 2, points)``, its per-price margins ``(n, points)``, and
     ``{row: reason}`` for each product whose rewards overflow.
 
-    ``grids`` is the ``(n, points)`` array of ``prepare_products``.  A
-    product is rejected unless every reward (margin times demand) is
+    ``grids`` is the ``(n, points)`` array of ``prepare_products``; rows
+    it reports unusable give placeholder results.  A product is rejected unless every reward (margin times demand) is
     finite and so is the bound ``max|r| / (1 - gamma)``; then every Q
     entry stays within that bound (Watkins & Dayan, 1992) and no update
     can reach inf or NaN.  Each row equals the scalar ``demand`` and
     margin arithmetic of its product bit for bit.
     """
     demand_table = np.stack([lanes.demand(grids, m) for m in (modulation.weekday, modulation.weekend)], axis=1)
-    margins = grids - lanes.unit_cost
     # a NaN or inf reward propagates through the max, so one test covers both
     with np.errstate(over="ignore", invalid="ignore"):
+        margins = grids - lanes.unit_cost
         bounds = np.abs(margins[:, None, :] * demand_table).max(axis=(1, 2)) / (1.0 - gamma)
     bad = np.flatnonzero(~np.isfinite(bounds)).tolist()
     overflow = {i: f"rewards overflow: max |reward| / (1 - gamma) is {bounds[i].item()}" for i in bad}
