@@ -12,9 +12,12 @@ from pricelab.baselines import (
     grid_search_optimum,
     line_search_optimum,
     optima,
+    optima_by_day,
     profit_at,
 )
 from pricelab.domain import (
+    DayModulation,
+    DayType,
     PriceGrid,
     ProductSpec,
     default_price_grid,
@@ -380,3 +383,29 @@ class TestLanesMatchScalarOracle:
 
     def test_empty_catalog(self):
         assert optima([], price_grids([])) == ([], [], [])
+
+
+class TestOptimaByDay:
+    @pytest.mark.parametrize(
+        "modulation, calls",
+        [(DayModulation(), [1.0]), (DayModulation(1.0, 1.2), [1.0, 1.2]), (DayModulation(1.3, 1.3), [1.3])],
+    )
+    def test_one_optima_call_per_distinct_multiplier(self, monkeypatch, modulation, calls):
+        import pricelab.baselines as baselines_module
+
+        seen = []
+
+        def counted(specs, grids, multiplier):
+            seen.append(multiplier)
+            return optima(specs, grids, multiplier)
+
+        specs = random_specs(60, seed=9)
+        grids = price_grids(specs)
+        monkeypatch.setattr(baselines_module, "optima", counted)
+        by_day = optima_by_day(specs, grids, modulation)
+        assert seen == calls
+        for day in DayType:
+            want = zip(*optima(specs, grids, modulation.multiplier(day)))
+            for got, expected in zip((per_product[day] for per_product in by_day), want, strict=True):
+                for g, e in zip(got, expected):
+                    assert_same(g, e)

@@ -63,6 +63,22 @@ class TestValidate:
             main(["validate"])
         assert excinfo.value.code == 2
 
+    def test_accepts_row_whose_grid_is_unusable(self, tmp_path, capsys):
+        # validate checks rows, not grids: a grid depends on --grid-span and
+        # --grid-points, which validate does not take
+        cat = tmp_path / "cat.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\nHuge,-0.5,1.7e308,1.0\n")
+        code, out, _ = run(capsys, ["validate", "--catalog", str(cat)])
+        assert (code, out) == (0, "row 1: accepted (Huge)\naccepted 1 of 1 rows\n")
+        code, out, err = run(capsys, ["optimize", "--catalog", str(cat)])
+        assert (code, out) == (2, "")
+        assert err == "pricelab: error: product 'Huge': grid upper bound 2.0 * base_price overflows\n"
+
+    def test_help_says_grids_are_not_checked(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert "--grid-span" in " ".join(capsys.readouterr().out.split())
+
 
 class TestFileBoundary:
     @pytest.mark.parametrize(

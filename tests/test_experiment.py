@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import random
 import re
 
 import pytest
 
+from pricelab.baselines import Method, Optimum
 from pricelab.catalog import sample_catalog
 from pricelab.domain import DayModulation, DayType, ProductSpec, price_grids
 from pricelab.experiment import (
@@ -311,6 +314,151 @@ class TestRenderReport:
     def test_unknown_format_rejected(self, rows):
         with pytest.raises(ValueError):
             render_report(rows, "xml")
+
+
+def oracle_row_as_dict(row: ComparisonRow) -> dict:
+    """The row dict that ``render_report`` once passed to ``json.dumps``."""
+
+    def opt_dict(opt):
+        if opt is None:
+            return None
+        return {"price": opt.price, "demand": opt.demand, "profit": opt.profit, "clamped": opt.clamped}
+
+    return {
+        "product": row.product_name,
+        "day": row.day_type.label,
+        "rl": None
+        if row.rl_price is None
+        else {"price": row.rl_price, "demand": row.rl_demand, "profit": row.rl_profit},
+        "analytic": opt_dict(row.analytic),
+        "grid_search": opt_dict(row.grid_search),
+        "line_search": opt_dict(row.line_search),
+        "rl_vs_best_profit_ratio": row.rl_vs_best_profit_ratio,
+        "error": row.error,
+    }
+
+
+def oracle_json(rows, config=None) -> str:
+    doc = {"rows": [oracle_row_as_dict(r) for r in rows]}
+    if config is not None:
+        doc = {"config": dataclasses.asdict(config), **doc}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# characters JSON escapes or writes as \uXXXX: quote, backslash, control
+# characters, non-ASCII (one outside the BMP, one lone surrogate); "/" is not escaped
+NAME_CHARS = ['"', "\\", "/", "\t", "\n", "\x00", "\x1f", "\x7f", "é", "€", "\u2028", "\U0001f600", "\ud800"]
+NAME_CHARS += ["a", " ", "|"]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.0**53, 1e16, 1e-7, 0.1, 1 / 3]
+
+
+def random_rows(seed, count=60):
+    rng = random.Random(seed)
+
+    def num():
+        if rng.random() < 0.5:
+            return rng.choice(EDGE_FLOATS)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+
+    def maybe():
+        return None if rng.random() < 0.1 else num()
+
+    def optimum():
+        if rng.random() < 0.15:
+            return None
+        return Optimum(num(), num(), num(), rng.choice(list(Method)), rng.random() < 0.5)
+
+    def text():
+        return "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 10)))
+
+    rows = []
+    for _ in range(count):
+        day = rng.choice(list(DayType))
+        if rng.random() < 0.2:
+            rows.append(ComparisonRow(product_name=text(), day_type=day, error=rng.choice(["", text()])))
+            continue
+        rows.append(
+            ComparisonRow(
+                product_name=text(),
+                day_type=day,
+                rl_price=None if rng.random() < 0.1 else num(),
+                rl_demand=maybe(),
+                rl_profit=maybe(),
+                analytic=optimum(),
+                grid_search=optimum(),
+                line_search=optimum(),
+                rl_vs_best_profit_ratio=maybe(),
+                error=text() if rng.random() < 0.05 else None,
+            )
+        )
+    return rows
+
+
+NON_DEFAULT = ExperimentConfig(
+    hyperparams=Hyperparams(episodes=300, alpha=0.3, gamma=0.7, seed=3),
+    grid_span=(0.25, 3.0),
+    modulation=DayModulation(1.0, 1.2),
+    cost_policy=CostPolicy("fraction", 0.4),
+    master_seed=2**64 - 1,
+)
+
+
+class TestJsonTemplate:
+    """``render_report``'s JSON equals ``json.dumps`` of the row dicts."""
+
+    @pytest.mark.parametrize(
+        "config", [None, ExperimentConfig(), NON_DEFAULT], ids=["none", "default", "non-default"]
+    )
+    def test_random_rows_equal_json_dumps(self, config):
+        for seed in range(10):
+            rows = random_rows(seed)
+            assert render_report(rows, "json", config) == oracle_json(rows, config)
+
+    @pytest.mark.parametrize("config", [None, ExperimentConfig()], ids=["none", "default"])
+    def test_no_rows(self, config):
+        assert render_report([], "json", config) == oracle_json([], config)
+
+    def test_run_rows_equal_json_dumps(self, rows):
+        assert render_report(rows, "json", quick_config()) == oracle_json(rows, quick_config())
+
+    FIELDS = ["rl_price", "rl_demand", "rl_profit", "rl_vs_best_profit_ratio"] + [
+        f"{opt}.{field}"
+        for opt in ("analytic", "grid_search", "line_search")
+        for field in ("price", "demand", "profit")
+    ]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_finite_value_raises_as_json_dumps_does(self, field, value):
+        row = random_rows(1, count=1)[0]
+        row = dataclasses.replace(
+            row,
+            rl_price=1.0,
+            rl_demand=2.0,
+            rl_profit=3.0,
+            analytic=Optimum(1.0, 2.0, 3.0, Method.ANALYTIC, False),
+            grid_search=Optimum(1.0, 2.0, 3.0, Method.GRID_SEARCH, True),
+            line_search=Optimum(1.0, 2.0, 3.0, Method.LINE_SEARCH, False),
+            rl_vs_best_profit_ratio=0.5,
+        )
+        if "." in field:
+            name, attr = field.split(".")
+            row = dataclasses.replace(row, **{name: dataclasses.replace(getattr(row, name), **{attr: value})})
+        else:
+            row = dataclasses.replace(row, **{field: value})
+        with pytest.raises(ValueError) as want:
+            oracle_json([row])
+        with pytest.raises(ValueError) as got:
+            render_report([row], "json")
+        assert str(got.value) == str(want.value) == f"Out of range float values are not JSON compliant: {value!r}"
+
+    def test_first_non_finite_value_in_document_order_is_named(self):
+        row = ComparisonRow(
+            product_name="x", day_type=DayType.WEEKEND, rl_price=1.0, rl_demand=-math.inf, rl_profit=1.0,
+            rl_vs_best_profit_ratio=math.nan,
+        )
+        with pytest.raises(ValueError, match=r"compliant: -inf$"):
+            render_report([ComparisonRow(product_name="ok", day_type=DayType.WEEKDAY), row], "json")
 
 
 class TestExportRevenueCurves:

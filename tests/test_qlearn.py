@@ -1,4 +1,6 @@
 import math
+import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +11,12 @@ from pricelab.domain import (
     DayModulation,
     DayType,
     PriceGrid,
+    ProductLanes,
     ProductSpec,
     default_price_grid,
     demand,
     noisy_demand,
+    price_grids,
     reward,
 )
 from pricelab.qlearn import (
@@ -24,9 +28,11 @@ from pricelab.qlearn import (
     epsilon_at,
     epsilon_schedule,
     evaluate_greedy,
+    greedy_lanes,
     hyperparams_to_json,
     qtable_from_csv,
     qtable_to_csv,
+    reward_lanes,
     reward_tables,
     select_action,
     train,
@@ -436,6 +442,128 @@ class TestEvaluateGreedy:
         assert isinstance(out[0], GreedyOutcome)
         # multiplicative day effect scales profit but not the argmax of profit
         assert out[0].profit * 1.2 == pytest.approx(out[1].profit, rel=1e-9) or out[0].price == out[1].price
+
+
+def random_specs(count, seed):
+    """Prices from 1e-3 to 1e6; some demands big enough that rewards or
+    their discounted bound overflow."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        p0 = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+        specs.append(
+            ProductSpec(
+                name=f"p{i}",
+                base_demand=rng.choice([0.0, rng.uniform(0.0, 500.0), 1e306, 1e308]),
+                base_price=p0,
+                elasticity=-math.exp(rng.uniform(math.log(0.01), math.log(30.0))),
+                unit_cost=rng.choice([0.0, p0 * rng.uniform(0.0, 0.99)]),
+            )
+        )
+    return specs
+
+
+def same_bits(got, want) -> bool:
+    return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def oracle_reward_tables(spec, prices, modulation, gamma):
+    """The scalar build ``reward_lanes`` replaced: (demand, margins, the
+    overflow message or None)."""
+    mults = (modulation.weekday, modulation.weekend)
+    demand_table = np.empty((2, len(prices)))
+    for s in range(2):
+        for a, price in enumerate(prices):
+            demand_table[s, a] = demand(spec, price, mults[s])
+    margins = np.array(prices) - spec.unit_cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.abs(margins * demand_table).max()) / (1.0 - gamma)
+    error = None if math.isfinite(bound) else f"rewards overflow: max |reward| / (1 - gamma) is {bound}"
+    return demand_table, margins, error
+
+
+# rewards of inf, finite rewards whose bound overflows at gamma 0.9, and a
+# NaN reward: infinite demand at the grid price that equals the unit cost
+OVERFLOWING = [
+    ProductSpec(name="big", base_demand=1e307, base_price=100.0, elasticity=-0.5),
+    ProductSpec(name="near", base_demand=1e306, base_price=100.0, elasticity=-0.5),
+    ProductSpec(name="nan", base_demand=1e308, base_price=100.0, elasticity=-1e308, unit_cost=50.0),
+]
+
+
+class TestRewardLanes:
+    @pytest.mark.parametrize(
+        "modulation, gamma",
+        [(DayModulation(), 0.9), (DayModulation(1.0, 1.2), 0.0), (DayModulation(0.7, 1.3), 0.999)],
+    )
+    def test_rows_equal_scalar_oracle(self, modulation, gamma):
+        specs = random_specs(300, seed=int(gamma * 1000)) + OVERFLOWING
+        grids = price_grids(specs, 21)
+        demand_table, margins, overflow = reward_lanes(ProductLanes.of(specs), grids, modulation, gamma)
+        assert demand_table.shape == (len(specs), 2, 21) and margins.shape == (len(specs), 21)
+        errors = {}
+        for i, (spec, prices) in enumerate(zip(specs, grids.tolist())):
+            want_demand, want_margins, error = oracle_reward_tables(spec, prices, modulation, gamma)
+            assert same_bits(demand_table[i], want_demand), spec
+            assert same_bits(margins[i], want_margins), spec
+            if error is not None:
+                errors[i] = error
+        assert overflow == errors
+        assert {"inf", "nan"} <= {message.rsplit(" ", 1)[1] for message in errors.values()}
+
+    def test_one_product_call(self):
+        modulation = DayModulation(1.0, 1.2)
+        for spec in random_specs(40, seed=3) + OVERFLOWING:
+            grid = default_price_grid(spec, 9)
+            want_demand, want_margins, error = oracle_reward_tables(spec, list(grid), modulation, 0.9)
+            if error is None:
+                got_demand, got_margins = reward_tables(spec, grid, modulation, 0.9)
+                assert same_bits(got_demand, want_demand) and same_bits(got_margins, want_margins)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                    reward_tables(spec, grid, modulation, 0.9)
+
+    def test_empty_catalog(self):
+        demand_table, margins, overflow = reward_lanes(ProductLanes.of([]), price_grids([], 5), DayModulation(), 0.9)
+        assert demand_table.shape == (0, 2, 5) and margins.shape == (0, 5) and overflow == {}
+
+
+def oracle_greedy(q, spec, prices, modulation):
+    """The per-product greedy read ``greedy_lanes`` replaced."""
+    out = []
+    for day in (DayType.WEEKDAY, DayType.WEEKEND):
+        price = prices[q.argmax_action(int(day))]
+        d = demand(spec, price, modulation.multiplier(day))
+        out.append((price, d, reward(spec, price, d)))
+    return out
+
+
+class TestGreedyLanes:
+    @pytest.mark.parametrize("modulation", [DayModulation(), DayModulation(1.0, 1.2)])
+    def test_rows_equal_scalar_oracle(self, modulation):
+        specs = random_specs(300, seed=11)
+        grids = price_grids(specs, 9)
+        rng = np.random.default_rng(5)
+        # values 0, 1 and 2 only: most rows hold ties, which break toward the lowest index
+        values = rng.integers(0, 3, size=(len(specs), 2, 9)).astype(np.float64)
+        values[::7] = 0.0
+        values[1::7] = -0.0
+        lanes = greedy_lanes(values, ProductLanes.of(specs), grids, modulation)
+        assert [a.shape for a in lanes] == [(len(specs), 2)] * 3
+        for i, spec in enumerate(specs):
+            want = oracle_greedy(QTable(values[i]), spec, grids[i].tolist(), modulation)
+            got = list(zip(*(a[i].tolist() for a in lanes)))
+            assert same_bits(got, want), spec
+            outcomes = evaluate_greedy(QTable(values[i]), spec, PriceGrid(tuple(grids[i].tolist())), modulation)
+            assert [o.day_type for o in outcomes] == [DayType.WEEKDAY, DayType.WEEKEND]
+            assert same_bits([(o.price, o.demand, o.profit) for o in outcomes], want)
+            assert all(type(o.price) is float for o in outcomes)
+
+    def test_ties_pick_the_lowest_index(self):
+        grids = np.array([[1.0, 2.0, 3.0, 4.0]])
+        values = np.array([[[0.0, 5.0, 5.0, 1.0], [2.0, 2.0, 2.0, 2.0]]])
+        prices, _, _ = greedy_lanes(values, ProductLanes.of([S24]), grids)
+        assert prices.tolist() == [[2.0, 1.0]]
 
 
 class TestSerialization:
