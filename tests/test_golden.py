@@ -5,8 +5,9 @@ embedded sample and on a seeded 300-row synthetic catalog, each at the
 defaults and under a weekend uplift with a cost fraction; ``compare``
 runs on a 40-product catalog, which trains in lockstep, and on the
 14-product sample, which trains product by product, both also with rows
-whose grid or rewards are unusable, and ``compare --format json`` runs on
-names JSON must escape on both training paths.  ``train`` (table and sidecar),
+whose grid or rewards are unusable; ``compare --format json`` runs on
+names JSON must escape on both training paths, and ``optimize --format
+json`` on such names and on a catalog with no accepted rows.  ``train`` (table and sidecar),
 ``validate`` and ``sample-catalog`` are pinned too.  A refactor of the
 baselines, grids, product setup or renderers must leave every digest
 unchanged.
@@ -159,6 +160,8 @@ OTHER_GOLDEN = {
     "compare-bad-rows-forty-json": "35addf5d6f7843f1c4a4d31bc6eba016e1111327266c7895e86cffd586af6cde",
     "compare-escaped-names-14-json": "8c262c3d7190f7427f6d7df48dd39cd03e0bfb11be35b6df38c202aeca35616e",
     "compare-escaped-names-40-json": "f6736f1e4129381a282bfc44ffa66573d3cbc8e99c27e4c436754784497f04b8",
+    "optimize-escaped-names-json": "5e17f82065de615890d879a46ef33eadd0c4d968119258f1c62265686f642647",
+    "optimize-no-rows-json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
 }
 
 
@@ -206,13 +209,30 @@ def test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt):
 ESCAPED_NAMES = ('Say "hi"', "back\\slash", "a/b", "tab\there", "Café", "€ 99", 'all "\\/\té€')
 
 
-@pytest.mark.parametrize("rows", [14, 40])
-def test_compare_escaped_names_json_digest(tmp_path, rows):
-    # 14 products train product by product, 40 in lockstep
+def escaped_names_catalog(tmp_path, rows):
     specs, _ = parse_catalog(synthetic_catalog(rows, 14))
     names = [f"{ESCAPED_NAMES[i % len(ESCAPED_NAMES)]} {i}" for i in range(rows)]
     renamed = [dataclasses.replace(spec, name=name) for spec, name in zip(specs, names)]
     catalog = write_catalog(tmp_path, serialize_catalog(renamed))
     assert [s.name for s in parse_catalog(catalog.read_text(encoding="utf-8"))[0]] == names
+    return catalog
+
+
+@pytest.mark.parametrize("rows", [14, 40])
+def test_compare_escaped_names_json_digest(tmp_path, rows):
+    # 14 products train product by product, 40 in lockstep
+    catalog = escaped_names_catalog(tmp_path, rows)
     argv = ["compare", "--episodes", "20", "--format", "json", "--catalog", str(catalog)]
     assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN[f"compare-escaped-names-{rows}-json"]
+
+
+def test_optimize_escaped_names_json_digest(tmp_path):
+    argv = ["optimize", "--format", "json", *UPLIFT, "--catalog", str(escaped_names_catalog(tmp_path, 14))]
+    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["optimize-escaped-names-json"]
+
+
+def test_optimize_no_rows_json_digest(tmp_path):
+    # every row rejected: the document is an empty list
+    catalog = write_catalog(tmp_path, HEADER + "Flat,0.5,100.0,10.0,0\nFree,-1.0,0.0,10.0,0\n")
+    argv = ["optimize", "--format", "json", "--catalog", str(catalog)]
+    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["optimize-no-rows-json"]
