@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # perfbench/tracing.py times the one-product optimizers and default_price_grid as
@@ -28,14 +29,16 @@ from .baselines import analytic_optimum, grid_search_optimum, line_search_optimu
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import DayModulation, DayType, PriceGrid, default_price_grid  # noqa: F401
 from .experiment import (
+    _JSON_BOOL,
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
+    _json_float,
     csv_table,
     export_revenue_curves,
     markdown_escape,
     markdown_table,
-    prepare_products,
+    prepare_checked,
     render_report,
     run_experiment,
 )
@@ -171,26 +174,19 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _prepare(catalog, config: ExperimentConfig):
-    """The costed specs and price grids of ``catalog``; the first unusable
-    product is an error naming it."""
-    costed, grids, unusable = prepare_products(catalog, config)
-    if unusable:
-        index = min(unusable)
-        raise CliError(f"product {catalog[index].name!r}: {unusable[index]}")
-    return costed, grids
-
-
 def _cmd_train(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
     matches = [i for i, s in enumerate(catalog) if s.name == args.product]
     if not matches:
         raise CliError(f"product not found in catalog: {args.product!r}")
-    (spec,), grids = _prepare([catalog[matches[0]]], config)
+    (spec,), grids = prepare_checked([catalog[matches[0]]], config)
     grid = PriceGrid(tuple(grids[0].tolist()))
     hp = config.seeded(matches[0])
-    q, _trace = train(spec, grid, config.modulation, hp)
+    try:
+        q, _trace = train(spec, grid, config.modulation, hp)
+    except ValueError as exc:  # its rewards overflow
+        raise CliError(f"product {spec.name!r}: {exc}") from None
     _write_output(qtable_to_csv(q, grid), args.output)
     # the sidecar goes only next to a regular file (not /dev/null, a pipe, ...)
     if args.output not in (None, "-") and Path(args.output).is_file():
@@ -201,12 +197,17 @@ def _cmd_train(args) -> int:
 
 _OPTIMIZE_COLUMNS = ["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"]
 _OPTIMIZE_HEADERS = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
+# one optimize row as json.dumps(rows, indent=2) lays it out
+_OPTIMIZE_JSON_ROW = (
+    '  {\n    "product": %s,\n    "day": %s,\n    "method": %s,\n    "price": %s,\n'
+    '    "demand": %s,\n    "profit": %s,\n    "clamped": %s\n  }'
+)
 
 
 def _cmd_optimize(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    costed, grids = _prepare(catalog, config)
+    costed, grids = prepare_checked(catalog, config)
     rows = []
     for spec, by_day in zip(catalog, optima_by_day(costed, grids, config.modulation)):
         for day, opts in zip(DayType, by_day):
@@ -216,19 +217,15 @@ def _cmd_optimize(args) -> int:
                 rows.append((spec.name, day.label, opt))
 
     if args.format == "json":
+        f = _json_float
         doc = [
-            {
-                "product": name,
-                "day": day,
-                "method": opt.method.value,
-                "price": opt.price,
-                "demand": opt.demand,
-                "profit": opt.profit,
-                "clamped": opt.clamped,
-            }
+            _OPTIMIZE_JSON_ROW % (
+                encode_basestring_ascii(name), encode_basestring_ascii(day), encode_basestring_ascii(opt.method.value),
+                f(opt.price), f(opt.demand), f(opt.profit), _JSON_BOOL[opt.clamped],
+            )
             for name, day, opt in rows
         ]
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        text = "[\n" + ",\n".join(doc) + "\n]\n" if doc else "[]\n"
     else:
         cells = [
             [name, day, opt.method.value, f"{opt.price:.1f}", f"{opt.demand:.1f}", f"{opt.profit:.2f}",

@@ -6,23 +6,23 @@ price interval, and emits one comparison row per (product, day type).
 Reports render as CSV, JSON (full precision, with a config provenance
 block), or Markdown.
 
-Every product reaches training by one path, shared with the CLI's
-``train`` and ``optimize``: ``prepare_products`` applies the cost policy
+Every product is set up by one path, shared with the CLI's ``train``,
+``optimize`` and ``curve``: ``prepare_products`` applies the cost policy
 and builds all price grids in one call, reporting each unusable product
-with its reason, and ``ExperimentConfig.seeded`` gives a product its
+with its reason (``prepare_checked`` makes the first one an error naming
+it), and ``ExperimentConfig.seeded`` gives a product its
 hyperparameters, with a seed split from the master seed and its catalog
 index by a frozen function (see ``pricelab.rng.split_seed``).  So
-everything is deterministic given the catalog and config, and large
-catalogs train in lockstep with results bitwise equal to training each
-product alone.
+everything is deterministic given the catalog and config.
 
-Only training loops over products, and only below
-``LOCKSTEP_MIN_PRODUCTS``.  The setup (``qlearn.reward_lanes``), the
-greedy evaluation (``qlearn.greedy_lanes``) and the baselines
-(``baselines.optima_by_day``) are passes over the whole catalog, and the
-JSON report is written row by row from a fixed template that equals
-``json.dumps(report, indent=2, allow_nan=False)`` byte for byte:
-``json.dumps`` uses its C encoder only without ``indent``.
+The setup (``qlearn.reward_lanes``), the training (``qlearn.train_lanes``,
+which picks the kernel), the greedy evaluation (``qlearn.greedy_lanes``)
+and the baselines (``baselines.optima_by_day``) are passes over the whole
+catalog.  Training raises nothing on products that setup accepted, so
+an exception from it propagates.  The JSON report is written row by row
+from a fixed template that equals ``json.dumps(report, indent=2,
+allow_nan=False)`` byte for byte: ``json.dumps`` uses its C encoder only
+without ``indent``.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# perfbench/tracing.py times the one-product optimizers, default_price_grid and
-# evaluate_greedy as attributes of this module, so they stay importable here; the
-# evaluation makes one batch call per distinct day multiplier and one greedy_lanes
-# call, and prepare_products builds every grid in one call
+# perfbench/tracing.py times the one-product optimizers, default_price_grid, train
+# and evaluate_greedy as attributes of this module, so they stay importable here;
+# the pipeline runs each stage over the whole catalog (prepare_products,
+# reward_lanes, train_lanes, greedy_lanes, one optima call per day multiplier)
 from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
 from .domain import default_price_grid  # noqa: F401
-from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec, _uniform_grids, price_grids
-from .qlearn import evaluate_greedy  # noqa: F401
-from .qlearn import Hyperparams, QTable, greedy_lanes, reward_lanes, train, train_lockstep
+from .domain import DayModulation, DayType, ProductLanes, ProductSpec, _uniform_grids
+from .qlearn import evaluate_greedy, train  # noqa: F401
+from .qlearn import Hyperparams, greedy_lanes, reward_lanes, train_lanes
 from .rng import MASK64, split_seed
 
 COST_POLICY_KINDS = ("catalog", "zero", "fraction")
@@ -123,6 +123,17 @@ def prepare_products(
     return costed, grids, unusable
 
 
+def prepare_checked(catalog: list[ProductSpec], config: ExperimentConfig) -> tuple[list[ProductSpec], np.ndarray]:
+    """``prepare_products`` for a catalog that must be usable throughout:
+    the costed specs and grids, or a ValueError naming the first product
+    that cannot be used."""
+    costed, grids, unusable = prepare_products(catalog, config)
+    if unusable:
+        index = min(unusable)
+        raise ValueError(f"product {catalog[index].name!r}: {unusable[index]}")
+    return costed, grids
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     """One product under one day type, across all methods."""
@@ -139,25 +150,19 @@ class ComparisonRow:
     error: str | None = None
 
 
-# Catalogs with at least this many trainable products train in lockstep
-# (``qlearn.train_lockstep``); smaller ones train product by product, where
-# the scalar kernel's lower fixed cost per step wins.  Both give the same
-# tables, so the choice changes speed only.
-LOCKSTEP_MIN_PRODUCTS = 32
-
 _DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
 
 
 def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:
     """Train and compare every product; rows come back in catalog order.
 
-    Three phases, each a pass over the whole catalog except scalar
-    training: set every product up (cost policy, grid, seed, reward
-    table), train them all, then read every greedy policy and run the
-    baselines.  A product whose input fails a phase (a ``ValueError``)
-    contributes error-marked rows instead of aborting the batch; its seed
-    comes from its catalog index, so it never shifts the seeds of the
-    others.  Any other exception is a defect and propagates.
+    Three phases, each a pass over the whole catalog: set every product up
+    (cost policy, grid, seed, reward table), train them all, then read
+    every greedy policy and run the baselines.  A product that fails
+    setup contributes error-marked rows instead of aborting the batch; its
+    seed comes from its catalog index, so it never shifts the seeds of the
+    others.  Training raises nothing on the products setup accepted, so
+    any exception from it is a defect and propagates.
     """
     if not catalog:
         raise ValueError("catalog must be non-empty")
@@ -168,26 +173,13 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
     )
     for index, reason in overflow.items():
         errors.setdefault(index, reason)  # an unusable grid is the first error
-    trainable = [index for index in range(len(catalog)) if index not in errors]
-
-    tables: dict[int, QTable] = {}
-    if len(trainable) >= LOCKSTEP_MIN_PRODUCTS:
-        rewards = margins[trainable, None, :] * demand_table[trainable]
-        seeds = [config.seed(index) for index in trainable]
-        tables = dict(zip(trainable, train_lockstep(rewards, config.hyperparams, seeds)))
-    else:
-        for index in trainable:
-            grid = PriceGrid(tuple(grids[index].tolist()))
-            try:
-                tables[index], _ = train(costed[index], grid, config.modulation, config.seeded(index))
-            except ValueError as exc:
-                errors[index] = str(exc)
+    trained = [index for index in range(len(catalog)) if index not in errors]
+    seeds = [config.seed(index) for index in trained]
+    values = train_lanes(demand_table[trained], margins[trained], config.hyperparams, seeds)
 
     # every trained product's greedy policy and baselines in one pass
-    trained = list(tables)
     specs = [costed[index] for index in trained]
     trained_grids = grids[trained]
-    values = np.array([tables[index].values for index in trained]).reshape(len(trained), 2, config.grid_points)
     greedy = greedy_lanes(values, ProductLanes.of(specs), trained_grids, config.modulation)
     baselines = optima_by_day(specs, trained_grids, config.modulation)
     evaluated = dict(zip(trained, zip(*(a.tolist() for a in greedy), baselines)))
@@ -374,30 +366,35 @@ def export_revenue_curves(
 
     Prices sample the grid span uniformly; values are written at full
     precision (``repr``) so downstream plots and checks see exactly what
-    the model computed.  A product whose grid is unusable is an error
-    naming it.
+    the model computed.  Products are set up as for training, with
+    ``samples_per_curve`` grid points; a product that cannot be set up,
+    or whose curve overflows, is an error naming it.
     """
     if samples_per_curve < 2:
         raise ValueError("samples_per_curve must be >= 2")
-    lo_ratio, hi_ratio = config.grid_span
+    sampled = replace(config, grid_points=samples_per_curve)
     days = [(day.label, config.modulation.multiplier(day)) for day in _DAYS]
     parts = ["product,day,price,demand,revenue,profit\n"]
     names = io.StringIO()
     quote = csv.writer(names, lineterminator="\n")
     for start in range(0, len(catalog), _CURVE_BLOCK):
         block = catalog[start : start + _CURVE_BLOCK]
-        costed = [config.cost_policy.apply(spec) for spec in block]
-        prices = price_grids(costed, samples_per_curve, lo_ratio, hi_ratio)
+        costed, prices = prepare_checked(block, sampled)
         lanes = ProductLanes.of(costed)
         # equal day multipliers give equal curves: format each distinct one once
         curves = {}
+        finite = np.ones(len(block), dtype=bool)
         for _, mult in days:
             if mult not in curves:
                 d = lanes.demand(prices, mult)
                 with np.errstate(over="ignore", invalid="ignore"):
                     revenue = prices * d
-                columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), lanes.reward(prices, d).tolist())
+                profit = lanes.reward(prices, d)
+                finite &= np.isfinite(np.hstack([d, revenue, profit])).all(axis=1)
+                columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), profit.tolist())
                 curves[mult] = [list(map("%r,%r,%r,%r".__mod__, zip(*rows))) for rows in columns]
+        if not finite.all():
+            raise ValueError(f"product {block[int(finite.argmin())].name!r}: revenue curve overflows")
         # each name as the csv module quotes it; writerow returns the row's length
         names.seek(0)
         names.truncate()

@@ -8,11 +8,11 @@ calendar day's state.  Action selection is epsilon-greedy with a
 per-episode exponentially decaying epsilon held above a floor.
 
 Given identical inputs (including the seed carried by Hyperparams) a
-training run is bitwise deterministic.  ``train_lockstep`` trains many
-products in one pass and gives each the table ``train`` would;
-``reward_lanes`` and ``greedy_lanes`` build the reward tables and read
-the greedy policies of a whole catalog at once, and ``reward_tables`` and
-``evaluate_greedy`` are their one-product calls.
+training run is bitwise deterministic.  ``reward_lanes``, ``train_lanes``
+(which picks the kernel) and ``greedy_lanes`` set up, train and evaluate
+a whole catalog at once, and ``reward_tables``, ``train`` and
+``evaluate_greedy`` are their one-product calls.  Training raises nothing
+on rewards ``reward_lanes`` accepted; any exception from it propagates.
 """
 
 from __future__ import annotations
@@ -220,6 +220,13 @@ def reward_tables(
     return demand_table[0], margins[0]
 
 
+def _shared_kernel_args(hp: Hyperparams) -> tuple:
+    """The kernel arguments every product trained under ``hp`` shares: the
+    calendar, its next-day states, the epsilon schedule, alpha and gamma."""
+    steps = hp.steps_per_episode
+    return calendar_day_types(steps), calendar_next_day_types(steps), epsilon_schedule(hp), hp.alpha, hp.gamma
+
+
 def train(
     spec: ProductSpec,
     grid: PriceGrid,
@@ -237,21 +244,12 @@ def train(
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
     demand_table, margins = reward_tables(spec, grid, modulation, hp.gamma)
-    eps = epsilon_schedule(hp)
+    shared = _shared_kernel_args(hp)
     values, episode_rewards, visits, policies = _kernels.run_train_kernel(
-        demand_table,
-        margins,
-        calendar_day_types(hp.steps_per_episode),
-        calendar_next_day_types(hp.steps_per_episode),
-        eps,
-        hp.alpha,
-        hp.gamma,
-        seed_to_state(hp.seed),
-        noise_sigma=noise_sigma,
-        record_policies=record_policies,
+        demand_table, margins, *shared, seed_to_state(hp.seed), noise_sigma=noise_sigma, record_policies=record_policies
     )
     trace = TrainingTrace(
-        epsilons=eps,
+        epsilons=shared[2],
         episode_rewards=episode_rewards,
         visit_counts=visits,
         greedy_policies=policies if record_policies else None,
@@ -259,24 +257,30 @@ def train(
     return QTable(values), trace
 
 
-def train_lockstep(rewards: np.ndarray, hp: Hyperparams, seeds: list[int]) -> list[QTable]:
-    """Train many products at once, without noise or a trace.
+# Catalogs with at least this many products train in lockstep
+# (``_kernels.run_lockstep_kernel``); smaller ones train product by product,
+# where the scalar kernel's lower fixed cost per step wins.  Both give the
+# same tables, so the choice changes speed only.
+LOCKSTEP_MIN_PRODUCTS = 32
 
-    ``rewards[p]`` is product ``p``'s noise-free reward table (margins
-    times the demand of ``reward_tables``) and ``seeds[p]`` its seed;
+
+def train_lanes(demand_table: np.ndarray, margins: np.ndarray, hp: Hyperparams, seeds: list[int]) -> np.ndarray:
+    """Train many products at once, without noise or a trace; returns
+    their Q tables, shape ``(n, 2, points)``.
+
+    ``demand_table`` and ``margins`` are rows of ``reward_lanes`` whose
+    rewards do not overflow, and ``seeds[p]`` is product ``p``'s seed;
     ``hp.seed`` is not used.  Each table is bitwise equal to the one
     ``train`` returns for that product and seed.
     """
-    values = _kernels.run_lockstep_kernel(
-        rewards,
-        calendar_day_types(hp.steps_per_episode),
-        calendar_next_day_types(hp.steps_per_episode),
-        epsilon_schedule(hp),
-        hp.alpha,
-        hp.gamma,
-        np.array([seed_to_state(seed) for seed in seeds], dtype=np.uint64),
-    )
-    return [QTable(v) for v in values]
+    shared = _shared_kernel_args(hp)
+    if len(seeds) >= LOCKSTEP_MIN_PRODUCTS:
+        states = np.array([seed_to_state(seed) for seed in seeds], dtype=np.uint64)
+        return _kernels.run_lockstep_kernel(margins[:, None, :] * demand_table, *shared, states)
+    values = np.empty(demand_table.shape)
+    for p, seed in enumerate(seeds):
+        values[p] = _kernels.run_train_kernel(demand_table[p], margins[p], *shared, seed_to_state(seed))[0]
+    return values
 
 
 def greedy_lanes(

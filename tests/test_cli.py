@@ -331,22 +331,44 @@ class TestOptimize:
 
 @pytest.mark.parametrize("command", ["curve", "optimize", "train"])
 @pytest.mark.parametrize(
-    "row, message",
+    "row, flags, message",
     [
-        ("Huge,-0.5,1.7e308,1.0,0", "product 'Huge': grid upper bound 2.0 * base_price overflows"),
-        ("Tiny,-1.0,5e-324,10.0,0", "product 'Tiny': prices must be > 0"),
+        ("Huge,-0.5,1.7e308,1.0,0", [], "product 'Huge': grid upper bound 2.0 * base_price overflows"),
+        ("Tiny,-1.0,5e-324,10.0,0", [], "product 'Tiny': prices must be > 0"),
+        # 0.9 * 5e-324 rounds up to the price itself
+        ("Tiny,-1.0,5e-324,10.0,0", ["--cost-policy", "fraction", "--cost-fraction", "0.9"],
+         "product 'Tiny': unit_cost must be < base_price"),
     ],
-    ids=["huge", "tiny"],
+    ids=["huge", "tiny", "tiny-cost-fraction"],
 )
-def test_unusable_price_grid_exits_two_naming_product(tmp_path, capsys, command, row, message):
+def test_unusable_price_grid_exits_two_naming_product(tmp_path, capsys, command, row, flags, message):
     cat = tmp_path / "cat.csv"
     cat.write_text("product_name,price_elasticity,base_price,base_demand,unit_cost\nFine,-1.0,100.0,10.0,0\n" + row + "\n")
-    argv = [command, "--catalog", str(cat)]
+    argv = [command, "--catalog", str(cat), *flags]
     if command == "train":
         argv += ["--product", row.split(",")[0]]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
+    assert err == f"pricelab: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("curve", "product 'Big': revenue curve overflows"),
+        ("train", "product 'Big': rewards overflow: max |reward| / (1 - gamma) is inf"),
+    ],
+    ids=["curve", "train"],
+)
+def test_overflowing_product_exits_two_naming_it(tmp_path, capsys, command, message):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("product_name,price_elasticity,base_price,base_demand\nFine,-1.0,100.0,10.0\nBig,-0.5,100.0,1e307\n")
+    argv = [command, "--catalog", str(cat), *FAST]
+    if command == "train":
+        argv += ["--product", "Big"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
     assert err == f"pricelab: error: {message}\n"
 
 

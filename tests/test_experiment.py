@@ -140,12 +140,12 @@ class TestRunExperiment:
         ids=["zero-cost", "fraction-weekend-uplift"],
     )
     def test_lockstep_rows_equal_per_product_training(self, config, monkeypatch):
-        import pricelab.experiment as experiment_module
+        from pricelab import _kernels, qlearn
 
         catalog = [
             ProductSpec(name=f"P{i}", base_demand=20.0 + 7 * i, base_price=30.0 + 11 * i,
                         elasticity=-0.3 - 0.4 * (i % 9), unit_cost=0.3 * (i % 3) * (30.0 + 11 * i))
-            for i in range(experiment_module.LOCKSTEP_MIN_PRODUCTS + 3)
+            for i in range(qlearn.LOCKSTEP_MIN_PRODUCTS + 3)
         ]
         # fails setup: its rewards overflow
         catalog.insert(5, ProductSpec(name="Big", base_demand=1e307, base_price=100.0, elasticity=-0.5))
@@ -154,9 +154,9 @@ class TestRunExperiment:
             raise AssertionError("trained product by product")
 
         with monkeypatch.context() as m:
-            m.setattr(experiment_module, "train", no_scalar_training)
+            m.setattr(_kernels, "run_train_kernel", no_scalar_training)
             lockstep = run_experiment(catalog, config)
-        monkeypatch.setattr(experiment_module, "LOCKSTEP_MIN_PRODUCTS", len(catalog) + 1)
+        monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", len(catalog) + 1)
         assert lockstep == run_experiment(catalog, config)
         assert [r.error is not None for r in lockstep].count(True) == 2
         assert "rewards overflow" in lockstep[10].error
@@ -165,33 +165,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment([], quick_config())
 
-    def test_failed_product_marked_not_fatal(self, sample_specs, monkeypatch):
-        import pricelab.experiment as experiment_module
-
-        real_train = experiment_module.train
-
-        def flaky_train(spec, *args, **kwargs):
-            if spec.name == sample_specs[1].name:
-                raise ValueError("boom")
-            return real_train(spec, *args, **kwargs)
-
-        monkeypatch.setattr(experiment_module, "train", flaky_train)
-        rows = run_experiment(sample_specs[:3], quick_config())
-        assert len(rows) == 6
-        failed = [r for r in rows if r.error]
-        assert len(failed) == 2
-        assert all(r.product_name == sample_specs[1].name for r in failed)
-        assert all("boom" in r.error for r in failed)
-        assert all(r.rl_price is None and r.analytic is None for r in failed)
-
     def test_defect_propagates(self, sample_specs, monkeypatch):
-        # only input errors (ValueError) become rows; anything else is a bug
-        import pricelab.experiment as experiment_module
+        # only setup errors become rows; an exception from training is a bug
+        from pricelab import _kernels
 
         def broken_train(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(experiment_module, "train", broken_train)
+        monkeypatch.setattr(_kernels, "run_train_kernel", broken_train)
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment(sample_specs[:2], quick_config())
 

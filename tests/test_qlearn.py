@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pricelab import _kernels
+from pricelab import _kernels, qlearn
 from pricelab.domain import (
     DayModulation,
     DayType,
@@ -36,7 +36,7 @@ from pricelab.qlearn import (
     reward_tables,
     select_action,
     train,
-    train_lockstep,
+    train_lanes,
     update_q,
 )
 from pricelab.rng import XorShift64, seed_to_state
@@ -237,16 +237,17 @@ class TestTrainContract:
         with pytest.raises(ValueError):
             train(S24, default_price_grid(S24, 5), hp=small_hp(), noise_sigma=-0.1)
 
-    def test_q_bounds_invariant(self):
+    def test_q_bounds_invariant(self, monkeypatch):
         grid = default_price_grid(S24, 11)
         hp = small_hp(episodes=400)
         demand_table, margins = reward_tables(S24, grid, DayModulation(), hp.gamma)
         scalar, _ = train(S24, grid, hp=hp)
-        [lockstep] = train_lockstep((margins * demand_table)[None], hp, [hp.seed])
+        monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1)
+        [lockstep] = train_lanes(demand_table[None], margins[None], hp, [hp.seed])
         r_max = max(reward(S24, p, demand(S24, p)) for p in grid)
-        for q in (scalar, lockstep):
-            assert (q.values >= 0.0).all()
-            assert (q.values <= r_max / (1.0 - hp.gamma) * (1 + 1e-12)).all()
+        for values in (scalar.values, lockstep):
+            assert (values >= 0.0).all()
+            assert (values <= r_max / (1.0 - hp.gamma) * (1 + 1e-12)).all()
 
     def test_visit_counts_cover_week_shape(self):
         grid = default_price_grid(S24, 5)
@@ -254,6 +255,24 @@ class TestTrainContract:
         # 5 of 7 steps are weekdays
         assert trace.visit_counts[0].sum() == 100 * 5
         assert trace.visit_counts[1].sum() == 100 * 2
+
+
+def assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expected):
+    """``train_lanes`` in lockstep (threshold n) and product by product
+    (threshold n + 1) each give ``expected`` bit for bit, and each path
+    runs only its own kernel."""
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the other kernel ran")
+
+    n = len(seeds)
+    for threshold, other in ((n, "run_train_kernel"), (n + 1, "run_lockstep_kernel")):
+        with monkeypatch.context() as m:
+            m.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", threshold)
+            m.setattr(_kernels, other, unused)
+            tables = train_lanes(demand_table, margins, hp, seeds)
+        assert tables.shape == demand_table.shape
+        assert [t.tobytes() for t in tables] == [e.tobytes() for e in expected]
 
 
 class TestLockstep:
@@ -266,7 +285,7 @@ class TestLockstep:
         ],
         ids=["explore", "greedy-ties"],
     )
-    def test_tables_bitwise_equal_to_train(self, hp):
+    def test_tables_bitwise_equal_to_train(self, hp, monkeypatch):
         specs = [
             S24,
             ProductSpec(name="b", base_demand=40.0, base_price=20.0, elasticity=-3.1, unit_cost=12.0),
@@ -275,14 +294,18 @@ class TestLockstep:
         modulation = DayModulation(1.0, 1.2)
         seeds = [0, 2**64 - 1, 12345]
         grids = [default_price_grid(spec, 9) for spec in specs]
-        rewards = []
-        for spec, grid in zip(specs, grids):
-            demand_table, margins = reward_tables(spec, grid, modulation, hp.gamma)
-            rewards.append(margins * demand_table)
-        tables = train_lockstep(np.array(rewards), hp, seeds)
-        for spec, grid, seed, q in zip(specs, grids, seeds, tables):
-            expected, _ = train(spec, grid, modulation, replace(hp, seed=seed))
-            assert q.values.tobytes() == expected.values.tobytes()
+        demand_table, margins, _ = reward_lanes(
+            ProductLanes.of(specs), np.array([g.as_array() for g in grids]), modulation, hp.gamma
+        )
+        expected = [
+            train(spec, grid, modulation, replace(hp, seed=seed))[0].values
+            for spec, grid, seed in zip(specs, grids, seeds)
+        ]
+        assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expected)
+
+    def test_zero_lanes(self, monkeypatch):
+        hp = small_hp()
+        assert_train_lanes_paths(monkeypatch, np.empty((0, 2, 9)), np.empty((0, 9)), hp, [], [])
 
     def test_rejects_overflowing_rewards(self):
         big = ProductSpec(name="big", base_demand=1e307, base_price=100.0, elasticity=-0.5)
