@@ -6,9 +6,10 @@ defaults and under a weekend uplift with a cost fraction; ``compare``
 runs on a 40-product catalog, which trains in lockstep, and on the
 14-product sample, which trains product by product, both also with rows
 whose grid or rewards are unusable; ``compare --format json`` runs on
-names JSON must escape on both training paths, and ``optimize --format
-json`` on such names and on a catalog with no accepted rows.  ``train`` (table and sidecar),
-``validate`` and ``sample-catalog`` are pinned too.  A refactor of the
+names JSON must escape on both training paths, and ``optimize`` (csv,
+json, markdown) on such names and, with ``curve``, on a catalog with no
+accepted rows.  ``train`` (table and sidecar), ``validate`` and
+``sample-catalog`` are pinned too.  A refactor of the
 baselines, grids, product setup or renderers must leave every digest
 unchanged.
 """
@@ -160,8 +161,13 @@ OTHER_GOLDEN = {
     "compare-bad-rows-forty-json": "35addf5d6f7843f1c4a4d31bc6eba016e1111327266c7895e86cffd586af6cde",
     "compare-escaped-names-14-json": "8c262c3d7190f7427f6d7df48dd39cd03e0bfb11be35b6df38c202aeca35616e",
     "compare-escaped-names-40-json": "f6736f1e4129381a282bfc44ffa66573d3cbc8e99c27e4c436754784497f04b8",
+    "optimize-escaped-names-csv": "e014210b5c690f7797a17584eaf75bda2dbb8fbc66e5a5f6e03a5fb62ab8053e",
     "optimize-escaped-names-json": "5e17f82065de615890d879a46ef33eadd0c4d968119258f1c62265686f642647",
+    "optimize-escaped-names-markdown": "923d12ed9972e16d525bce5289695d51c0f138f557532c699b9d8a31dcb09743",
+    "optimize-no-rows-csv": "e1885131bab58bcb8ba11b47a821d9bb15f8a7b3a57e875a5f9a561ce7fb63be",
     "optimize-no-rows-json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "optimize-no-rows-markdown": "27e93865c5b848943fa72540902dee4bb2df7a9aece7d5d79e63611c4afca0a2",
+    "curve-no-rows": "41e67cde87d681911467cd5d485ae511675a58a1390b1aabe29ddfa5fc81aa18",
 }
 
 
@@ -226,13 +232,19 @@ def test_compare_escaped_names_json_digest(tmp_path, rows):
     assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN[f"compare-escaped-names-{rows}-json"]
 
 
-def test_optimize_escaped_names_json_digest(tmp_path):
-    argv = ["optimize", "--format", "json", *UPLIFT, "--catalog", str(escaped_names_catalog(tmp_path, 14))]
-    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["optimize-escaped-names-json"]
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_optimize_escaped_names_digest(tmp_path, fmt):
+    argv = ["optimize", "--format", fmt, *UPLIFT, "--catalog", str(escaped_names_catalog(tmp_path, 14))]
+    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN[f"optimize-escaped-names-{fmt}"]
 
 
-def test_optimize_no_rows_json_digest(tmp_path):
-    # every row rejected: the document is an empty list
+@pytest.mark.parametrize(
+    "command", [["optimize", "--format", "csv"], ["optimize", "--format", "json"],
+                ["optimize", "--format", "markdown"], ["curve"]],
+    ids=["optimize-csv", "optimize-json", "optimize-markdown", "curve"],
+)
+def test_no_rows_digest(tmp_path, command):
+    # every row rejected: a header, a bare table or an empty list
     catalog = write_catalog(tmp_path, HEADER + "Flat,0.5,100.0,10.0,0\nFree,-1.0,0.0,10.0,0\n")
-    argv = ["optimize", "--format", "json", "--catalog", str(catalog)]
-    assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["optimize-no-rows-json"]
+    name = "-".join([command[0], "no-rows", *command[2:]])
+    assert run_to_file(tmp_path, None, [*command, "--catalog", str(catalog)]) == OTHER_GOLDEN[name]
