@@ -28,11 +28,16 @@ for bit:
   ``math.log`` per product (``np.log`` need not give libm's bits); a lane
   whose count is used up is masked and keeps its bracket.
 
-Results come back as Python floats and bools (``tolist``), so reports
-print exactly what scalar code would.  ``analytic_optimum``,
-``grid_search_optimum`` and ``line_search_optimum`` are one-lane calls;
-each pays numpy's per-operation overhead (golden section: about 2 ms), so
-more than a few products belong in one ``optima`` call.
+The columns are the one source of results: ``optimum_columns`` gives
+each method's price, demand, profit and clamped flag as arrays, and
+``columns_by_day`` stacks them as ``(product, day, method)`` arrays, which
+``pricelab optimize`` renders directly.  ``optima``, ``optima_by_day`` and
+the one-lane calls ``analytic_optimum``, ``grid_search_optimum`` and
+``line_search_optimum`` are views of those columns as ``Optimum`` lists,
+with Python floats and bools (``tolist``), so reports print exactly what
+scalar code would.  A one-lane call pays numpy's per-operation overhead
+(golden section: about 2 ms), so more than a few products belong in one
+batch call.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,19 +75,27 @@ def profit_at(spec: ProductSpec, price: float, multiplier: float = 1.0) -> float
     return reward(spec, price, demand(spec, price, multiplier))
 
 
-def _results(
-    method: Method, lanes: ProductLanes, price: np.ndarray, multiplier: float, clamped: np.ndarray
-) -> list[Optimum]:
+class Columns(NamedTuple):
+    """One method's optima over a catalog, one entry per product: price,
+    demand and profit as float64 arrays, clamped as a bool array."""
+
+    price: np.ndarray
+    demand: np.ndarray
+    profit: np.ndarray
+    clamped: np.ndarray
+
+
+def _columns(lanes: ProductLanes, price: np.ndarray, multiplier: float, clamped: np.ndarray) -> Columns:
     d = lanes.demand(price, multiplier)
-    profit = lanes.reward(price, d)
-    return [
-        Optimum(p, q, f, method, k)
-        for p, q, f, k in zip(price.ravel().tolist(), d.ravel().tolist(), profit.ravel().tolist(),
-                              clamped.ravel().tolist())
-    ]
+    return Columns(price.ravel(), d.ravel(), lanes.reward(price, d).ravel(), clamped.ravel())
 
 
-def _analytic(lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float) -> list[Optimum]:
+def _view(method: Method, columns: Columns) -> list[Optimum]:
+    """``columns`` as one ``Optimum`` per product."""
+    return [Optimum(p, q, f, method, k) for p, q, f, k in zip(*(a.tolist() for a in columns))]
+
+
+def _analytic(lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float) -> Columns:
     e, p0, c = lanes.elasticity, lanes.base_price, lanes.unit_cost
     with np.errstate(over="ignore", invalid="ignore"):
         vertex = c / 2.0 + p0 * (e - 1.0) / (2.0 * e)
@@ -89,22 +103,22 @@ def _analytic(lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: f
     hi_eff = np.where(zero_demand < hi, zero_demand, hi)  # min(hi, zero_demand)
     floor = np.where(lo > vertex, lo, vertex)  # max(vertex, lo)
     price = np.where(hi_eff < floor, hi_eff, floor)  # min(floor, hi_eff)
-    return _results(Method.ANALYTIC, lanes, price, multiplier, price != vertex)
+    return _columns(lanes, price, multiplier, price != vertex)
 
 
-def _grid_search(lanes: ProductLanes, grids: np.ndarray, multiplier: float) -> list[Optimum]:
+def _grid_search(lanes: ProductLanes, grids: np.ndarray, multiplier: float) -> Columns:
     profit = lanes.reward(grids, lanes.demand(grids, multiplier))
     nan = np.isnan(profit)
     best = np.where(nan, -np.inf, profit).argmax(axis=1)
     best[nan[:, 0]] = 0
     price = np.take_along_axis(grids, best[:, None], axis=1)
     clamped = (best == 0) | (best == grids.shape[1] - 1)
-    return _results(Method.GRID_SEARCH, lanes, price, multiplier, clamped)
+    return _columns(lanes, price, multiplier, clamped)
 
 
 def _line_search(
     lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float, tolerance: float
-) -> list[Optimum]:
+) -> Columns:
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
 
@@ -142,17 +156,18 @@ def _line_search(
         a = np.where(searched & ~(fc > fd), c, a)
         price = (a + b) / 2.0
         clamped = ((price - lo) <= tolerance) | ((hi - price) <= tolerance)
-    return _results(Method.LINE_SEARCH, lanes, price, multiplier, clamped)
+    return _columns(lanes, price, multiplier, clamped)
 
 
-def optima(
+def optimum_columns(
     specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0, tolerance: float = 1e-4
-) -> tuple[list[Optimum], list[Optimum], list[Optimum]]:
-    """Analytic, grid-search and line-search optima of every product.
+) -> tuple[Columns, Columns, Columns]:
+    """Analytic, grid-search and line-search optima of every product, as
+    columns in ``specs`` order.
 
     ``grids`` is the ``(len(specs), points)`` array ``domain.price_grids``
     returns; the analytic and line searches run over each row's
-    ``[first, last]`` price.  Each list is in ``specs`` order.
+    ``[first, last]`` price.
     """
     lanes = ProductLanes.of(specs)
     lo, hi = grids[:, :1], grids[:, -1:]
@@ -163,18 +178,44 @@ def optima(
     )
 
 
+def optima(
+    specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0, tolerance: float = 1e-4
+) -> tuple[list[Optimum], list[Optimum], list[Optimum]]:
+    """``optimum_columns`` as one ``Optimum`` list per method, each in
+    ``specs`` order."""
+    return tuple(map(_view, Method, optimum_columns(specs, grids, multiplier, tolerance)))
+
+
+def _per_day(modulation: DayModulation, compute):
+    """``compute(multiplier)`` for each day type (Weekday, Weekend), called
+    once per distinct day multiplier (equal multipliers give equal optima)."""
+    by_multiplier = {}
+    for day in DayType:
+        m = modulation.multiplier(day)
+        if m not in by_multiplier:
+            by_multiplier[m] = compute(m)
+    return [by_multiplier[modulation.multiplier(day)] for day in DayType]
+
+
 def optima_by_day(
     specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation
 ) -> list[tuple[tuple[Optimum, Optimum, Optimum], ...]]:
     """Per product, per day type (Weekday, Weekend): its analytic,
     grid-search and line-search optima, from one ``optima`` call per
-    distinct day multiplier (equal multipliers give equal optima)."""
-    by_multiplier = {}
-    for day in DayType:
-        m = modulation.multiplier(day)
-        if m not in by_multiplier:
-            by_multiplier[m] = list(zip(*optima(specs, grids, m)))
-    return list(zip(*(by_multiplier[modulation.multiplier(day)] for day in DayType)))
+    distinct day multiplier."""
+    per_day = _per_day(modulation, lambda m: list(zip(*optima(specs, grids, m))))
+    return list(zip(*per_day))
+
+
+def columns_by_day(specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation) -> Columns:
+    """Every product's optima as ``(product, day, method)`` arrays, day and
+    method in ``DayType`` and ``Method`` order, from one ``optimum_columns``
+    call per distinct day multiplier."""
+    per_day = _per_day(modulation, lambda m: optimum_columns(specs, grids, m))
+    return Columns(*(
+        np.array([[getattr(method, field) for method in methods] for methods in per_day]).transpose(2, 0, 1)
+        for field in Columns._fields
+    ))
 
 
 def _one_lane_bounds(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +235,7 @@ def analytic_optimum(
     beyond which the parabola formula no longer describes profit.
     """
     lo, hi = _one_lane_bounds(bounds)
-    return _analytic(ProductLanes.of([spec]), lo, hi, multiplier)[0]
+    return _view(Method.ANALYTIC, _analytic(ProductLanes.of([spec]), lo, hi, multiplier))[0]
 
 
 def grid_search_optimum(
@@ -205,7 +246,8 @@ def grid_search_optimum(
     The result is flagged clamped when the maximizer sits on either grid
     endpoint, meaning the grid span (not the curve) decided it.
     """
-    return _grid_search(ProductLanes.of([spec]), np.array([grid.prices], dtype=np.float64), multiplier)[0]
+    columns = _grid_search(ProductLanes.of([spec]), np.array([grid.prices], dtype=np.float64), multiplier)
+    return _view(Method.GRID_SEARCH, columns)[0]
 
 
 def line_search_optimum(
@@ -222,4 +264,4 @@ def line_search_optimum(
     and the midpoint's profit is no worse than both endpoints'.
     """
     lo, hi = _one_lane_bounds(bounds)
-    return _line_search(ProductLanes.of([spec]), lo, hi, multiplier, tolerance)[0]
+    return _view(Method.LINE_SEARCH, _line_search(ProductLanes.of([spec]), lo, hi, multiplier, tolerance))[0]

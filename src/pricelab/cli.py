@@ -16,29 +16,35 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 # perfbench/tracing.py times the one-product optimizers and default_price_grid as
-# attributes of this module, so they stay importable here; optimize makes one batch
-# call per day type, and prepare_products builds every grid in one call
-from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
+# attributes of this module, so they stay importable here; nothing here calls them:
+# optimize runs columns_by_day, and prepare_products builds every grid in one call
+from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
+from .baselines import Columns, Method, columns_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
-from .domain import DayModulation, DayType, PriceGrid, default_price_grid  # noqa: F401
+from .domain import default_price_grid  # noqa: F401
+from .domain import DayModulation, DayType, PriceGrid
 from .experiment import (
     _JSON_BOOL,
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
     _json_float,
+    check_products,
+    csv_quoted,
     csv_table,
     export_revenue_curves,
     markdown_escape,
     markdown_table,
     prepare_checked,
+    prepare_products,
     render_report,
     run_experiment,
 )
@@ -197,47 +203,59 @@ def _cmd_train(args) -> int:
 
 _OPTIMIZE_COLUMNS = ["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"]
 _OPTIMIZE_HEADERS = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
+# the (day, method) of each of a product's rows, in the order of columns_by_day's last two axes
+_OPTIMIZE_SLOTS = [(day.label, method.value) for day in DayType for method in Method]
 # one optimize row as json.dumps(rows, indent=2) lays it out
 _OPTIMIZE_JSON_ROW = (
-    '  {\n    "product": %s,\n    "day": %s,\n    "method": %s,\n    "price": %s,\n'
+    '  {\n    "product": %s,\n    "day": "%s",\n    "method": "%s",\n    "price": %s,\n'
     '    "demand": %s,\n    "profit": %s,\n    "clamped": %s\n  }'
 )
+
+
+def optimize_overflow(table: Columns) -> dict[int, str]:
+    """``{product: reason}`` for the first product, day and method, in that
+    order, of a ``columns_by_day`` table whose demand or profit is not
+    finite; empty if there is none."""
+    finite = np.isfinite(table.demand) & np.isfinite(table.profit)
+    if finite.all():
+        return {}
+    product, _, method = np.unravel_index(finite.argmin(), finite.shape)
+    return {int(product): f"{list(Method)[method].value} optimum overflows"}
+
+
+def render_optimize(names: list[str], table: Columns, format: str) -> str:
+    """The ``optimize`` report of a ``columns_by_day`` table, one row per
+    product, day and method; prices and demands at 1 decimal and profits at
+    2, except in JSON, which carries full precision."""
+    values = [a.ravel().tolist() for a in table[:3]]
+    flags = [_JSON_BOOL[k] for k in table.clamped.ravel().tolist()]
+    if format == "json":
+        f = _json_float
+        keys = [(name, *slot) for name in map(encode_basestring_ascii, names) for slot in _OPTIMIZE_SLOTS]
+        doc = [
+            _OPTIMIZE_JSON_ROW % (*key, f(p), f(q), f(r), k) for key, p, q, r, k in zip(keys, *values, flags)
+        ]
+        return "[\n" + ",\n".join(doc) + "\n]\n" if doc else "[]\n"
+    if format == "markdown":
+        head = markdown_table(_OPTIMIZE_HEADERS, [], None)
+        cells, sep, line = map(markdown_escape, names), " | ", "| %s | %.1f | %.1f | %.2f | %s |\n"
+    else:
+        head = csv_table(_OPTIMIZE_COLUMNS, [])
+        cells, sep, line = csv_quoted(names), ",", "%s,%.1f,%.1f,%.2f,%s\n"
+    slots = [f"{sep}{day}{sep}{method}" for day, method in _OPTIMIZE_SLOTS]
+    prefixes = [cell + slot for cell in cells for slot in slots]
+    return head + "".join(map(line.__mod__, zip(prefixes, *values, flags)))
 
 
 def _cmd_optimize(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    costed, grids = prepare_checked(catalog, config)
-    rows = []
-    for spec, by_day in zip(catalog, optima_by_day(costed, grids, config.modulation)):
-        for day, opts in zip(DayType, by_day):
-            for opt in opts:
-                if not (math.isfinite(opt.demand) and math.isfinite(opt.profit)):
-                    raise CliError(f"product {spec.name!r}: {opt.method.value} optimum overflows")
-                rows.append((spec.name, day.label, opt))
-
-    if args.format == "json":
-        f = _json_float
-        doc = [
-            _OPTIMIZE_JSON_ROW % (
-                encode_basestring_ascii(name), encode_basestring_ascii(day), encode_basestring_ascii(opt.method.value),
-                f(opt.price), f(opt.demand), f(opt.profit), _JSON_BOOL[opt.clamped],
-            )
-            for name, day, opt in rows
-        ]
-        text = "[\n" + ",\n".join(doc) + "\n]\n" if doc else "[]\n"
-    else:
-        cells = [
-            [name, day, opt.method.value, f"{opt.price:.1f}", f"{opt.demand:.1f}", f"{opt.profit:.2f}",
-             str(opt.clamped).lower()]
-            for name, day, opt in rows
-        ]
-        if args.format == "markdown":
-            escaped = ([markdown_escape(name), *rest] for name, *rest in cells)
-            text = markdown_table(_OPTIMIZE_HEADERS, escaped, None)
-        else:
-            text = csv_table(_OPTIMIZE_COLUMNS, cells)
-    _write_output(text, args.output)
+    costed, grids, unusable = prepare_products(catalog, config)
+    # the error names the first unusable product or an earlier one, so no later one is run
+    usable = min(unusable, default=len(catalog))
+    table = columns_by_day(costed[:usable], grids[:usable], config.modulation)
+    check_products(catalog, {**unusable, **optimize_overflow(table)})
+    _write_output(render_optimize([spec.name for spec in catalog], table, args.format), args.output)
     return 0
 
 

@@ -128,10 +128,27 @@ def prepare_checked(catalog: list[ProductSpec], config: ExperimentConfig) -> tup
     the costed specs and grids, or a ValueError naming the first product
     that cannot be used."""
     costed, grids, unusable = prepare_products(catalog, config)
-    if unusable:
-        index = min(unusable)
-        raise ValueError(f"product {catalog[index].name!r}: {unusable[index]}")
+    check_products(catalog, unusable)
     return costed, grids
+
+
+def check_products(catalog: list[ProductSpec], errors: dict[int, str]) -> None:
+    """Raise a ValueError naming the first product, in catalog order, in
+    ``errors`` (``{index: reason}``), if there is one."""
+    if errors:
+        index = min(errors)
+        raise ValueError(f"product {catalog[index].name!r}: {errors[index]}")
+
+
+def csv_quoted(cells: list[str]) -> list[str]:
+    """Each cell as the csv module writes it inside a row, quoted only if
+    it must be."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    # each row is the cell, a comma and a line end; writerow returns its length
+    ends = list(itertools.accumulate(writer.writerow([cell, ""]) for cell in cells))
+    text = buf.getvalue()
+    return [text[a : b - 2] for a, b in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
@@ -375,11 +392,9 @@ def export_revenue_curves(
     sampled = replace(config, grid_points=samples_per_curve)
     days = [(day.label, config.modulation.multiplier(day)) for day in _DAYS]
     parts = ["product,day,price,demand,revenue,profit\n"]
-    names = io.StringIO()
-    quote = csv.writer(names, lineterminator="\n")
     for start in range(0, len(catalog), _CURVE_BLOCK):
         block = catalog[start : start + _CURVE_BLOCK]
-        costed, prices = prepare_checked(block, sampled)
+        costed, prices, errors = prepare_products(block, sampled)
         lanes = ProductLanes.of(costed)
         # equal day multipliers give equal curves: format each distinct one once
         curves = {}
@@ -393,16 +408,11 @@ def export_revenue_curves(
                 finite &= np.isfinite(np.hstack([d, revenue, profit])).all(axis=1)
                 columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), profit.tolist())
                 curves[mult] = [list(map("%r,%r,%r,%r".__mod__, zip(*rows))) for rows in columns]
-        if not finite.all():
-            raise ValueError(f"product {block[int(finite.argmin())].name!r}: revenue curve overflows")
-        # each name as the csv module quotes it; writerow returns the row's length
-        names.seek(0)
-        names.truncate()
-        ends = list(itertools.accumulate(quote.writerow([spec.name]) for spec in block))
-        text = names.getvalue()
+        if not finite.all():  # an unusable product keeps its setup error
+            errors.setdefault(int(finite.argmin()), "revenue curve overflows")
+        check_products(block, errors)
         lines = []
-        for i, (a, b) in enumerate(zip([0, *ends], ends)):
-            name = text[a : b - 1]
+        for i, name in enumerate(csv_quoted([spec.name for spec in block])):
             for label, mult in days:
                 prefix = f"{name},{label},"
                 lines.append(prefix + ("\n" + prefix).join(curves[mult][i]) + "\n")

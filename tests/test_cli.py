@@ -1,12 +1,19 @@
 import csv
 import io
 import json
+import math
 import os
+import random
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from pricelab.cli import main
+from pricelab.baselines import Columns, Method, Optimum
+from pricelab.cli import main, optimize_overflow, render_optimize
+from pricelab.domain import DayType
+from pricelab.experiment import check_products
 
 FAST = ["--episodes", "250"]
 
@@ -382,3 +389,125 @@ def test_markdown_escapes_pipe_in_product_names(tmp_path, capsys):
         columns = {len(re.split(r"(?<!\\)\|", line)) for line in table}
         assert len(columns) == 1, command
         assert "| A\\|B |" in out
+
+
+def test_first_unusable_or_overflowing_product_in_catalog_order_is_named(tmp_path, capsys):
+    # Big's optimum and curve overflow, Huge's grid is unusable; Huge comes
+    # right after Big (one curve block) or 30 rows later (the next block)
+    clean = [f"P{i},-1.{i},{100 + i}.0,{10 + i}.0\n" for i in range(1, 71)]
+    big, huge = "Big,-0.5,100.0,1e307\n", "Huge,-0.5,1.7e308,1.0\n"
+    catalogs = {
+        "huge-next": [*clean[:40], big, huge],
+        "huge-later": [*clean[:40], big, *clean[41:70], huge],
+    }
+    messages = {"optimize": "product 'Big': GridSearch optimum overflows", "curve": "product 'Big': revenue curve overflows"}
+    for label, rows in catalogs.items():
+        cat = tmp_path / f"{label}.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\n" + "".join(rows))
+        for command, message in messages.items():
+            code, out, err = run(capsys, [command, "--catalog", str(cat)])
+            assert (code, out, err) == (2, "", f"pricelab: error: {message}\n"), (label, command)
+
+
+# --- optimize renderer oracle ------------------------------------------------
+
+
+def oracle_optimize(names, table, fmt):
+    """The row-by-row renderer ``optimize`` used before it rendered from
+    columns: one ``Optimum`` per product, day and method, then one list of
+    cells per row through the csv module, the Markdown cell join or
+    ``json.dumps``."""
+    rows = []
+    for i, name in enumerate(names):
+        for j, day in enumerate(DayType):
+            for k, method in enumerate(Method):
+                price, demand, profit = (float(a[i, j, k]) for a in table[:3])
+                opt = Optimum(price, demand, profit, method, bool(table.clamped[i, j, k]))
+                if not (math.isfinite(opt.demand) and math.isfinite(opt.profit)):
+                    raise ValueError(f"product {name!r}: {opt.method.value} optimum overflows")
+                rows.append((name, day.label, opt))
+    if fmt == "json":
+        doc = [
+            {"product": name, "day": day, "method": opt.method.value, "price": opt.price, "demand": opt.demand,
+             "profit": opt.profit, "clamped": opt.clamped}
+            for name, day, opt in rows
+        ]
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    cells = [
+        [name, day, opt.method.value, f"{opt.price:.1f}", f"{opt.demand:.1f}", f"{opt.profit:.2f}",
+         str(opt.clamped).lower()]
+        for name, day, opt in rows
+    ]
+    if fmt == "markdown":
+        header = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
+        body = [[name.replace("|", "\\|"), *rest] for name, *rest in cells]
+        return "".join(f"| {' | '.join(row)} |\n" for row in [header, ["---"] * 7, *body])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"])
+    writer.writerows(cells)
+    return buf.getvalue()
+
+
+def rendered_or_error(render, names, table, fmt):
+    """What ``optimize`` prints for ``table``: its report, or the message of
+    the error it exits with."""
+    try:
+        if render is render_optimize:  # the CLI checks before it renders
+            check_products([SimpleNamespace(name=name) for name in names], optimize_overflow(table))
+        return render(names, table, fmt)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+# signed zeros, the smallest subnormal, values near the float maximum, and
+# ties at the 1- and 2-decimal rounding digit that binary floats miss either way
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.05, 0.15, 0.25, 0.35, 2.675, 1.005, 0.125,
+               -0.125, 0.375, 1e16 + 0.5, 0.045, 999.95, 9.995, -2.25]
+# characters the csv module quotes on, Markdown escapes, and JSON escapes
+NAME_PARTS = [",", '"', "\n", "\r", "|", "\\", "/", "\t", "\x00", "é", "€", "\U0001f600", " ", "a", "Set 55", "'"]
+
+
+def random_table(seed, products):
+    rng = random.Random(seed)
+
+    def value():
+        return rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 308)
+
+    names = ["".join(rng.choice(NAME_PARTS) for _ in range(rng.randint(1, 6))) for _ in range(products)]
+    shape = (products, len(DayType), len(Method))
+    floats = [np.array([value() for _ in range(math.prod(shape))], dtype=np.float64).reshape(shape) for _ in range(3)]
+    clamped = np.array([rng.random() < 0.5 for _ in range(math.prod(shape))], dtype=bool).reshape(shape)
+    return names, Columns(*floats, clamped)
+
+
+class TestOptimizeRendererMatchesOracle:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    @pytest.mark.parametrize("products", [0, 1, 7, 40])
+    def test_random_columns(self, fmt, products):
+        for seed in range(5):
+            names, table = random_table(seed * 100 + products, products)
+            want = oracle_optimize(names, table, fmt)
+            assert rendered_or_error(render_optimize, names, table, fmt) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [("demand", 3, 1, 2), ("profit", 5, 0, 0)],  # the first bad product, at Weekend/LineSearch
+            [("profit", 2, 0, 1), ("demand", 2, 0, 2), ("demand", 4, 0, 0)],  # Weekday/GridSearch
+            [("demand", 6, 1, 0), ("profit", 6, 0, 2)],  # the same product: Weekday comes first
+            [("price", 1, 0, 0)],  # a price alone is no overflow; JSON still cannot write it
+        ],
+        ids=["weekend-line", "weekday-grid", "same-product", "price-only"],
+    )
+    def test_injected_non_finite_values(self, fmt, value, cells):
+        names, table = random_table(7, 8)
+        for field, *index in cells:
+            getattr(table, field)[tuple(index)] = value
+        want = rendered_or_error(oracle_optimize, names, table, fmt)
+        assert rendered_or_error(render_optimize, names, table, fmt) == want
+        if cells[0][0] != "price":
+            field, product, _, method = min(cells, key=lambda c: c[1:])
+            assert want == f"error: product {names[product]!r}: {list(Method)[method].value} optimum overflows"
