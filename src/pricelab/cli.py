@@ -43,7 +43,6 @@ from .experiment import (
     export_revenue_curves,
     markdown_escape,
     markdown_table,
-    prepare_checked,
     prepare_products,
     render_report,
     run_experiment,
@@ -186,7 +185,8 @@ def _cmd_train(args) -> int:
     matches = [i for i, s in enumerate(catalog) if s.name == args.product]
     if not matches:
         raise CliError(f"product not found in catalog: {args.product!r}")
-    (spec,), grids = prepare_checked([catalog[matches[0]]], config)
+    (spec,), grids, unusable = prepare_products([catalog[matches[0]]], config)
+    check_products([spec], unusable)
     grid = PriceGrid(tuple(grids[0].tolist()))
     hp = config.seeded(matches[0])
     try:
@@ -205,7 +205,8 @@ _OPTIMIZE_COLUMNS = ["product", "day", "method", "optimal_price", "optimal_deman
 _OPTIMIZE_HEADERS = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
 # the (day, method) of each of a product's rows, in the order of columns_by_day's last two axes
 _OPTIMIZE_SLOTS = [(day.label, method.value) for day in DayType for method in Method]
-# one optimize row as json.dumps(rows, indent=2) lays it out
+# one optimize row as json.dumps(rows, indent=2) lays it out (day labels and method
+# names need no JSON escapes)
 _OPTIMIZE_JSON_ROW = (
     '  {\n    "product": %s,\n    "day": "%s",\n    "method": "%s",\n    "price": %s,\n'
     '    "demand": %s,\n    "profit": %s,\n    "clamped": %s\n  }'

@@ -9,7 +9,8 @@ block), or Markdown.
 Every product is set up by one path, shared with the CLI's ``train``,
 ``optimize`` and ``curve``: ``prepare_products`` applies the cost policy
 and builds all price grids in one call, reporting each unusable product
-with its reason (``prepare_checked`` makes the first one an error naming
+with its reason (``check_products`` makes the first one in catalog order,
+or an earlier product whose optimum or curve overflows, an error naming
 it), and ``ExperimentConfig.seeded`` gives a product its
 hyperparameters, with a seed split from the master seed and its catalog
 index by a frozen function (see ``pricelab.rng.split_seed``).  So
@@ -121,15 +122,6 @@ def prepare_products(
             unusable[index] = str(exc)
         costed.append(spec)
     return costed, grids, unusable
-
-
-def prepare_checked(catalog: list[ProductSpec], config: ExperimentConfig) -> tuple[list[ProductSpec], np.ndarray]:
-    """``prepare_products`` for a catalog that must be usable throughout:
-    the costed specs and grids, or a ValueError naming the first product
-    that cannot be used."""
-    costed, grids, unusable = prepare_products(catalog, config)
-    check_products(catalog, unusable)
-    return costed, grids
 
 
 def check_products(catalog: list[ProductSpec], errors: dict[int, str]) -> None:
