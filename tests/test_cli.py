@@ -449,21 +449,25 @@ def oracle_optimize(names, table, fmt):
     return buf.getvalue()
 
 
+def columnar_optimize(names, table, fmt):
+    """What ``optimize`` does with a table: check it, then render it."""
+    check_products([SimpleNamespace(name=name) for name in names], optimize_overflow(table))
+    return render_optimize(names, table, fmt)
+
+
 def rendered_or_error(render, names, table, fmt):
-    """What ``optimize`` prints for ``table``: its report, or the message of
-    the error it exits with."""
+    """The report ``render`` writes for ``table``, or its error message."""
     try:
-        if render is render_optimize:  # the CLI checks before it renders
-            check_products([SimpleNamespace(name=name) for name in names], optimize_overflow(table))
         return render(names, table, fmt)
     except ValueError as exc:
         return f"error: {exc}"
 
 
 # signed zeros, the smallest subnormal, values near the float maximum, and
-# ties at the 1- and 2-decimal rounding digit that binary floats miss either way
+# values with a 5 just past the 1st or 2nd decimal: exact binary ties (0.25,
+# 0.125) and decimal ones a binary float sits just above or below (0.15, 2.675)
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.05, 0.15, 0.25, 0.35, 2.675, 1.005, 0.125,
-               -0.125, 0.375, 1e16 + 0.5, 0.045, 999.95, 9.995, -2.25]
+               -0.125, 0.375, 1.25, 0.045, 999.95, 9.995, -2.25]
 # characters the csv module quotes on, Markdown escapes, and JSON escapes
 NAME_PARTS = [",", '"', "\n", "\r", "|", "\\", "/", "\t", "\x00", "é", "€", "\U0001f600", " ", "a", "Set 55", "'"]
 
@@ -487,8 +491,7 @@ class TestOptimizeRendererMatchesOracle:
     def test_random_columns(self, fmt, products):
         for seed in range(5):
             names, table = random_table(seed * 100 + products, products)
-            want = oracle_optimize(names, table, fmt)
-            assert rendered_or_error(render_optimize, names, table, fmt) == want
+            assert columnar_optimize(names, table, fmt) == oracle_optimize(names, table, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -507,7 +510,7 @@ class TestOptimizeRendererMatchesOracle:
         for field, *index in cells:
             getattr(table, field)[tuple(index)] = value
         want = rendered_or_error(oracle_optimize, names, table, fmt)
-        assert rendered_or_error(render_optimize, names, table, fmt) == want
+        assert rendered_or_error(columnar_optimize, names, table, fmt) == want
         if cells[0][0] != "price":
             field, product, _, method = min(cells, key=lambda c: c[1:])
             assert want == f"error: product {names[product]!r}: {list(Method)[method].value} optimum overflows"
