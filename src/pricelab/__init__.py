@@ -29,7 +29,6 @@ from .domain import (
     ProductSpec,
     default_price_grid,
     demand,
-    noisy_demand,
     price_grids,
     reward,
     revenue_curve,
@@ -86,7 +85,6 @@ __all__ = [
     "export_revenue_curves",
     "grid_search_optimum",
     "line_search_optimum",
-    "noisy_demand",
     "optima",
     "parse_catalog",
     "price_grids",

@@ -4,27 +4,25 @@ The Q-update walk is inherently sequential (each step reads the table the
 previous step wrote), so ``run_train_kernel`` is a tight scalar loop over
 Python floats.  It draws from the same xorshift64 bit stream as
 ``pricelab.rng.XorShift64`` and applies float operations in the same order
-as the public ``select_action``, ``noisy_demand`` and ``update_q`` ops; the
-test suite replays training through those ops and asserts bitwise-equal
-results.
+as the public ``select_action`` and ``update_q`` ops; the test suite
+replays training through those ops and asserts bitwise-equal results.
 
-The walk does no random-number work.  Whether a step explores, the action
-it explores and its demand noise depend only on the bit stream and the
-episode's epsilon, never on Q, so ``_episode_draws`` draws them ahead of
-the walk and hands them over a few thousand steps at a time, always in
-whole episodes: per step an action code (the exploring action, or -1 for
-the greedy one) and, with noise, the demand factor.  The stream is
-generated in numpy.  xorshift64 is linear over GF(2) (Marsaglia,
-"Xorshift RNGs", JSS 2003), so the state ``L`` steps ahead is a fixed
-64x64 bit matrix ``M^L`` times the current one (jump-ahead as in Haramoto
-et al., INFORMS JoC 2008).  A cached table of ``M^(j * _SPACING)`` starts
-``_LANES`` lanes ``_SPACING`` words apart, and every lane then steps at
-once.  While epsilon decays, and throughout on the noise path, a Python
-walk over the words sorts them into test, action and noise words.  Once
-epsilon is constant, the words alone fix the sorting, so it runs on whole
-chunks: inside a run of below-threshold words the even offsets are
-exploring test words and the odd offsets their action words, and the word
-after a run is an action word if the run had odd length, else a test word.
+The walk does no random-number work.  Whether a step explores and the
+action it explores depend only on the bit stream and the episode's
+epsilon, never on Q, so ``_episode_draws`` draws them ahead of the walk
+and hands them over a few thousand steps at a time, always in whole
+episodes: per step an action code, the exploring action or -1 for the
+greedy one.  The stream is generated in numpy.  xorshift64 is linear
+over GF(2) (Marsaglia, "Xorshift RNGs", JSS 2003), so the state ``L``
+steps ahead is a fixed 64x64 bit matrix ``M^L`` times the current one
+(jump-ahead as in Haramoto et al., INFORMS JoC 2008).  A cached table of
+``M^(j * _SPACING)`` starts ``_LANES`` lanes ``_SPACING`` words apart, and
+every lane then steps at once.  While epsilon decays, a Python walk over
+the words sorts them into test and action words.  Once epsilon is
+constant, the words alone fix the sorting, so it runs on whole chunks:
+inside a run of below-threshold words the even offsets are exploring test
+words and the odd offsets their action words, and the word after a run
+is an action word if the run had odd length, else a test word.
 
 Each update changes one entry, so the scalar walk keeps every state's
 greedy result current instead of scanning its row twice per step:
@@ -36,6 +34,11 @@ value above the best, or equal to it at an index no higher than
 rescans the row; any other write leaves both unchanged.  This keeps the
 lowest-index tie-break and even the sign of a zero best.
 
+The walk does only the update.  Visits, rewards and greedy policies are
+not tallied per step: the walk logs ``(step, state, action)`` in the two
+branches where ``arg[s]`` changes, and the codes plus that log fix every
+step's action, from which ``qlearn.train`` rebuilds its trace.
+
 ``run_lockstep_kernel`` walks many products at once: products that share a
 calendar, an epsilon schedule and an action count step together as numpy
 lanes, one array operation per lane-wide step.  Every lane performs the
@@ -45,8 +48,8 @@ so it pays off only for many products.
 
 Kernel conventions: uniform doubles are the top 53 bits of each 64-bit
 word scaled by 2**-53; an exploration step consumes one draw for the
-epsilon test plus one for the action; a Gaussian (noise only) consumes
-two more.  Greedy argmax ties break toward the lowest action index.
+epsilon test plus one for the action.  Greedy argmax ties break toward
+the lowest action index.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ import math
 import numpy as np
 
 from .rng import _INV_2_53
-
-_TWO_PI = 6.283185307179586
 
 HAVE_NUMBA = False  # read by the benchmark manifest
 
@@ -78,16 +79,19 @@ def run_train_kernel(
     alpha: float,
     gamma: float,
     rng_state: int,
-    noise_sigma: float = 0.0,
-    record_policies: bool = False,
-):
-    """Train one Q table; returns (q, episode_rewards, visits, policies).
+    codes: list | None = None,
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Train one Q table; returns (q, log).
 
-    ``demand_table`` holds the noise-free demand per (state, action),
-    ``margins`` the price minus unit cost per action, ``day_types`` and
-    ``next_day_types`` the state of each calendar step and of its
-    following day, ``eps_schedule`` the epsilon per episode, and
-    ``rng_state`` a nonzero xorshift64 state.
+    ``demand_table`` holds the demand per (state, action), ``margins`` the
+    price minus unit cost per action, ``day_types`` and ``next_day_types``
+    the state of each calendar step and of its following day,
+    ``eps_schedule`` the epsilon per episode, and ``rng_state`` a nonzero
+    xorshift64 state.  ``log`` holds a ``(step, state, action)`` entry for
+    each step, counted over the whole run, after which the state's greedy
+    action changed; every greedy action starts at 0.  If ``codes`` is a
+    list, each walked piece of step codes (see ``_episode_draws``) is
+    appended to it.
     """
     n_states, n_actions = demand_table.shape
     alpha = float(alpha)
@@ -95,85 +99,62 @@ def run_train_kernel(
     keep = 1.0 - alpha
 
     # plain Python floats/ints: same IEEE values, much faster scalar ops
-    dem = demand_table.tolist()
-    marg = margins.tolist()
-    rew = [[m * d for m, d in zip(marg, dem_s)] for dem_s in dem]  # r = marg[a] * d without noise
+    rew = (margins * demand_table).tolist()
 
     q = [[0.0] * n_actions for _ in range(n_states)]
-    visits = [[0] * n_actions for _ in range(n_states)]
     # best[s] is the float max(q[s]) returns, arg[s] the lowest index holding it
     best = [0.0] * n_states
     arg = [0] * n_states
-    calendar = [
-        (s, ns, q[s], dem[s], rew[s], visits[s]) for s, ns in zip(day_types.tolist(), next_day_types.tolist())
-    ]
-    episode_rewards = np.empty(len(eps_schedule))
-    policies = []
+    calendar = [(s, ns, q[s], rew[s]) for s, ns in zip(day_types.tolist(), next_day_types.tolist())]
+    log = []
+    changed = log.append
 
-    draws = _episode_draws(eps_schedule, len(calendar), n_actions, int(rng_state), float(noise_sigma))
-    done = 0  # episodes walked
-    for n_episodes, codes, gains in draws:
-        codes, gains = iter(codes), iter(gains)
-        for episode in range(done, done + n_episodes):
-            total = 0.0
-            # zip stops at the calendar's end, before taking another code
-            for (s, ns, row, dem_s, rew_s, visits_s), a, g in zip(calendar, codes, gains):
-                if a < 0:
-                    a = arg[s]
-                if g is None:
-                    r = rew_s[a]
-                else:
-                    d = dem_s[a] * g
-                    if d < 0.0:
-                        d = 0.0
-                    r = marg[a] * d
-
-                # bootstrap read before the write: ns may equal s
-                v = keep * row[a] + alpha * (r + gamma * best[ns])
-                row[a] = v
-                if v > best[s] or (v == best[s] and a <= arg[s]):
+    step = 0
+    for piece in _episode_draws(eps_schedule, len(calendar), n_actions, int(rng_state)):
+        if codes is not None:
+            codes.append(piece)
+        # a piece holds whole episodes; zip stops at its end, before taking another day
+        for a, t, (s, ns, row, rew_s) in zip(piece, itertools.count(step), itertools.cycle(calendar)):
+            g = arg[s]
+            if a < 0:
+                a = g
+            # bootstrap read before the write: ns may equal s
+            v = keep * row[a] + alpha * (rew_s[a] + gamma * best[ns])
+            row[a] = v
+            if a == g:
+                if v >= best[s]:
                     best[s] = v
-                    arg[s] = a
-                elif a == arg[s]:
+                else:
                     # the greedy value fell: rescan the row
                     b = max(row)
                     best[s] = b
-                    arg[s] = row.index(b)
-                visits_s[a] += 1
-                total += r
-            episode_rewards[episode] = total
-            if record_policies:
-                policies.append(list(arg))
-        done += n_episodes
+                    a = row.index(b)
+                    if a != g:
+                        arg[s] = a
+                        changed((t, s, a))
+            elif v > best[s] or (v == best[s] and a < g):
+                best[s] = v
+                arg[s] = a
+                changed((t, s, a))
+        step += len(piece)
 
-    return (
-        np.array(q, dtype=np.float64),
-        episode_rewards,
-        np.array(visits, dtype=np.int64),
-        np.array(policies, dtype=np.int64).reshape(-1, n_states),
-    )
+    return np.array(q, dtype=np.float64), log
 
 
-def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state: int, noise_sigma: float):
-    """Yield the draws of whole episodes as (episodes, codes, gains).
-
-    ``codes`` and ``gains`` hold one entry per step of those episodes: the
-    exploring action, or -1 for the greedy one, and the demand factor
-    ``1 + noise_sigma * z``; without noise ``gains`` repeats None.
-    """
+def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state: int):
+    """Yield the step codes of whole episodes, a list at a time: per step
+    the exploring action, or -1 for the greedy one."""
     n_episodes = len(eps_schedule)
-    # from episode `fixed` on epsilon is constant, so the word layout
-    # vectorizes; noise words keep every episode in the Python walk
-    fixed = n_episodes
-    if noise_sigma == 0.0 and n_episodes:
+    # from episode `fixed` on epsilon is constant, so the word layout vectorizes
+    fixed = 0
+    if n_episodes:
         changes = np.flatnonzero(eps_schedule != eps_schedule[-1])
         fixed = int(changes[-1]) + 1 if len(changes) else 0
-    no_gains = itertools.repeat(None)
 
     chunks = _top_chunks(state)
     unread = np.empty(0, dtype=np.uint64)  # the stream from the last refill on
     window, i = [], 0  # its first words as Python ints, and the next one to read
-    need = 4 * n_steps  # an episode reads at most 4 words a step
+    need = 2 * n_steps  # an episode reads at most 2 words a step
     for eps in eps_schedule[:fixed].tolist():
         below = _explore_below(eps)
         if len(window) - i < need:
@@ -182,7 +163,6 @@ def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state
                 unread = np.concatenate((unread, next(chunks)))
             window, i = unread[: 16 * need].tolist(), 0
         codes = []
-        gains = [] if noise_sigma > 0.0 else no_gains
         for _ in range(n_steps):
             i += 1
             if window[i - 1] < below:
@@ -190,12 +170,7 @@ def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state
                 i += 1
             else:
                 codes.append(-1)
-            if noise_sigma > 0.0:
-                u1 = (window[i] + 1) * _INV_2_53
-                u2 = window[i + 1] * _INV_2_53
-                i += 2
-                gains.append(1.0 + noise_sigma * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)))
-        yield 1, codes, gains
+        yield codes
 
     left = n_episodes - fixed
     if not left:
@@ -210,7 +185,7 @@ def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state
         codes, carry = _fixed_layout(chunk, below, carry, action_scale)
         pending = np.concatenate((pending, codes))
         k = min(len(pending) // n_steps, left)
-        yield k, pending[: k * n_steps].tolist(), no_gains
+        yield pending[: k * n_steps].tolist()
         left -= k
         if not left:
             return
@@ -353,11 +328,10 @@ def run_lockstep_kernel(
 ) -> np.ndarray:
     """Train one Q table per lane; returns the ``(lanes, states, actions)`` tables.
 
-    ``rewards[p, s, a]`` is lane ``p``'s noise-free reward (margin times
-    demand), ``rng_states`` one nonzero xorshift64 state per lane; the
-    calendar, epsilon schedule, ``alpha`` and ``gamma`` are shared.  Each
-    lane's table is bitwise equal to ``run_train_kernel`` on that lane's
-    inputs without noise.
+    ``rewards[p, s, a]`` is lane ``p``'s reward (margin times demand),
+    ``rng_states`` one nonzero xorshift64 state per lane; the calendar,
+    epsilon schedule, ``alpha`` and ``gamma`` are shared.  Each lane's
+    table is bitwise equal to ``run_train_kernel`` on that lane's inputs.
     """
     n_lanes, n_states, n_actions = rewards.shape
     alpha = float(alpha)

@@ -208,8 +208,8 @@ _OPTIMIZE_SLOTS = [(day.label, method.value) for day in DayType for method in Me
 # one optimize row as json.dumps(rows, indent=2) lays it out (day labels and method
 # names need no JSON escapes)
 _OPTIMIZE_JSON_ROW = (
-    '  {\n    "product": %s,\n    "day": "%s",\n    "method": "%s",\n    "price": %s,\n'
-    '    "demand": %s,\n    "profit": %s,\n    "clamped": %s\n  }'
+    '  {\n    "product": %s,\n    "day": "%s",\n    "method": "%s",\n    "price": %r,\n'
+    '    "demand": %r,\n    "profit": %r,\n    "clamped": %s\n  }'
 )
 
 
@@ -231,11 +231,13 @@ def render_optimize(names: list[str], table: Columns, format: str) -> str:
     values = [a.ravel().tolist() for a in table[:3]]
     flags = [_JSON_BOOL[k] for k in table.clamped.ravel().tolist()]
     if format == "json":
-        f = _json_float
+        # each row's price, demand and profit, in document order
+        cells = np.stack(table[:3], axis=-1)
+        finite = np.isfinite(cells)
+        if not finite.all():
+            _json_float(cells.flat[finite.argmin()].item())  # raises, naming the first one
         keys = [(name, *slot) for name in map(encode_basestring_ascii, names) for slot in _OPTIMIZE_SLOTS]
-        doc = [
-            _OPTIMIZE_JSON_ROW % (*key, f(p), f(q), f(r), k) for key, p, q, r, k in zip(keys, *values, flags)
-        ]
+        doc = [_OPTIMIZE_JSON_ROW % (*key, p, q, r, k) for key, p, q, r, k in zip(keys, *values, flags)]
         return "[\n" + ",\n".join(doc) + "\n]\n" if doc else "[]\n"
     if format == "markdown":
         head = markdown_table(_OPTIMIZE_HEADERS, [], None)

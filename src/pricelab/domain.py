@@ -21,8 +21,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .rng import XorShift64
-
 
 class DayType(IntEnum):
     """Calendar day category; Weekday orders before Weekend."""
@@ -142,28 +140,6 @@ def demand(spec: ProductSpec, price: float, multiplier: float = 1.0) -> float:
     d0 = spec.base_demand
     raw = multiplier * (d0 + d0 * spec.elasticity * (price - spec.base_price) / spec.base_price)
     return raw if raw > 0.0 else 0.0
-
-
-def noisy_demand(
-    spec: ProductSpec,
-    price: float,
-    multiplier: float,
-    sigma: float,
-    rng: XorShift64,
-) -> float:
-    """Demand with multiplicative Gaussian noise: ``d * (1 + sigma * z)``.
-
-    Optional hook, disabled everywhere by default (``sigma == 0`` never
-    draws from ``rng``).  The clipped result is never negative.
-    """
-    d = demand(spec, price, multiplier)
-    if sigma == 0.0:
-        return d
-    u1 = ((rng.next_u64() >> 11) + 1) * (1.0 / 9007199254740992.0)  # (0, 1]
-    u2 = rng.uniform()
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(6.283185307179586 * u2)
-    noisy = d * (1.0 + sigma * z)
-    return noisy if noisy > 0.0 else 0.0
 
 
 def reward(spec: ProductSpec, price: float, demand_value: float) -> float:

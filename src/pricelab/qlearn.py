@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import csv
 from dataclasses import dataclass
@@ -188,7 +189,7 @@ def calendar_next_day_types(steps: int) -> np.ndarray:
 def reward_lanes(
     lanes: ProductLanes, grids: np.ndarray, modulation: DayModulation, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Every product's noise-free demand per (day type, price), shape
+    """Every product's demand per (day type, price), shape
     ``(n, 2, points)``, its per-price margins ``(n, points)``, and
     ``{row: reason}`` for each product whose rewards overflow.
 
@@ -233,7 +234,6 @@ def train(
     modulation: DayModulation = DayModulation(),
     hp: Hyperparams = Hyperparams(),
     *,
-    noise_sigma: float = 0.0,
     record_policies: bool = False,
 ) -> tuple[QTable, TrainingTrace]:
     """Run the full training loop for one product.
@@ -241,20 +241,52 @@ def train(
     Returns the learned table and a per-episode trace; ``record_policies``
     adds the greedy action per state after every episode to the trace.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
     demand_table, margins = reward_tables(spec, grid, modulation, hp.gamma)
-    shared = _shared_kernel_args(hp)
-    values, episode_rewards, visits, policies = _kernels.run_train_kernel(
-        demand_table, margins, *shared, seed_to_state(hp.seed), noise_sigma=noise_sigma, record_policies=record_policies
+    days, next_days, epsilons, alpha, gamma = _shared_kernel_args(hp)
+    pieces = []
+    values, log = _kernels.run_train_kernel(
+        demand_table, margins, days, next_days, epsilons, alpha, gamma, seed_to_state(hp.seed), codes=pieces
     )
+    codes = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.int64)
+    rewards, visits, policies = _replay_log(margins * demand_table, days, codes, log)
     trace = TrainingTrace(
-        epsilons=shared[2],
-        episode_rewards=episode_rewards,
+        epsilons=epsilons,
+        episode_rewards=rewards,
         visit_counts=visits,
         greedy_policies=policies if record_policies else None,
     )
     return QTable(values), trace
+
+
+def _replay_log(
+    rewards: np.ndarray, days: np.ndarray, codes: np.ndarray, log: list[tuple[int, int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Episode rewards, visit counts and per-episode greedy policies of a
+    scalar walk, from its step codes and greedy-change log.
+
+    The action of a greedy step is the state's greedy action before it: the
+    last change logged at an earlier step, else 0.  Each episode's reward
+    is summed step by step from 0.0, as a scalar ``total += r`` does.
+    """
+    n_states, n_actions = rewards.shape
+    steps = len(days)
+    ends = np.arange(1, len(codes) // steps + 1) * steps  # the step after each episode
+    states = np.tile(days, len(ends))
+    changed_at, changed_state, changed_to = np.array(log, dtype=np.int64).reshape(-1, 3).T
+    actions = codes.copy()
+    policies = np.empty((len(ends), n_states), dtype=np.int64)
+    for s in range(n_states):
+        mine = changed_state == s
+        greedy = np.append(0, changed_to[mine])  # greedy[k]: the action after its k-th change
+        at = np.flatnonzero((states == s) & (codes < 0))
+        actions[at] = greedy[np.searchsorted(changed_at[mine], at)]
+        policies[:, s] = greedy[np.searchsorted(changed_at[mine], ends)]
+    visits = np.zeros((n_states, n_actions), dtype=np.int64)
+    np.add.at(visits, (states, actions), 1)
+    totals = np.zeros(len(ends))
+    for column in rewards[states, actions].reshape(-1, steps).T:
+        totals += column
+    return totals, visits, policies
 
 
 # Catalogs with at least this many products train in lockstep
@@ -265,7 +297,7 @@ LOCKSTEP_MIN_PRODUCTS = 32
 
 
 def train_lanes(demand_table: np.ndarray, margins: np.ndarray, hp: Hyperparams, seeds: list[int]) -> np.ndarray:
-    """Train many products at once, without noise or a trace; returns
+    """Train many products at once, without a trace; returns
     their Q tables, shape ``(n, 2, points)``.
 
     ``demand_table`` and ``margins`` are rows of ``reward_lanes`` whose
@@ -279,7 +311,7 @@ def train_lanes(demand_table: np.ndarray, margins: np.ndarray, hp: Hyperparams, 
         return _kernels.run_lockstep_kernel(margins[:, None, :] * demand_table, *shared, states)
     values = np.empty(demand_table.shape)
     for p, seed in enumerate(seeds):
-        values[p] = _kernels.run_train_kernel(demand_table[p], margins[p], *shared, seed_to_state(seed))[0]
+        values[p], _ = _kernels.run_train_kernel(demand_table[p], margins[p], *shared, seed_to_state(seed))
     return values
 
 

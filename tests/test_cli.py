@@ -514,3 +514,23 @@ class TestOptimizeRendererMatchesOracle:
         if cells[0][0] != "price":
             field, product, _, method = min(cells, key=lambda c: c[1:])
             assert want == f"error: product {names[product]!r}: {list(Method)[method].value} optimum overflows"
+
+    @pytest.mark.parametrize(
+        "cells, named",
+        [
+            # rows in (product, day, method) order, whatever the column
+            ([("demand", 5, 0, 0, math.nan), ("price", 3, 1, 2, math.inf), ("profit", 3, 1, 1, -math.inf)], "-inf"),
+            # Weekday's LineSearch row comes before Weekend's Analytic one
+            ([("price", 2, 1, 0, math.nan), ("profit", 2, 0, 2, math.inf)], "inf"),
+            # within a row: price, demand, profit
+            ([("profit", 4, 0, 1, math.inf), ("demand", 4, 0, 1, math.nan)], "nan"),
+        ],
+        ids=["by-row", "by-day", "by-column"],
+    )
+    def test_json_names_the_first_non_finite_value(self, cells, named):
+        names, table = random_table(7, 8)
+        for field, *index, value in cells:
+            getattr(table, field)[tuple(index)] = value
+        with pytest.raises(ValueError) as err:
+            render_optimize(names, table, "json")
+        assert str(err.value) == f"Out of range float values are not JSON compliant: {named}"

@@ -12,7 +12,6 @@ from pricelab.domain import (
     _uniform_grids,
     default_price_grid,
     demand,
-    noisy_demand,
     price_grids,
     reward,
     revenue_curve,
@@ -281,27 +280,3 @@ class TestZeroDemandPrice:
         pz = zero_demand_price(spec)
         assert demand(spec, pz * 1.0001) == 0.0
         assert demand(spec, pz * 0.99) > 0.0
-
-
-class TestNoisyDemandHook:
-    def test_sigma_zero_is_exact_and_draws_nothing(self):
-        spec = spec_of(-0.5, 109.2, 80.0)
-        rng = XorShift64(3)
-        before = rng.state
-        assert noisy_demand(spec, 120.0, 1.0, 0.0, rng) == demand(spec, 120.0, 1.0)
-        assert rng.state == before
-
-    def test_seeded_and_non_negative(self):
-        spec = spec_of(-0.5, 109.2, 80.0)
-        a = [noisy_demand(spec, 120.0, 1.0, 0.3, XorShift64(9)) for _ in range(3)]
-        assert a[0] == a[1] == a[2]
-        rng = XorShift64(10)
-        draws = [noisy_demand(spec, 200.0, 1.0, 2.0, rng) for _ in range(500)]
-        assert all(d >= 0.0 for d in draws)
-        assert any(d == 0.0 for d in draws)  # heavy noise must hit the clip
-
-    def test_mean_tracks_deterministic_demand(self):
-        spec = spec_of(-0.5, 109.2, 80.0)
-        rng = XorShift64(12)
-        draws = [noisy_demand(spec, 120.0, 1.0, 0.05, rng) for _ in range(4000)]
-        assert sum(draws) / len(draws) == pytest.approx(demand(spec, 120.0, 1.0), rel=0.01)

@@ -15,7 +15,6 @@ from pricelab.domain import (
     ProductSpec,
     default_price_grid,
     demand,
-    noisy_demand,
     price_grids,
     reward,
 )
@@ -233,10 +232,6 @@ class TestTrainContract:
         assert trace.greedy_policies[-1, 0] == q.argmax_action(0)
         assert trace.greedy_policies[-1, 1] == q.argmax_action(1)
 
-    def test_rejects_negative_noise(self):
-        with pytest.raises(ValueError):
-            train(S24, default_price_grid(S24, 5), hp=small_hp(), noise_sigma=-0.1)
-
     def test_q_bounds_invariant(self, monkeypatch):
         grid = default_price_grid(S24, 11)
         hp = small_hp(episodes=400)
@@ -320,7 +315,7 @@ class TestLockstep:
 class TestReplayParity:
     """Training must equal a step-by-step replay through the public ops."""
 
-    def replay(self, spec, grid, modulation, hp, noise_sigma):
+    def replay(self, spec, grid, modulation, hp):
         """Returns the table, per-episode reward totals, visit counts and
         per-episode greedy policies."""
         q = QTable.zeros(2, len(grid))
@@ -337,8 +332,7 @@ class TestReplayParity:
                 s = int(days[t])
                 a = select_action(q, s, eps, rng)
                 price = grid[a]
-                mult = modulation.multiplier(DayType(s))
-                r = reward(spec, price, noisy_demand(spec, price, mult, noise_sigma, rng))
+                r = reward(spec, price, demand(spec, price, modulation.multiplier(DayType(s))))
                 update_q(q, s, a, r, int(nxt[t]), hp)
                 visits[s, a] += 1
                 total += r
@@ -347,74 +341,69 @@ class TestReplayParity:
         return q, np.array(totals), visits, np.array(policies, dtype=np.int64)
 
     @pytest.mark.parametrize(
-        "unit_cost, noise_sigma, hp",
+        "unit_cost, hp",
         [
-            pytest.param(30.0, 0.0, small_hp(episodes=120, seed=42), id="0.0"),
-            pytest.param(30.0, 0.2, small_hp(episodes=120, seed=42), id="0.2"),
+            pytest.param(30.0, small_hp(episodes=120, seed=42), id="decay"),
             # negative margins below the cost: zero demand earns a reward of -0.0
-            pytest.param(0.9 * 142.7, 0.0, small_hp(episodes=120, seed=42), id="negative-margin-0.0"),
-            pytest.param(0.9 * 142.7, 0.5, small_hp(episodes=120, seed=42), id="negative-margin-0.5"),
-            pytest.param(0.9 * 142.7, 2.0, small_hp(episodes=120, seed=42), id="negative-margin-2.0"),
+            pytest.param(0.9 * 142.7, small_hp(episodes=120, seed=42), id="negative-margin"),
             # greedy only: each losing greedy value falls and the row's best moves on
-            pytest.param(
-                0.9 * 142.7, 0.0, small_hp(episodes=120, seed=42, epsilon_start=0.0, epsilon_min=0.0), id="greedy-only"
-            ),
+            pytest.param(0.9 * 142.7, small_hp(episodes=120, seed=42, epsilon_start=0.0, epsilon_min=0.0), id="greedy-only"),
+            # past the floor (episode 21 at decay 0.95) the codes come in multi-episode chunks
+            pytest.param(30.0, small_hp(episodes=400, seed=43, epsilon_decay=0.95), id="floor"),
+            pytest.param(0.9 * 142.7, small_hp(episodes=400, seed=44, epsilon_decay=0.95), id="floor-negative-margin"),
+            pytest.param(30.0, small_hp(episodes=400, seed=45, epsilon_decay=0.95, steps_per_episode=1), id="floor-1-step"),
+            pytest.param(30.0, small_hp(episodes=400, seed=46, epsilon_decay=0.95, steps_per_episode=10), id="floor-10-steps"),
+            pytest.param(30.0, small_hp(episodes=1, seed=47), id="1-episode"),
+            pytest.param(30.0, small_hp(episodes=400, seed=48, epsilon_min=1.0), id="epsilon-1"),
         ],
     )
-    def test_kernel_matches_public_ops(self, unit_cost, noise_sigma, hp):
+    def test_kernel_matches_public_ops(self, unit_cost, hp):
         spec = ProductSpec(name="costy", base_demand=40.0, base_price=142.7, elasticity=-1.9, unit_cost=unit_cost)
         grid = default_price_grid(spec, 7)
         modulation = DayModulation(weekday=1.0, weekend=1.2)
-        q_train, trace = train(spec, grid, modulation, hp, noise_sigma=noise_sigma, record_policies=True)
-        q_replay, totals, visits, policies = self.replay(spec, grid, modulation, hp, noise_sigma)
+        q_train, trace = train(spec, grid, modulation, hp, record_policies=True)
+        q_replay, totals, visits, policies = self.replay(spec, grid, modulation, hp)
         assert np.array_equal(q_train.values, q_replay.values)
-        assert np.array_equal(trace.episode_rewards, totals)
+        assert trace.episode_rewards.tobytes() == totals.tobytes()
         assert np.array_equal(trace.visit_counts, visits)
         assert np.array_equal(trace.greedy_policies, policies)
 
+    def test_reward_totals_keep_the_sign_of_zero(self):
+        # nothing sells and the greedy price is below cost: every reward is
+        # -0.0, and a total summed from 0.0 is 0.0
+        spec = ProductSpec(name="idle", base_demand=0.0, base_price=142.7, elasticity=-1.9, unit_cost=0.9 * 142.7)
+        grid = default_price_grid(spec, 7)
+        hp = small_hp(episodes=30, epsilon_start=0.0, epsilon_min=0.0)
+        _, trace = train(spec, grid, DayModulation(), hp)
+        _, totals, _, _ = self.replay(spec, grid, DayModulation(), hp)
+        assert trace.episode_rewards.tobytes() == totals.tobytes() == np.zeros(30).tobytes()
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
-    def test_kernel_tie_breaks_match_public_ops(self, gamma):
+    def test_kernel_tie_breaks_match_public_ops(self, gamma, monkeypatch):
         # integer demands with repeated values: with alpha = 1 many updates
         # write a value equal to the row's best, at a lower or higher index
         demand_table = np.array([[0.0, 5.0, 0.0, 5.0, 2.0, 5.0], [1.0, 3.0, 3.0, 0.0, 3.0, 1.0]])
         margins = np.ones(6)
+        monkeypatch.setattr(qlearn, "reward_tables", lambda *args: (demand_table, margins))
+        grid = default_price_grid(S24, 6)  # only its size matters here
         days = calendar_day_types(7)
         nxt = calendar_next_day_types(7)
         for seed in range(20):
-            hp = Hyperparams(alpha=1.0, gamma=gamma, epsilon_decay=0.9, episodes=30, seed=seed)
-            eps = epsilon_schedule(hp)
-            values, _, _, policies = _kernels.run_train_kernel(
-                demand_table, margins, days, nxt, eps, hp.alpha, hp.gamma, seed_to_state(seed), record_policies=True
-            )
+            hp = Hyperparams(alpha=1.0, gamma=gamma, epsilon_decay=0.9, episodes=300, seed=seed)
+            values, trace = train(S24, grid, hp=hp, record_policies=True)
             q = QTable.zeros(2, 6)
             rng = XorShift64(seed)
+            visits = np.zeros((2, 6), dtype=np.int64)
             expected = []
-            for episode_eps in eps:
+            for episode_eps in epsilon_schedule(hp):
                 for s, ns in zip(days, nxt):
                     a = select_action(q, int(s), float(episode_eps), rng)
                     update_q(q, int(s), a, margins[a] * demand_table[s, a], int(ns), hp)
+                    visits[s, a] += 1
                 expected.append([q.argmax_action(0), q.argmax_action(1)])
-            assert values.tobytes() == q.values.tobytes(), seed
-            assert policies.tolist() == expected, seed
-
-
-class TestNoiseHook:
-    def test_noise_off_by_default_matches_sigma_zero(self):
-        grid = default_price_grid(S24, 5)
-        hp = small_hp(episodes=50)
-        q_default, _ = train(S24, grid, hp=hp)
-        q_zero, _ = train(S24, grid, hp=hp, noise_sigma=0.0)
-        assert np.array_equal(q_default.values, q_zero.values)
-
-    def test_noise_deterministic(self):
-        grid = default_price_grid(S24, 5)
-        hp = small_hp(episodes=50)
-        q1, _ = train(S24, grid, hp=hp, noise_sigma=0.2)
-        q2, _ = train(S24, grid, hp=hp, noise_sigma=0.2)
-        assert np.array_equal(q1.values, q2.values)
-        q3, _ = train(S24, grid, hp=hp, noise_sigma=0.0)
-        assert not np.array_equal(q1.values, q3.values)
-        assert np.isfinite(q1.values).all()
+            assert values.values.tobytes() == q.values.tobytes(), seed
+            assert trace.greedy_policies.tolist() == expected, seed
+            assert np.array_equal(trace.visit_counts, visits), seed
 
 
 class TestConvergence:
