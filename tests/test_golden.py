@@ -3,15 +3,15 @@
 ``optimize`` (csv, json, markdown) and ``curve --samples 21`` run on the
 embedded sample and on a seeded 300-row synthetic catalog, each at the
 defaults and under a weekend uplift with a cost fraction; ``compare``
-runs on a 40-product catalog, which trains in lockstep, and on the
-14-product sample, which trains product by product, both also with rows
-whose grid or rewards are unusable; ``compare --format json`` runs on
-names JSON must escape on both training paths, and ``optimize`` (csv,
-json, markdown) on such names and, with ``curve``, on a catalog with no
-accepted rows.  ``train`` (table and sidecar), ``validate`` and
-``sample-catalog`` are pinned too.  A refactor of the
-baselines, grids, product setup or renderers must leave every digest
-unchanged.
+runs on a 40-product catalog (also for 300 episodes, past the epsilon
+floor) and on the 14-product sample, both also with rows whose grid or
+rewards are unusable, and ``compare --format json`` on names JSON must
+escape; every ``compare`` digest is checked on both training paths.
+``optimize`` (csv, json, markdown) runs on such names and, with
+``curve``, on a catalog with no accepted rows.  ``train`` (table and
+sidecar), ``validate`` and ``sample-catalog`` are pinned too.  A refactor
+of the baselines, grids, product setup, training kernels or renderers
+must leave every digest unchanged.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from pricelab import qlearn
 from pricelab.catalog import parse_catalog, sample_catalog, serialize_catalog
 from pricelab.cli import main
 
@@ -59,6 +60,15 @@ def catalogs(tmp_path_factory):
         paths[name] = root / f"{name}.csv"
         paths[name].write_text(synthetic_catalog(rows, seed), encoding="utf-8")
     return paths
+
+
+@pytest.fixture(params=["lockstep", "scalar"])
+def kernel(request, monkeypatch):
+    """Train every catalog on one path: the lockstep kernel, or the scalar
+    kernel product by product.  The digests must not depend on it, nor on
+    where ``LOCKSTEP_MIN_PRODUCTS`` sits."""
+    monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1 if request.param == "lockstep" else 10**9)
+    return request.param
 
 
 def run_to_file(tmp_path, catalog, argv) -> str:
@@ -111,7 +121,7 @@ def test_curve_digest(tmp_path, catalogs, catalog, setting):
 
 
 @pytest.mark.parametrize("fmt", list(COMPARE_GOLDEN))
-def test_compare_digest(tmp_path, catalogs, fmt):
+def test_compare_digest(tmp_path, catalogs, fmt, kernel):
     argv = ["compare", "--episodes", "20", "--format", fmt, *UPLIFT]
     assert run_to_file(tmp_path, catalogs["forty"], argv) == COMPARE_GOLDEN[fmt]
 
@@ -155,6 +165,7 @@ OTHER_GOLDEN = {
     "sample-catalog": "cfaf85671c1d35eef84174ab28ec5cffeeb41a49397648fbe0722bcedb31b715",
     "compare-markdown": "b4dd8f442994f1a99f3ae80e6482b55fe74ca1a350241e906204ef133d6f3b12",
     "compare-sample": "044682133f79b22a67d268663c47398a00a2175927630bf2f3a00db380924a1c",
+    "compare-floor": "ca4a93d2b28884923be44455398d466496db69fcaa21ad6e082cc6ac18257d93",
     "compare-bad-rows-sample-csv": "c1aeb1fb080ca9666337789d9acccca5131b0ff046f90c39a49c491ea91be3c3",
     "compare-bad-rows-forty-csv": "52159107f5a81a21bb97455a20096345f22b9e3ab98a195e73d11dda501b522c",
     "compare-bad-rows-sample-markdown": "ab1ab80fca85d595d3c4ff3919a0e14e5483ad80465be002048a10ba0af13c6f",
@@ -188,22 +199,27 @@ def test_sample_catalog_digest(tmp_path):
     assert run_with_code(tmp_path, ["sample-catalog"], 0) == OTHER_GOLDEN["sample-catalog"]
 
 
-def test_compare_markdown_digest(tmp_path, catalogs):
+def test_compare_markdown_digest(tmp_path, catalogs, kernel):
     argv = ["compare", "--episodes", "20", "--format", "markdown", *UPLIFT]
     assert run_to_file(tmp_path, catalogs["forty"], argv) == OTHER_GOLDEN["compare-markdown"]
 
 
-def test_compare_sample_digest(tmp_path):
-    # 14 products: below LOCKSTEP_MIN_PRODUCTS, so each trains alone
+def test_compare_sample_digest(tmp_path, kernel):
     argv = ["compare", "--episodes", "50", *UPLIFT]
     assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN["compare-sample"]
+
+
+def test_compare_floor_digest(tmp_path, catalogs, kernel):
+    # 300 episodes: epsilon reaches its floor at episode 210, so 90 episodes
+    # train at a constant epsilon
+    argv = ["compare", "--episodes", "300", *UPLIFT]
+    assert run_to_file(tmp_path, catalogs["forty"], argv) == OTHER_GOLDEN["compare-floor"]
 
 
 @pytest.mark.parametrize(
     "base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown"), ("forty", "json")]
 )
-def test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt):
-    # the sample plus three bad rows trains product by product, the forty in lockstep
+def test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt, kernel):
     text = serialize_catalog(sample_catalog()) if base == "sample" else catalogs[base].read_text(encoding="utf-8")
     lines = text.splitlines(keepends=True)
     catalog = write_catalog(tmp_path, "".join(lines[:4]) + BAD_ROWS + "".join(lines[4:]))
@@ -225,8 +241,7 @@ def escaped_names_catalog(tmp_path, rows):
 
 
 @pytest.mark.parametrize("rows", [14, 40])
-def test_compare_escaped_names_json_digest(tmp_path, rows):
-    # 14 products train product by product, 40 in lockstep
+def test_compare_escaped_names_json_digest(tmp_path, rows, kernel):
     catalog = escaped_names_catalog(tmp_path, rows)
     argv = ["compare", "--episodes", "20", "--format", "json", "--catalog", str(catalog)]
     assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN[f"compare-escaped-names-{rows}-json"]
