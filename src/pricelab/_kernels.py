@@ -42,9 +42,17 @@ step's action, from which ``qlearn.train`` rebuilds its trace.
 ``run_lockstep_kernel`` walks many products at once: products that share a
 calendar, an epsilon schedule and an action count step together as numpy
 lanes, one array operation per lane-wide step.  Every lane performs the
-same float operations as the scalar walk, so each lane's table is bitwise
-equal to that product's scalar result.  Its fixed cost per step is higher,
-so it pays off only for many products.
+same float operations as the scalar walk and keeps ``best``/``arg`` by the
+same rule, so each lane's table is bitwise equal to that product's scalar
+result; a step runs no full-row reduction, only the lanes whose greedy
+value fell rescan their row.  While epsilon decays, each step draws every
+lane's test and action words.  From the floor on, runs of up to
+``_PREDRAW_MAX_LANES`` lanes draw each lane's words ahead in blocks, from
+the same jump-ahead lanes as ``_top_chunks``, and a pointer per lane walks
+a block's test words one step at a time; in wider runs each numpy call is
+long enough that drawing ahead saves nothing.  The fixed cost per step is
+higher than the scalar walk's, so lockstep pays off only for many products
+(``qlearn.LOCKSTEP_MIN_PRODUCTS``).
 
 Kernel conventions: uniform doubles are the top 53 bits of each 64-bit
 word scaled by 2**-53; an exploration step consumes one draw for the
@@ -145,12 +153,7 @@ def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state
     """Yield the step codes of whole episodes, a list at a time: per step
     the exploring action, or -1 for the greedy one."""
     n_episodes = len(eps_schedule)
-    # from episode `fixed` on epsilon is constant, so the word layout vectorizes
-    fixed = 0
-    if n_episodes:
-        changes = np.flatnonzero(eps_schedule != eps_schedule[-1])
-        fixed = int(changes[-1]) + 1 if len(changes) else 0
-
+    fixed = _floor_start(eps_schedule)
     chunks = _top_chunks(state)
     unread = np.empty(0, dtype=np.uint64)  # the stream from the last refill on
     window, i = [], 0  # its first words as Python ints, and the next one to read
@@ -190,6 +193,13 @@ def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state
         if not left:
             return
         pending = pending[k * n_steps :]
+
+
+def _floor_start(eps_schedule: np.ndarray) -> int:
+    """The first episode from which epsilon stays constant; the word layout
+    of the episodes from there on vectorizes."""
+    changes = np.flatnonzero(eps_schedule != eps_schedule[-1]) if len(eps_schedule) else []
+    return int(changes[-1]) + 1 if len(changes) else 0
 
 
 def _explore_below(eps: float) -> int:
@@ -293,28 +303,79 @@ def _jump_table(spacing: int, lanes: int) -> np.ndarray:
     return table
 
 
-def _lane_starts(x: np.uint64, table: np.ndarray) -> np.ndarray:
-    """The states ``0, spacing, 2 * spacing, ...`` steps after ``x``, one per
-    column of its ``_jump_table``."""
-    return np.bitwise_xor.reduce(table[(x >> _BITS) & _ONE != 0], axis=0)
+def _lane_starts(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The states ``0, spacing, 2 * spacing, ...`` steps after each state
+    of ``x``, one per column of its ``_jump_table``: shape
+    ``(lanes,) + x.shape``."""
+    # bit i of every state, on axis 0, selects row i of the table
+    shape = (64,) + (1,) * np.ndim(x)
+    bits = (x >> _BITS.reshape(shape)) & _ONE
+    return np.bitwise_xor.reduce(table.reshape(shape[:1] + (-1,) + shape[1:]) * bits[:, None], axis=0)
+
+
+def _stream_words(x: np.ndarray, lanes: int) -> np.ndarray:
+    """The ``_SPACING * lanes`` xorshift64 words after each state of ``x``,
+    in stream order along axis 0, drawn as ``lanes`` lanes per state."""
+    lane = _lane_starts(x, _jump_table(_SPACING, lanes))
+    block = np.empty((_SPACING,) + lane.shape, dtype=np.uint64)
+    tmp = np.empty_like(lane)
+    for t in range(_SPACING):
+        _xorshift_lanes(lane, block[t], tmp)
+        lane = block[t]
+    return np.swapaxes(block, 0, 1).reshape((-1,) + np.shape(x))
 
 
 def _top_chunks(state: int):
     """Yield the top 53 bits of the xorshift64 words after ``state``, in
     stream order, as uint64 arrays of ``_LANES * _SPACING`` words."""
-    table = _jump_table(_SPACING, _LANES)
-    block = np.empty((_SPACING, _LANES), dtype=np.uint64)
-    tmp = np.empty(_LANES, dtype=np.uint64)
     x = np.uint64(state)
     while True:
-        lane = _lane_starts(x, table)
-        for t in range(_SPACING):
-            _xorshift_lanes(lane, block[t], tmp)
-            lane = block[t]
-        x = lane[-1]
-        top = np.empty((_LANES, _SPACING), dtype=np.uint64)
-        np.right_shift(block.T, _SHIFT_11, out=top)
-        yield top.reshape(-1)
+        words = _stream_words(x, _LANES)
+        x = words[-1]
+        yield words >> _SHIFT_11
+
+
+# Past the epsilon floor, lockstep runs of at most _PREDRAW_MAX_LANES lanes
+# draw each lane's words ahead, about _BLOCK_WORDS words at a time over all
+# lanes.  Wider runs draw step by step, as during the decay: their numpy
+# calls are long enough that drawing ahead saves nothing.
+_PREDRAW_MAX_LANES = 512
+_BLOCK_WORDS = 1 << 16
+
+
+def _floor_draws(x: np.ndarray, below: np.int64, action_scale: np.float64, offsets: np.ndarray, n_steps: int):
+    """Yield each step's codes of every lane at a constant epsilon,
+    ``n_steps`` steps in all: ``offsets[p]`` plus the exploring action,
+    or -1 for the greedy one, read from each lane's stream after its
+    state ``x[p]``.
+
+    The words come in blocks that start every lane on a test word; a
+    block is read until some lane runs out, and each lane resumes after
+    the last word it read.
+    """
+    n = len(x)
+    lanes = max(1, min(_LANES, _BLOCK_WORDS // (_SPACING * n)))
+    while n_steps:
+        words = _stream_words(x, lanes)
+        # top < 2**53, so its int64 view converts to the same float
+        top = (words >> _SHIFT_11).view(np.int64)
+        low = top[:-1] < below
+        # indexed by a step's test word, over every (word, lane): the step's
+        # code, and how far the next step's test word lies in this array
+        codes = np.where(low, (top[1:] * action_scale).astype(np.int64) + offsets, -1).reshape(-1)
+        skips = ((low + 1) * n).reshape(-1)
+        at = np.arange(n)  # every lane's word 0
+        end = len(codes)  # a test word needs the word after it
+        while n_steps:
+            # a step reads at most two words, so every lane has k more steps
+            k = min((end - 1 - int(at.max())) // (2 * n) + 1, n_steps)
+            if k <= 0:
+                break
+            for _ in range(k):
+                yield codes[at]
+                at += skips[at]
+            n_steps -= k
+        x = words.reshape(-1)[at - n]
 
 
 def run_lockstep_kernel(
@@ -343,31 +404,65 @@ def run_lockstep_kernel(
     q_flat = [q[s].reshape(-1) for s in range(n_states)]
     r_flat = [np.ascontiguousarray(rewards[:, s, :]).reshape(-1) for s in range(n_states)]
     lane_offsets = np.arange(n_lanes) * n_actions
+    # best[s, p] is the float max(q[s, p]) returns, and arg[s, p] the lowest
+    # index holding it, as an index into q_flat[s]
+    best = np.zeros((n_states, n_lanes))
+    arg = np.tile(lane_offsets, (n_states, 1))
+    calendar = [
+        (q[s], q_flat[s], r_flat[s], best[s], arg[s], best[ns])
+        for s, ns in zip(day_types.tolist(), next_day_types.tolist())
+    ]
+
     x = np.array(rng_states, dtype=np.uint64)
-    x2 = np.empty_like(x)
-    top = np.empty_like(x)
-    tmp = np.empty_like(x)
     # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
     # (k * 2**-53) * n does
     action_scale = np.float64(n_actions * _INV_2_53)
-    steps = list(zip(day_types.tolist(), next_day_types.tolist()))
+    fixed = _floor_start(eps_schedule) if 0 < n_lanes <= _PREDRAW_MAX_LANES else len(eps_schedule)
 
-    for eps in eps_schedule.tolist():
-        explore_below = np.uint64(_explore_below(eps))
-        for s, ns in steps:
-            _xorshift_lanes(x, x, tmp)
-            np.right_shift(x, _SHIFT_11, out=top)
-            explore = top < explore_below
-            # every lane draws the action word; only exploring lanes keep it
-            _xorshift_lanes(x, x2, tmp)
-            np.right_shift(x2, _SHIFT_11, out=top)
-            a = q[s].argmax(axis=1)  # ties break toward the lowest index
-            np.copyto(a, (top * action_scale).astype(a.dtype), where=explore)
-            np.copyto(x, x2, where=explore)
+    def decay_draws():
+        """Each step's codes of every lane while epsilon decays: the lane's
+        offset plus the exploring action, or -1 for the greedy one."""
+        x2 = np.empty_like(x)
+        top = np.empty_like(x)
+        tmp = np.empty_like(x)
+        for eps in eps_schedule[:fixed].tolist():
+            explore_below = np.uint64(_explore_below(eps))
+            for _ in range(len(calendar)):
+                _xorshift_lanes(x, x, tmp)
+                np.right_shift(x, _SHIFT_11, out=top)
+                explore = top < explore_below
+                # every lane draws the action word; only exploring lanes keep it
+                _xorshift_lanes(x, x2, tmp)
+                np.right_shift(x2, _SHIFT_11, out=top)
+                np.copyto(x, x2, where=explore)
+                # top < 2**53, so its int64 view converts to the same float
+                yield np.where(explore, (top.view(np.int64) * action_scale).astype(np.int64) + lane_offsets, -1)
 
-            idx = lane_offsets + a
-            best_next = q[ns].max(axis=1)
-            qs = q_flat[s]
-            qs[idx] = keep * qs[idx] + alpha * (r_flat[s][idx] + gamma * best_next)
+    draws = decay_draws()
+    n_floor = (len(eps_schedule) - fixed) * len(calendar)
+    if n_floor:
+        # from episode `fixed` on, each lane's words are drawn ahead in
+        # blocks, from the state the decay left it in
+        below = np.int64(_explore_below(eps_schedule[-1]))
+        draws = itertools.chain(draws, _floor_draws(x, below, action_scale, lane_offsets, n_floor))
+
+    # the draws come first, so zip stops before it takes another calendar day
+    for code, (qs, qs_flat, rs_flat, bs, g, best_ns) in zip(draws, itertools.cycle(calendar)):
+        idx = np.where(code < 0, g, code)
+        # bootstrap read before the write: ns may equal s
+        v = keep * qs_flat[idx] + alpha * (rs_flat[idx] + gamma * best_ns)
+        qs_flat[idx] = v
+        # the scalar kernel's rule, lane by lane: a value above the best, or
+        # equal to it at an index no higher than the greedy one, becomes the
+        # new best; a fall of the greedy value itself rescans the row
+        ge = v >= bs
+        take = np.where(idx <= g, ge, v > bs)
+        fall = np.greater(idx == g, ge).nonzero()[0]
+        np.copyto(bs, v, where=take)
+        np.copyto(g, idx, where=take)
+        if len(fall):
+            new = fall * n_actions + qs.take(fall, axis=0).argmax(axis=1)  # ties break toward the lowest index
+            g[fall] = new
+            bs[fall] = qs_flat[new]
 
     return np.ascontiguousarray(q.transpose(1, 0, 2))

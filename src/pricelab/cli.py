@@ -367,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"pricelab: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. --samples or --grid-points too large to allocate
+        print(f"pricelab: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -292,8 +292,10 @@ def _replay_log(
 # Catalogs with at least this many products train in lockstep
 # (``_kernels.run_lockstep_kernel``); smaller ones train product by product,
 # where the scalar kernel's lower fixed cost per step wins.  Both give the
-# same tables, so the choice changes speed only.
-LOCKSTEP_MIN_PRODUCTS = 32
+# same tables, so the choice changes speed only.  Measured at the default
+# 10,000 episodes on the sample rows repeated: 56 products train faster
+# product by product, 64 in lockstep.
+LOCKSTEP_MIN_PRODUCTS = 64
 
 
 def train_lanes(demand_table: np.ndarray, margins: np.ndarray, hp: Hyperparams, seeds: list[int]) -> np.ndarray:

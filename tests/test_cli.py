@@ -379,6 +379,18 @@ def test_overflowing_product_exits_two_naming_it(tmp_path, capsys, command, mess
     assert err == f"pricelab: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["curve", "--samples", "1000000000000"], ["optimize", "--grid-points", "1000000000000"]],
+    ids=["curve", "optimize"],
+)
+def test_allocation_failure_exits_two(capsys, argv):
+    # terabytes: numpy refuses the allocation before it touches any memory
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"pricelab: error: Unable to allocate .+\n", err), err
+
+
 def test_markdown_escapes_pipe_in_product_names(tmp_path, capsys):
     cat = tmp_path / "cat.csv"
     cat.write_text("product_name,price_elasticity,base_price,base_demand\nA|B,-1.0,100.0,10.0\n")

@@ -270,36 +270,79 @@ def assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expe
         assert [t.tobytes() for t in tables] == [e.tobytes() for e in expected]
 
 
+def varied_specs(n: int, seed: int) -> list[ProductSpec]:
+    """Products whose grids reach below cost and past zero demand: negative
+    margins, and rewards of 0.0 and -0.0 (some sell nothing at all)."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(n):
+        price = round(rng.uniform(1.0, 500.0), 2)
+        specs.append(
+            ProductSpec(
+                name=f"p{i}",
+                base_demand=0.0 if i % 5 == 0 else round(rng.uniform(1.0, 80.0), 1),
+                base_price=price,
+                elasticity=-round(rng.uniform(0.3, 4.0), 2),
+                unit_cost=round(price * rng.uniform(0.0, 0.95), 2),
+            )
+        )
+    return specs
+
+
+THREE = [
+    S24,
+    ProductSpec(name="b", base_demand=40.0, base_price=20.0, elasticity=-3.1, unit_cost=12.0),
+    ProductSpec(name="c", base_demand=0.0, base_price=5.0, elasticity=-1.0),
+]
+
+# how the lockstep kernel draws past the epsilon floor
+LOCKSTEP_DRAWS = {
+    "predrawn": {},
+    # 16 words a lane: a lane runs out of a block every few steps
+    "short-blocks": {"_BLOCK_WORDS": 1},
+    "in-loop": {"_PREDRAW_MAX_LANES": 0},
+}
+
+
 class TestLockstep:
+    @pytest.mark.parametrize("draws", list(LOCKSTEP_DRAWS))
     @pytest.mark.parametrize(
-        "hp",
+        "specs, hp",
         [
-            small_hp(episodes=300, steps_per_episode=10, alpha=0.3, gamma=0.7, epsilon_decay=0.99),
+            pytest.param(THREE, small_hp(episodes=300, steps_per_episode=10, alpha=0.3, gamma=0.7, epsilon_decay=0.99), id="explore"),
             # never explores: every choice from the zero table is a greedy tie
-            small_hp(epsilon_start=0.0, epsilon_min=0.0),
+            pytest.param(THREE, small_hp(epsilon_start=0.0, epsilon_min=0.0), id="greedy-ties"),
+            # rewards of -0.0 below cost, and greedy values that fall
+            pytest.param(varied_specs(6, 1), small_hp(episodes=300, epsilon_decay=0.97), id="negative-margins"),
+            # each update overwrites: equal values, ties at lower and higher indices
+            pytest.param(varied_specs(6, 2), small_hp(episodes=300, alpha=1.0, epsilon_decay=0.97), id="alpha-1"),
+            # the floor starts at step 0
+            pytest.param(varied_specs(6, 3), small_hp(episodes=200, epsilon_start=0.35), id="floor-from-start"),
+            pytest.param(varied_specs(6, 4), small_hp(episodes=1, steps_per_episode=1), id="1-step"),
+            pytest.param(varied_specs(6, 5), small_hp(episodes=40, steps_per_episode=1, epsilon_start=0.35), id="1-step-floor"),
+            # past the floor (episode 21 at decay 0.95) every lane reads its own
+            # number of words from each block
+            pytest.param(varied_specs(44, 6), small_hp(episodes=400, alpha=1.0, epsilon_decay=0.95), id="44-lanes"),
         ],
-        ids=["explore", "greedy-ties"],
     )
-    def test_tables_bitwise_equal_to_train(self, hp, monkeypatch):
-        specs = [
-            S24,
-            ProductSpec(name="b", base_demand=40.0, base_price=20.0, elasticity=-3.1, unit_cost=12.0),
-            ProductSpec(name="c", base_demand=0.0, base_price=5.0, elasticity=-1.0),
-        ]
+    def test_tables_bitwise_equal_to_train(self, specs, hp, draws, monkeypatch):
         modulation = DayModulation(1.0, 1.2)
-        seeds = [0, 2**64 - 1, 12345]
+        seeds = [0, 2**64 - 1, 12345, *range(1, len(specs) - 2)]
         grids = [default_price_grid(spec, 9) for spec in specs]
-        demand_table, margins, _ = reward_lanes(
+        demand_table, margins, overflow = reward_lanes(
             ProductLanes.of(specs), np.array([g.as_array() for g in grids]), modulation, hp.gamma
         )
+        assert not overflow
         expected = [
             train(spec, grid, modulation, replace(hp, seed=seed))[0].values
             for spec, grid, seed in zip(specs, grids, seeds)
         ]
+        for name, value in LOCKSTEP_DRAWS[draws].items():
+            monkeypatch.setattr(_kernels, name, value)
         assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expected)
 
-    def test_zero_lanes(self, monkeypatch):
-        hp = small_hp()
+    @pytest.mark.parametrize("hp", [small_hp(), small_hp(epsilon_start=0.35)], ids=["decay", "floor"])
+    def test_zero_lanes(self, hp, monkeypatch):
         assert_train_lanes_paths(monkeypatch, np.empty((0, 2, 9)), np.empty((0, 9)), hp, [], [])
 
     def test_rejects_overflowing_rewards(self):
