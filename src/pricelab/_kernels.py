@@ -354,9 +354,10 @@ def _floor_draws(x: np.ndarray, below: np.int64, action_scale: np.float64, offse
     the last word it read.
     """
     n = len(x)
-    lanes = max(1, min(_LANES, _BLOCK_WORDS // (_SPACING * n)))
+    # jump-ahead spans per lane, no more than the n_steps steps can read
+    spans = max(1, min(_LANES, _BLOCK_WORDS // (_SPACING * n), -(-2 * n_steps // _SPACING)))
     while n_steps:
-        words = _stream_words(x, lanes)
+        words = _stream_words(x, spans)
         # top < 2**53, so its int64 view converts to the same float
         top = (words >> _SHIFT_11).view(np.int64)
         low = top[:-1] < below
