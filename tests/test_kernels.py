@@ -45,6 +45,15 @@ def test_default_table_jumps_across_all_lanes():
             rng.next_u64()
 
 
+def test_lane_starts_of_many_states_equal_each_state_alone():
+    states = np.array([seed_to_state(1), REMAPPED_ZERO, 1, MASK64], dtype=np.uint64)
+    table = _kernels._jump_table(16, 5)
+    starts = _kernels._lane_starts(states, table)
+    assert starts.shape == (5, len(states))
+    for j, state in enumerate(states):
+        assert starts[:, j].tolist() == _kernels._lane_starts(state, table).tolist()
+
+
 def test_chunks_follow_the_scalar_stream():
     chunks = _kernels._top_chunks(REMAPPED_ZERO)
     got = np.concatenate([next(chunks) for _ in range(3)]).tolist()
