@@ -45,14 +45,15 @@ lanes, one array operation per lane-wide step.  Every lane performs the
 same float operations as the scalar walk and keeps ``best``/``arg`` by the
 same rule, so each lane's table is bitwise equal to that product's scalar
 result; a step runs no full-row reduction, only the lanes whose greedy
-value fell rescan their row.  While epsilon decays, each step draws every
-lane's test and action words.  From the floor on, runs of up to
-``_PREDRAW_MAX_LANES`` lanes draw each lane's words ahead in blocks, from
-the same jump-ahead lanes as ``_top_chunks``, and a pointer per lane walks
-a block's test words one step at a time; in wider runs each numpy call is
-long enough that drawing ahead saves nothing.  The fixed cost per step is
-higher than the scalar walk's, so lockstep pays off only for many products
-(``qlearn.LOCKSTEP_MIN_PRODUCTS``).
+value fell rescan their row.  The lanes' words are drawn ahead in blocks
+(``_stream_words``; a run narrower than ``_LANES`` starts several
+jump-ahead lanes per product), and a pointer per lane walks its words:
+each step tests one word against its episode's threshold and, if the lane
+explores, reads the action word after it.  A block is walked until some
+lane could run out, and each lane resumes after the last word it read, so
+the walk is the same during the epsilon decay and past it.  The fixed
+cost per step is higher than the scalar walk's, so lockstep pays off only
+for many products (``qlearn.LOCKSTEP_MIN_PRODUCTS``).
 
 Kernel conventions: uniform doubles are the top 53 bits of each 64-bit
 word scaled by 2**-53; an exploration step consumes one draw for the
@@ -255,6 +256,13 @@ _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 # the stream is generated _LANES lanes at a time, each _SPACING consecutive words
 _LANES = 256
 _SPACING = 16
+# The lockstep walk draws each lane's words ahead, about _BLOCK_WORDS words
+# at a time over all lanes.  Each array of a block, and the jump-ahead's
+# temporary, stays under glibc's default 128 KiB mmap threshold: freeing a
+# larger one raises the threshold, and later allocations then stay in the
+# heap (1.6 MB more peak RSS on a 2,000-product compare with 32,768-word
+# blocks).
+_BLOCK_WORDS = 15 << 10
 
 
 def _xorshift_lanes(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
@@ -307,19 +315,27 @@ def _lane_starts(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The states ``0, spacing, 2 * spacing, ...`` steps after each state
     of ``x``, one per column of its ``_jump_table``: shape
     ``(lanes,) + x.shape``."""
-    # bit i of every state, on axis 0, selects row i of the table
-    shape = (64,) + (1,) * np.ndim(x)
-    bits = (x >> _BITS.reshape(shape)) & _ONE
-    return np.bitwise_xor.reduce(table.reshape(shape[:1] + (-1,) + shape[1:]) * bits[:, None], axis=0)
+    # bit i of every state, on axis 0, selects row i of the table; a few
+    # bits at a time keep the temporary under _BLOCK_WORDS words
+    shape = (-1,) + (1,) * np.ndim(x)
+    rows = table.reshape((64, -1) + shape[1:])
+    step = max(1, _BLOCK_WORDS // (table.shape[1] * np.size(x)))
+    starts = 0
+    for i in range(0, 64, step):
+        bits = (x >> _BITS[i : i + step].reshape(shape)) & _ONE
+        starts ^= np.bitwise_xor.reduce(rows[i : i + step] * bits[:, None], axis=0)
+    return starts
 
 
-def _stream_words(x: np.ndarray, lanes: int) -> np.ndarray:
-    """The ``_SPACING * lanes`` xorshift64 words after each state of ``x``,
-    in stream order along axis 0, drawn as ``lanes`` lanes per state."""
-    lane = _lane_starts(x, _jump_table(_SPACING, lanes))
-    block = np.empty((_SPACING,) + lane.shape, dtype=np.uint64)
+def _stream_words(x: np.ndarray, lanes: int, spacing: int = _SPACING) -> np.ndarray:
+    """The ``lanes * spacing`` xorshift64 words after each state of ``x``,
+    in stream order along axis 0, drawn as ``lanes`` lanes ``spacing``
+    words apart."""
+    # the first lane starts at the state itself
+    lane = _lane_starts(x, _jump_table(spacing, lanes)) if lanes > 1 else np.asarray(x)[None]
+    block = np.empty((spacing,) + lane.shape, dtype=np.uint64)
     tmp = np.empty_like(lane)
-    for t in range(_SPACING):
+    for t in range(spacing):
         _xorshift_lanes(lane, block[t], tmp)
         lane = block[t]
     return np.swapaxes(block, 0, 1).reshape((-1,) + np.shape(x))
@@ -333,50 +349,6 @@ def _top_chunks(state: int):
         words = _stream_words(x, _LANES)
         x = words[-1]
         yield words >> _SHIFT_11
-
-
-# Past the epsilon floor, lockstep runs of at most _PREDRAW_MAX_LANES lanes
-# draw each lane's words ahead, about _BLOCK_WORDS words at a time over all
-# lanes.  Wider runs draw step by step, as during the decay: their numpy
-# calls are long enough that drawing ahead saves nothing.
-_PREDRAW_MAX_LANES = 512
-_BLOCK_WORDS = 1 << 16
-
-
-def _floor_draws(x: np.ndarray, below: np.int64, action_scale: np.float64, offsets: np.ndarray, n_steps: int):
-    """Yield each step's codes of every lane at a constant epsilon,
-    ``n_steps`` steps in all: ``offsets[p]`` plus the exploring action,
-    or -1 for the greedy one, read from each lane's stream after its
-    state ``x[p]``.
-
-    The words come in blocks that start every lane on a test word; a
-    block is read until some lane runs out, and each lane resumes after
-    the last word it read.
-    """
-    n = len(x)
-    # jump-ahead spans per lane, no more than the n_steps steps can read
-    spans = max(1, min(_LANES, _BLOCK_WORDS // (_SPACING * n), -(-2 * n_steps // _SPACING)))
-    while n_steps:
-        words = _stream_words(x, spans)
-        # top < 2**53, so its int64 view converts to the same float
-        top = (words >> _SHIFT_11).view(np.int64)
-        low = top[:-1] < below
-        # indexed by a step's test word, over every (word, lane): the step's
-        # code, and how far the next step's test word lies in this array
-        codes = np.where(low, (top[1:] * action_scale).astype(np.int64) + offsets, -1).reshape(-1)
-        skips = ((low + 1) * n).reshape(-1)
-        at = np.arange(n)  # every lane's word 0
-        end = len(codes)  # a test word needs the word after it
-        while n_steps:
-            # a step reads at most two words, so every lane has k more steps
-            k = min((end - 1 - int(at.max())) // (2 * n) + 1, n_steps)
-            if k <= 0:
-                break
-            for _ in range(k):
-                yield codes[at]
-                at += skips[at]
-            n_steps -= k
-        x = words.reshape(-1)[at - n]
 
 
 def run_lockstep_kernel(
@@ -414,56 +386,66 @@ def run_lockstep_kernel(
         for s, ns in zip(day_types.tolist(), next_day_types.tolist())
     ]
 
-    x = np.array(rng_states, dtype=np.uint64)
     # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
     # (k * 2**-53) * n does
     action_scale = np.float64(n_actions * _INV_2_53)
-    fixed = _floor_start(eps_schedule) if 0 < n_lanes <= _PREDRAW_MAX_LANES else len(eps_schedule)
-
-    def decay_draws():
-        """Each step's codes of every lane while epsilon decays: the lane's
-        offset plus the exploring action, or -1 for the greedy one."""
-        x2 = np.empty_like(x)
-        top = np.empty_like(x)
-        tmp = np.empty_like(x)
-        for eps in eps_schedule[:fixed].tolist():
-            explore_below = np.uint64(_explore_below(eps))
-            for _ in range(len(calendar)):
-                _xorshift_lanes(x, x, tmp)
-                np.right_shift(x, _SHIFT_11, out=top)
-                explore = top < explore_below
-                # every lane draws the action word; only exploring lanes keep it
-                _xorshift_lanes(x, x2, tmp)
-                np.right_shift(x2, _SHIFT_11, out=top)
-                np.copyto(x, x2, where=explore)
-                # top < 2**53, so its int64 view converts to the same float
-                yield np.where(explore, (top.view(np.int64) * action_scale).astype(np.int64) + lane_offsets, -1)
-
-    draws = decay_draws()
-    n_floor = (len(eps_schedule) - fixed) * len(calendar)
-    if n_floor:
-        # from episode `fixed` on, each lane's words are drawn ahead in
-        # blocks, from the state the decay left it in
-        below = np.int64(_explore_below(eps_schedule[-1]))
-        draws = itertools.chain(draws, _floor_draws(x, below, action_scale, lane_offsets, n_floor))
-
-    # the draws come first, so zip stops before it takes another calendar day
-    for code, (qs, qs_flat, rs_flat, bs, g, best_ns) in zip(draws, itertools.cycle(calendar)):
-        idx = np.where(code < 0, g, code)
-        # bootstrap read before the write: ns may equal s
-        v = keep * qs_flat[idx] + alpha * (rs_flat[idx] + gamma * best_ns)
-        qs_flat[idx] = v
-        # the scalar kernel's rule, lane by lane: a value above the best, or
-        # equal to it at an index no higher than the greedy one, becomes the
-        # new best; a fall of the greedy value itself rescans the row
-        ge = v >= bs
-        take = np.where(idx <= g, ge, v > bs)
-        fall = np.greater(idx == g, ge).nonzero()[0]
-        np.copyto(bs, v, where=take)
-        np.copyto(g, idx, where=take)
-        if len(fall):
-            new = fall * n_actions + qs.take(fall, axis=0).argmax(axis=1)  # ties break toward the lowest index
-            g[fall] = new
-            bs[fall] = qs_flat[new]
+    lane_index = np.arange(n_lanes)
+    # each step's explore threshold, its episode's
+    belows = itertools.chain.from_iterable(
+        itertools.repeat(_explore_below(eps), len(calendar)) for eps in eps_schedule.tolist()
+    )
+    days = itertools.cycle(calendar)
+    left = len(eps_schedule) * len(calendar) if n_lanes else 0
+    x = np.array(rng_states, dtype=np.uint64)
+    while left:
+        # words per lane: an even number, as a step reads at most two, and no
+        # more than the steps left can read; a narrow run draws them as
+        # jump-ahead lanes _SPACING words apart, so that each call does real work
+        width = max(4, min(_BLOCK_WORDS // n_lanes, 2 * left) & -2)
+        spans = max(1, width // _SPACING)
+        words = _stream_words(x, spans, width // spans)
+        width = len(words)
+        # one row of words per step, one column per lane; top < 2**53, so
+        # its int64 view converts to the same float
+        top = (words >> _SHIFT_11).view(np.int64)
+        # acts[w, p]: the flat row index of the action that word w + 1 draws
+        acts = (top[1:] * action_scale).astype(np.int64)
+        acts += lane_offsets
+        top = top.reshape(-1)
+        acts = acts.reshape(-1)
+        # step t of the block tests lane p's word t + at[p] // n_lanes
+        at = lane_index.copy()
+        t = 0
+        while left:
+            # a step reads at most two words, and the last word is no test word
+            k = min((width - 2 - t - int(at.max()) // n_lanes) // 2 + 1, left)
+            if k <= 0:
+                break
+            # the range comes first, so zip stops before it takes another day
+            for row, below, (qs, qs_flat, rs_flat, bs, g, best_ns) in zip(
+                range(t * n_lanes, (t + k) * n_lanes, n_lanes), belows, days
+            ):
+                explore = top[row:].take(at) < below
+                idx = np.where(explore, acts[row:].take(at), g)
+                at += explore * n_lanes
+                # bootstrap read before the write: ns may equal s
+                v = keep * qs_flat[idx] + alpha * (rs_flat[idx] + gamma * best_ns)
+                qs_flat[idx] = v
+                # the scalar kernel's rule, lane by lane: a value above the best, or
+                # equal to it at an index no higher than the greedy one, becomes the
+                # new best; a fall of the greedy value itself rescans the row
+                ge = v >= bs
+                take = np.where(idx <= g, ge, v > bs)
+                fall = np.greater(idx == g, ge).nonzero()[0]
+                np.copyto(bs, v, where=take)
+                np.copyto(g, idx, where=take)
+                if len(fall):
+                    new = fall * n_actions + qs.take(fall, axis=0).argmax(axis=1)  # ties break toward the lowest index
+                    g[fall] = new
+                    bs[fall] = qs_flat[new]
+            t += k
+            left -= k
+        # every lane resumes after the last word it read
+        x = words.reshape(-1)[at + (t - 1) * n_lanes]
 
     return np.ascontiguousarray(q.transpose(1, 0, 2))

@@ -294,7 +294,8 @@ def _replay_log(
 # where the scalar kernel's lower fixed cost per step wins.  Both give the
 # same tables, so the choice changes speed only.  Measured at the default
 # 10,000 episodes on the sample rows repeated: 56 products train faster
-# product by product, 64 in lockstep.
+# product by product, 64 take as long either way, 72 and more train faster
+# in lockstep.
 LOCKSTEP_MIN_PRODUCTS = 64
 
 

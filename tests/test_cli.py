@@ -381,11 +381,13 @@ def test_overflowing_product_exits_two_naming_it(tmp_path, capsys, command, mess
 
 @pytest.mark.parametrize(
     "argv",
-    [["curve", "--samples", "1000000000000"], ["optimize", "--grid-points", "1000000000000"]],
+    [["curve", "--samples", "100000000000000000"], ["optimize", "--grid-points", "100000000000000000"]],
     ids=["curve", "optimize"],
 )
 def test_allocation_failure_exits_two(capsys, argv):
-    # terabytes: numpy refuses the allocation before it touches any memory
+    # a 10**17-point grid needs 711 PiB, more than any user address space
+    # (128 PiB with 5-level paging), so the OS refuses it under every
+    # overcommit setting; the byte count still fits in intp
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert re.fullmatch(r"pricelab: error: Unable to allocate .+\n", err), err

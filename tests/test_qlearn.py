@@ -295,12 +295,14 @@ THREE = [
     ProductSpec(name="c", base_demand=0.0, base_price=5.0, elasticity=-1.0),
 ]
 
-# how the lockstep kernel draws past the epsilon floor
+# how the lockstep kernel draws each lane's words ahead
 LOCKSTEP_DRAWS = {
-    "predrawn": {},
-    # 16 words a lane: a lane runs out of a block every few steps
+    "blocks": {},
+    # one word from each jump-ahead lane (5 words a lane at 44 lanes), so
+    # lanes run out of a block every few steps
     "short-blocks": {"_BLOCK_WORDS": 1},
-    "in-loop": {"_PREDRAW_MAX_LANES": 0},
+    # no jump-ahead: 4 words a lane, stepped from the lane's own state
+    "stepped-blocks": {"_BLOCK_WORDS": 1, "_LANES": 1},
 }
 
 
