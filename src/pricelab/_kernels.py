@@ -46,14 +46,14 @@ same float operations as the scalar walk and keeps ``best``/``arg`` by the
 same rule, so each lane's table is bitwise equal to that product's scalar
 result; a step runs no full-row reduction, only the lanes whose greedy
 value fell rescan their row.  The lanes' words are drawn ahead in blocks
-(``_stream_words``; a run narrower than ``_LANES`` starts several
-jump-ahead lanes per product), and a pointer per lane walks its words:
-each step tests one word against its episode's threshold and, if the lane
-explores, reads the action word after it.  A block is walked until some
-lane could run out, and each lane resumes after the last word it read, so
-the walk is the same during the epsilon decay and past it.  The fixed
-cost per step is higher than the scalar walk's, so lockstep pays off only
-for many products (``qlearn.LOCKSTEP_MIN_PRODUCTS``).
+(``_stream_words``; a narrow run starts several jump-ahead lanes per
+product), and a pointer per lane walks its words: each step tests one
+word against its episode's threshold and, if the lane explores, reads the
+action word after it.  A block is walked until some lane could run out,
+and each lane resumes after the last word it read, so the walk is the
+same during the epsilon decay and past it.  The fixed cost per step is
+higher than the scalar walk's, so lockstep pays off only for many
+products (``qlearn.LOCKSTEP_MIN_PRODUCTS``).
 
 Kernel conventions: uniform doubles are the top 53 bits of each 64-bit
 word scaled by 2**-53; an exploration step consumes one draw for the
@@ -256,6 +256,7 @@ _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 # the stream is generated _LANES lanes at a time, each _SPACING consecutive words
 _LANES = 256
 _SPACING = 16
+
 # The lockstep walk draws each lane's words ahead, about _BLOCK_WORDS words
 # at a time over all lanes.  Each array of a block, and the jump-ahead's
 # temporary, stays under glibc's default 128 KiB mmap threshold: freeing a
@@ -389,7 +390,6 @@ def run_lockstep_kernel(
     # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
     # (k * 2**-53) * n does
     action_scale = np.float64(n_actions * _INV_2_53)
-    lane_index = np.arange(n_lanes)
     # each step's explore threshold, its episode's
     belows = itertools.chain.from_iterable(
         itertools.repeat(_explore_below(eps), len(calendar)) for eps in eps_schedule.tolist()
@@ -400,7 +400,8 @@ def run_lockstep_kernel(
     while left:
         # words per lane: an even number, as a step reads at most two, and no
         # more than the steps left can read; a narrow run draws them as
-        # jump-ahead lanes _SPACING words apart, so that each call does real work
+        # jump-ahead lanes about _SPACING words apart, so that each call does
+        # real work
         width = max(4, min(_BLOCK_WORDS // n_lanes, 2 * left) & -2)
         spans = max(1, width // _SPACING)
         words = _stream_words(x, spans, width // spans)
@@ -414,7 +415,7 @@ def run_lockstep_kernel(
         top = top.reshape(-1)
         acts = acts.reshape(-1)
         # step t of the block tests lane p's word t + at[p] // n_lanes
-        at = lane_index.copy()
+        at = np.arange(n_lanes)
         t = 0
         while left:
             # a step reads at most two words, and the last word is no test word

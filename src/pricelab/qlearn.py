@@ -293,9 +293,8 @@ def _replay_log(
 # (``_kernels.run_lockstep_kernel``); smaller ones train product by product,
 # where the scalar kernel's lower fixed cost per step wins.  Both give the
 # same tables, so the choice changes speed only.  Measured at the default
-# 10,000 episodes on the sample rows repeated: 56 products train faster
-# product by product, 64 take as long either way, 72 and more train faster
-# in lockstep.
+# 10,000 episodes on the sample rows repeated: the two paths are level at
+# 56 to 64 products, and from 72 on lockstep is faster.
 LOCKSTEP_MIN_PRODUCTS = 64
 
 

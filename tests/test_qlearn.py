@@ -298,11 +298,11 @@ THREE = [
 # how the lockstep kernel draws each lane's words ahead
 LOCKSTEP_DRAWS = {
     "blocks": {},
-    # one word from each jump-ahead lane (5 words a lane at 44 lanes), so
-    # lanes run out of a block every few steps
-    "short-blocks": {"_BLOCK_WORDS": 1},
+    # two jump-ahead lanes of 16 words at 44 lanes: lanes run out of a
+    # block every dozen steps or so
+    "short-blocks": {"_BLOCK_WORDS": 32 * 44},
     # no jump-ahead: 4 words a lane, stepped from the lane's own state
-    "stepped-blocks": {"_BLOCK_WORDS": 1, "_LANES": 1},
+    "stepped-blocks": {"_BLOCK_WORDS": 1},
 }
 
 
