@@ -35,9 +35,11 @@ from .domain import (
     zero_demand_price,
 )
 from .experiment import (
+    Comparison,
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
+    compare_columns,
     export_revenue_curves,
     render_report,
     run_experiment,
@@ -59,6 +61,7 @@ from .rng import XorShift64, split_seed, splitmix64
 __version__ = "0.1.0"
 
 __all__ = [
+    "Comparison",
     "ComparisonRow",
     "CostPolicy",
     "DayModulation",
@@ -77,6 +80,7 @@ __all__ = [
     "ValidationReport",
     "XorShift64",
     "analytic_optimum",
+    "compare_columns",
     "default_price_grid",
     "demand",
     "epsilon_at",

@@ -31,8 +31,8 @@ for bit:
 The columns are the one source of results: ``optimum_columns`` gives
 each method's price, demand, profit and clamped flag as arrays, and
 ``columns_by_day`` stacks them as ``(product, day, method)`` arrays, which
-``pricelab optimize`` renders directly.  ``optima``, ``optima_by_day`` and
-the one-lane calls ``analytic_optimum``, ``grid_search_optimum`` and
+``pricelab optimize`` and ``pricelab compare`` render directly.  ``optima``
+and the one-lane calls ``analytic_optimum``, ``grid_search_optimum`` and
 ``line_search_optimum`` are views of those columns as ``Optimum`` lists,
 with Python floats and bools (``tolist``), so reports print exactly what
 scalar code would.  A one-lane call pays numpy's per-operation overhead
@@ -186,32 +186,14 @@ def optima(
     return tuple(map(_view, Method, optimum_columns(specs, grids, multiplier, tolerance)))
 
 
-def _per_day(modulation: DayModulation, compute):
-    """``compute(multiplier)`` for each day type (Weekday, Weekend), called
-    once per distinct day multiplier (equal multipliers give equal optima)."""
-    by_multiplier = {}
-    for day in DayType:
-        m = modulation.multiplier(day)
-        if m not in by_multiplier:
-            by_multiplier[m] = compute(m)
-    return [by_multiplier[modulation.multiplier(day)] for day in DayType]
-
-
-def optima_by_day(
-    specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation
-) -> list[tuple[tuple[Optimum, Optimum, Optimum], ...]]:
-    """Per product, per day type (Weekday, Weekend): its analytic,
-    grid-search and line-search optima, from one ``optima`` call per
-    distinct day multiplier."""
-    per_day = _per_day(modulation, lambda m: list(zip(*optima(specs, grids, m))))
-    return list(zip(*per_day))
-
-
 def columns_by_day(specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation) -> Columns:
     """Every product's optima as ``(product, day, method)`` arrays, day and
     method in ``DayType`` and ``Method`` order, from one ``optimum_columns``
     call per distinct day multiplier."""
-    per_day = _per_day(modulation, lambda m: optimum_columns(specs, grids, m))
+    multipliers = [modulation.multiplier(day) for day in DayType]
+    # equal multipliers give equal optima
+    computed = {m: optimum_columns(specs, grids, m) for m in dict.fromkeys(multipliers)}
+    per_day = [computed[m] for m in multipliers]
     return Columns(*(
         np.array([[getattr(method, field) for method in methods] for methods in per_day]).transpose(2, 0, 1)
         for field in Columns._fields

@@ -18,34 +18,28 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
-# perfbench/tracing.py times the one-product optimizers and default_price_grid as
-# attributes of this module, so they stay importable here; nothing here calls them:
-# optimize runs columns_by_day, and prepare_products builds every grid in one call
+# perfbench/tracing.py times the one-product optimizers, default_price_grid and
+# run_experiment as attributes of this module, so they stay importable here; nothing
+# here calls them: optimize runs columns_by_day, prepare_products builds every grid
+# in one call, and compare runs compare_columns
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
-from .baselines import Columns, Method, columns_by_day
+from .baselines import columns_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import default_price_grid  # noqa: F401
-from .domain import DayModulation, DayType, PriceGrid
+from .domain import DayModulation, PriceGrid
+from .experiment import run_experiment  # noqa: F401
 from .experiment import (
-    _JSON_BOOL,
-    ComparisonRow,
     CostPolicy,
     ExperimentConfig,
-    _json_float,
     check_products,
-    csv_quoted,
-    csv_table,
+    compare_columns,
     export_revenue_curves,
-    markdown_escape,
-    markdown_table,
+    optimize_overflow,
     prepare_products,
+    render_optimize,
     render_report,
-    run_experiment,
 )
 from .qlearn import Hyperparams, hyperparams_to_json, qtable_to_csv, train
 
@@ -201,55 +195,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-_OPTIMIZE_COLUMNS = ["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"]
-_OPTIMIZE_HEADERS = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
-# the (day, method) of each of a product's rows, in the order of columns_by_day's last two axes
-_OPTIMIZE_SLOTS = [(day.label, method.value) for day in DayType for method in Method]
-# one optimize row as json.dumps(rows, indent=2) lays it out (day labels and method
-# names need no JSON escapes)
-_OPTIMIZE_JSON_ROW = (
-    '  {\n    "product": %s,\n    "day": "%s",\n    "method": "%s",\n    "price": %r,\n'
-    '    "demand": %r,\n    "profit": %r,\n    "clamped": %s\n  }'
-)
-
-
-def optimize_overflow(table: Columns) -> dict[int, str]:
-    """``{product: reason}`` for the first product, day and method, in that
-    order, of a ``columns_by_day`` table whose demand or profit is not
-    finite; empty if there is none."""
-    finite = np.isfinite(table.demand) & np.isfinite(table.profit)
-    if finite.all():
-        return {}
-    product, _, method = np.unravel_index(finite.argmin(), finite.shape)
-    return {int(product): f"{list(Method)[method].value} optimum overflows"}
-
-
-def render_optimize(names: list[str], table: Columns, format: str) -> str:
-    """The ``optimize`` report of a ``columns_by_day`` table, one row per
-    product, day and method; prices and demands at 1 decimal and profits at
-    2, except in JSON, which carries full precision."""
-    values = [a.ravel().tolist() for a in table[:3]]
-    flags = [_JSON_BOOL[k] for k in table.clamped.ravel().tolist()]
-    if format == "json":
-        # each row's price, demand and profit, in document order
-        cells = np.stack(table[:3], axis=-1)
-        finite = np.isfinite(cells)
-        if not finite.all():
-            _json_float(cells.flat[finite.argmin()].item())  # raises, naming the first one
-        keys = [(name, *slot) for name in map(encode_basestring_ascii, names) for slot in _OPTIMIZE_SLOTS]
-        doc = [_OPTIMIZE_JSON_ROW % (*key, p, q, r, k) for key, p, q, r, k in zip(keys, *values, flags)]
-        return "[\n" + ",\n".join(doc) + "\n]\n" if doc else "[]\n"
-    if format == "markdown":
-        head = markdown_table(_OPTIMIZE_HEADERS, [], None)
-        cells, sep, line = map(markdown_escape, names), " | ", "| %s | %.1f | %.1f | %.2f | %s |\n"
-    else:
-        head = csv_table(_OPTIMIZE_COLUMNS, [])
-        cells, sep, line = csv_quoted(names), ",", "%s,%.1f,%.1f,%.2f,%s\n"
-    slots = [f"{sep}{day}{sep}{method}" for day, method in _OPTIMIZE_SLOTS]
-    prefixes = [cell + slot for cell in cells for slot in slots]
-    return head + "".join(map(line.__mod__, zip(prefixes, *values, flags)))
-
-
 def _cmd_optimize(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
@@ -267,8 +212,7 @@ def _cmd_compare(args) -> int:
     config = _build_config(args)
     if args.jobs is not None and args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    rows: list[ComparisonRow] = run_experiment(catalog, config)
-    _write_output(render_report(rows, args.format, config), args.output)
+    _write_output(render_report(compare_columns(catalog, config), args.format, config), args.output)
     return 0
 
 

@@ -16,14 +16,22 @@ hyperparameters, with a seed split from the master seed and its catalog
 index by a frozen function (see ``pricelab.rng.split_seed``).  So
 everything is deterministic given the catalog and config.
 
-The setup (``qlearn.reward_lanes``), the training (``qlearn.train_lanes``,
-which picks the kernel), the greedy evaluation (``qlearn.greedy_lanes``)
-and the baselines (``baselines.optima_by_day``) are passes over the whole
-catalog.  Training raises nothing on products that setup accepted, so
-an exception from it propagates.  The JSON report is written row by row
-from a fixed template that equals ``json.dumps(report, indent=2,
-allow_nan=False)`` byte for byte: ``json.dumps`` uses its C encoder only
-without ``indent``.
+``compare_columns`` runs a comparison as passes over the whole catalog:
+the setup (``qlearn.reward_lanes``), the baselines
+(``baselines.columns_by_day``), the training (``qlearn.train_lanes``,
+which picks the kernel) and the greedy evaluation
+(``qlearn.greedy_lanes``).  Its result is a ``Comparison`` of arrays, with
+no object per row; ``run_experiment``'s ``ComparisonRow`` list is a view
+of it.  Training raises nothing on the products it gets, so an exception
+from it propagates.
+
+``render_report`` (``compare``) and ``render_optimize`` (``optimize``)
+write all three formats from such arrays through one writer, ``_rows``:
+each row is one ``%`` of its format's row template, and an error row
+comes from its own template.  The JSON equals ``json.dumps(report,
+indent=2, allow_nan=False)`` byte for byte, including the error for the
+first non-finite value (``json.dumps`` uses its C encoder only without
+``indent``).
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ import numpy as np
 # perfbench/tracing.py times the one-product optimizers, default_price_grid, train
 # and evaluate_greedy as attributes of this module, so they stay importable here;
 # the pipeline runs each stage over the whole catalog (prepare_products,
-# reward_lanes, train_lanes, greedy_lanes, one optima call per day multiplier)
-from .baselines import Optimum, analytic_optimum, grid_search_optimum, line_search_optimum, optima_by_day  # noqa: F401
+# reward_lanes, columns_by_day, train_lanes, greedy_lanes)
+from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
+from .baselines import Columns, Method, Optimum, columns_by_day
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, DayType, ProductLanes, ProductSpec, _uniform_grids
 from .qlearn import evaluate_greedy, train  # noqa: F401
@@ -162,16 +171,50 @@ class ComparisonRow:
 _DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
 
 
-def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:
-    """Train and compare every product; rows come back in catalog order.
+@dataclass(frozen=True)
+class Comparison:
+    """A whole comparison as arrays, one entry per product in catalog order.
 
-    Three phases, each a pass over the whole catalog: set every product up
-    (cost policy, grid, seed, reward table), train them all, then read
-    every greedy policy and run the baselines.  A product that fails
-    setup contributes error-marked rows instead of aborting the batch; its
-    seed comes from its catalog index, so it never shifts the seeds of the
-    others.  Training raises nothing on the products setup accepted, so
-    any exception from it is a defect and propagates.
+    ``rl_price``, ``rl_demand`` and ``rl_profit`` have shape ``(n, 2)``,
+    Weekday then Weekend; ``baselines`` is the ``(n, 2, 3)`` table of
+    ``columns_by_day``; ``ratio`` is the RL profit over the best baseline
+    profit where ``rated`` (that profit is > 0), and 0 elsewhere.  A
+    product in ``errors`` (``{index: reason}``) holds zeros in every array.
+    """
+
+    names: list[str]
+    rl_price: np.ndarray
+    rl_demand: np.ndarray
+    rl_profit: np.ndarray
+    baselines: Columns
+    ratio: np.ndarray
+    rated: np.ndarray
+    errors: dict[int, str]
+
+    def rows(self) -> list[ComparisonRow]:
+        """The comparison as rows, with Python floats and bools (``tolist``)."""
+        columns = (self.rl_price, self.rl_demand, self.rl_profit, *self.baselines, self.ratio, self.rated)
+        rows = []
+        for index, (name, *days) in enumerate(zip(self.names, *(a.tolist() for a in columns))):
+            if index in self.errors:
+                rows += [ComparisonRow(name, day, error=self.errors[index]) for day in _DAYS]
+                continue
+            for day, price, d, profit, p3, d3, f3, k3, ratio, rated in zip(_DAYS, *days):
+                optima = map(Optimum, p3, d3, f3, Method, k3)
+                rows.append(ComparisonRow(name, day, price, d, profit, *optima, ratio if rated else None))
+        return rows
+
+
+def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Comparison:
+    """Train and compare every product, as arrays in catalog order.
+
+    Each phase is a pass over the whole catalog: set every product up
+    (cost policy, grid, seed, reward table), run the baselines, train, then
+    read every greedy policy.  A product that fails setup, or whose
+    baseline optimum overflows, gets error rows instead of aborting the
+    batch and is not trained; its seed comes from its catalog index, so it
+    never shifts the seeds of the others.  Training raises nothing on the
+    products it gets, so any exception from it is a defect and propagates.
     """
     if not catalog:
         raise ValueError("catalog must be non-empty")
@@ -182,41 +225,45 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
     )
     for index, reason in overflow.items():
         errors.setdefault(index, reason)  # an unusable grid is the first error
-    trained = [index for index in range(len(catalog)) if index not in errors]
+    usable = [index for index in range(len(catalog)) if index not in errors]
+    table = columns_by_day([costed[index] for index in usable], grids[usable], config.modulation)
+    for row, reason in optimize_overflow(table).items():
+        errors[usable[row]] = reason
+    trained = [index for index in usable if index not in errors]
     seeds = [config.seed(index) for index in trained]
     values = train_lanes(demand_table[trained], margins[trained], config.hyperparams, seeds)
+    greedy = greedy_lanes(values, ProductLanes.of([costed[i] for i in trained]), grids[trained], config.modulation)
 
-    # every trained product's greedy policy and baselines in one pass
-    specs = [costed[index] for index in trained]
-    trained_grids = grids[trained]
-    greedy = greedy_lanes(values, ProductLanes.of(specs), trained_grids, config.modulation)
-    baselines = optima_by_day(specs, trained_grids, config.modulation)
-    evaluated = dict(zip(trained, zip(*(a.tolist() for a in greedy), baselines)))
+    def full(part):  # the trained products' rows, zeros for the others
+        out = np.zeros((len(catalog), *part.shape[1:]), dtype=part.dtype)
+        out[trained] = part
+        return out
 
-    rows = []
-    for index, spec in enumerate(catalog):
-        if index in errors:
-            rows += [ComparisonRow(product_name=spec.name, day_type=day, error=errors[index]) for day in _DAYS]
-            continue
-        for day, price, d, profit, (ana, gs, ls) in zip(_DAYS, *evaluated[index]):
-            best = max(ana.profit, gs.profit, ls.profit)
-            rows.append(
-                ComparisonRow(
-                    product_name=spec.name,
-                    day_type=day,
-                    rl_price=price,
-                    rl_demand=d,
-                    rl_profit=profit,
-                    analytic=ana,
-                    grid_search=gs,
-                    line_search=ls,
-                    rl_vs_best_profit_ratio=profit / best if best > 0 else None,
-                )
-            )
-    return rows
+    kept = [row for row, index in enumerate(usable) if index not in errors]
+    price, d, profit = map(full, greedy)
+    baselines = Columns(*(full(a[kept]) for a in table))
+    best = baselines.profit[..., 0]  # as max(analytic, grid, line): a later profit wins only if greater
+    for method in range(1, len(Method)):
+        best = np.where(baselines.profit[..., method] > best, baselines.profit[..., method], best)
+    rated = best > 0
+    with np.errstate(over="ignore"):
+        ratio = np.divide(profit, best, out=np.zeros_like(profit), where=rated)
+    return Comparison([spec.name for spec in catalog], price, d, profit, baselines, ratio, rated, errors)
+
+
+def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:
+    """Train and compare every product; rows come back in catalog order,
+    as the view ``compare_columns(catalog, config).rows()``."""
+    return compare_columns(catalog, config).rows()
 
 
 # --- rendering -------------------------------------------------------------
+# compare and optimize write each format from column lists through one
+# writer: a row is one % of its format's row template on a prefix (the
+# product cell and the row's slot cells) and the row's cells
+
+_BOOL = ("false", "true")  # CSV and JSON spelling of a clamped flag
+_DAGGER = ("", "†")  # Markdown marks a clamped price instead
 
 _CSV_COLUMNS = [
     "product", "day",
@@ -226,80 +273,6 @@ _CSV_COLUMNS = [
     "line_optimal_price", "line_optimal_demand", "line_profit", "line_clamped",
     "rl_vs_best_profit_ratio", "error",
 ]
-
-
-def _f1(v: float | None) -> str:
-    return "" if v is None else f"{v:.1f}"
-
-
-def _f2(v: float | None) -> str:
-    return "" if v is None else f"{v:.2f}"
-
-
-def _csv_cells(row: ComparisonRow) -> list[str]:
-    cells = [row.product_name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
-    for opt in (row.analytic, row.grid_search, row.line_search):
-        if opt is None:
-            cells += ["", "", "", ""]
-        else:
-            cells += [_f1(opt.price), _f1(opt.demand), _f2(opt.profit), str(opt.clamped).lower()]
-    ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.6f}"
-    cells += [ratio, row.error or ""]
-    return cells
-
-
-def _md_cells(row: ComparisonRow) -> list[str]:
-    if row.error:
-        cells = [row.product_name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
-    else:
-        cells = [row.product_name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
-        for opt in (row.analytic, row.grid_search, row.line_search):
-            if opt is None:
-                cells += ["", "", ""]
-            else:
-                cells += [f"{opt.price:.1f}{'†' if opt.clamped else ''}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
-        ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
-        cells.append(ratio)
-    return [markdown_escape(cell) for cell in cells]
-
-
-# render_report's JSON as json.dumps(indent=2) lays it out: one comparison
-# row, its RL block and one optimum
-_JSON_ROW = (
-    '    {\n      "product": %s,\n      "day": %s,\n      "rl": %s,\n      "analytic": %s,\n'
-    '      "grid_search": %s,\n      "line_search": %s,\n      "rl_vs_best_profit_ratio": %s,\n'
-    '      "error": %s\n    }'
-)
-_JSON_RL = '{\n        "price": %s,\n        "demand": %s,\n        "profit": %s\n      }'
-_JSON_OPT = '{\n        "price": %s,\n        "demand": %s,\n        "profit": %s,\n        "clamped": %s\n      }'
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-def _json_float(v: float | None, _repr=float.__repr__) -> str:
-    """``v`` as ``json.dumps(allow_nan=False)`` writes a float or None."""
-    if v is None:
-        return "null"
-    if v - v == 0.0:  # finite: inf - inf and nan - nan are nan
-        return _repr(v)
-    raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-
-
-def _json_row(row: ComparisonRow) -> str:
-    # the values are formatted in document order, so the first non-finite
-    # one raises, as it would in json.dumps
-    f = _json_float
-    rl = "null" if row.rl_price is None else _JSON_RL % (f(row.rl_price), f(row.rl_demand), f(row.rl_profit))
-    opts = [
-        "null" if opt is None else _JSON_OPT % (f(opt.price), f(opt.demand), f(opt.profit), _JSON_BOOL[opt.clamped])
-        for opt in (row.analytic, row.grid_search, row.line_search)
-    ]
-    error = "null" if row.error is None else encode_basestring_ascii(row.error)
-    return _JSON_ROW % (
-        encode_basestring_ascii(row.product_name), encode_basestring_ascii(row.day_type.label), rl, *opts,
-        f(row.rl_vs_best_profit_ratio), error,
-    )
-
-
 _MD_HEADERS = [
     "Product", "Day",
     "RL Optimal Price", "RL Optimal Demand", "RL Profit",
@@ -308,6 +281,33 @@ _MD_HEADERS = [
     "Line Optimal Price", "Line Optimal Demand", "Line Profit",
     "RL/Best Profit",
 ]
+# render_report's rows after their product and day: the RL cells, each
+# method's cells and the ratio, or (an error row) blanks and the error;
+# the JSON ones as json.dumps(indent=2) lays them out
+_CSV_ROW = "%s,%.1f,%.1f,%.2f" + ",%.1f,%.1f,%.2f,%s" * 3 + ",%s,\n"
+_CSV_ERROR = "%s" + "," * 17 + "%s\n"
+_MD_ROW = "%s | %.1f | %.1f | %.2f" + " | %.1f%s | %.1f | %.2f" * 3 + " | %s |\n"
+_MD_ERROR = "%s" + " | " * 13 + "error: %s |\n"
+_JSON_OPTIMUM = '{\n        "price": %r,\n        "demand": %r,\n        "profit": %r,\n        "clamped": %s\n      }'
+_JSON_ROW = (
+    '%s,\n      "rl": {\n        "price": %r,\n        "demand": %r,\n        "profit": %r\n      },\n'
+    f'      "analytic": {_JSON_OPTIMUM},\n      "grid_search": {_JSON_OPTIMUM},\n'
+    f'      "line_search": {_JSON_OPTIMUM},\n      "rl_vs_best_profit_ratio": %s,\n      "error": null\n    }}'
+)
+_JSON_ERROR = (
+    '%s,\n      "rl": null,\n      "analytic": null,\n      "grid_search": null,\n      "line_search": null,\n'
+    '      "rl_vs_best_profit_ratio": null,\n      "error": %s\n    }'
+)
+
+_OPTIMIZE_COLUMNS = ["product", "day", "method", "optimal_price", "optimal_demand", "profit", "clamped"]
+_OPTIMIZE_HEADERS = ["Product", "Day", "Method", "Optimal Price", "Optimal Demand", "Profit", "Clamped"]
+# the (day, method) of each of a product's rows, in the order of columns_by_day's last two axes
+_OPTIMIZE_SLOTS = [(day.label, method.value) for day in DayType for method in Method]
+# one optimize row after its product, day and method (day labels and method
+# names need no escapes)
+_OPTIMIZE_CSV_ROW = "%s,%.1f,%.1f,%.2f,%s\n"
+_OPTIMIZE_MD_ROW = "%s | %.1f | %.1f | %.2f | %s |\n"
+_OPTIMIZE_JSON_ROW = '%s,\n    "price": %r,\n    "demand": %r,\n    "profit": %r,\n    "clamped": %s\n  }'
 
 
 def markdown_escape(text: str) -> str:
@@ -315,52 +315,116 @@ def markdown_escape(text: str) -> str:
     return text.replace("|", "\\|")
 
 
-def csv_table(header: list[str], rows) -> str:
-    """A header and rows of cells as CSV, with ``\\n`` line ends."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _header(format: str, columns: list[str]) -> str:
+    """A CSV header line (no column name needs quoting), or a Markdown
+    header line and its rule."""
+    if format == "csv":
+        return ",".join(columns) + "\n"
+    return f"| {' | '.join(columns)} |\n|{' --- |' * len(columns)}\n"
 
 
-def markdown_table(header: list[str], rows, footer: str | None) -> str:
-    """A header and rows of (already escaped) cells as a Markdown table,
-    followed by ``footer`` after a blank line unless it is None."""
-    lines = "".join(f"| {' | '.join(cells)} |\n" for cells in [header, ["---"] * len(header), *rows])
-    return lines if footer is None else f"{lines}\n{footer}\n"
+def _rows(line: str, names: list[str], slots: list[str], columns, errors: dict[int, str], error: str, sep="") -> str:
+    """Each product's rows, one per slot, joined by ``sep``: ``line % (name
+    + slot, *cells)``, the cells taken in turn from ``columns``, with one
+    ``%`` per row; the rows of a product in ``errors`` (``{index: escaped
+    reason}``) are ``error % (name + slot, reason)`` instead."""
+    prefixes = [name + slot for name in names for slot in slots]
+    rows = list(map(line.__mod__, zip(prefixes, *columns)))
+    for index, reason in errors.items():
+        for row in range(index * len(slots), (index + 1) * len(slots)):
+            rows[row] = error % (prefixes[row], reason)
+    return sep.join(rows)
 
 
-def render_report(
-    rows: list[ComparisonRow], format: str = "csv", config: ExperimentConfig | None = None
-) -> str:
-    """Render comparison rows; prices and demands at 1 decimal, profits at 2.
+def _check_json(*columns: np.ndarray) -> None:
+    """Raise the error ``json.dumps(allow_nan=False)`` raises for the first
+    non-finite float of a document whose floats are ``columns`` (arrays of
+    one shape) taken entry by entry."""
+    cells = np.stack(columns, axis=-1)
+    finite = np.isfinite(cells)
+    if not finite.all():
+        raise ValueError(f"Out of range float values are not JSON compliant: {cells.flat[finite.argmin()].item()!r}")
+
+
+def render_report(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> str:
+    """Render a comparison; prices and demands at 1 decimal, profits at 2.
 
     JSON output carries full precision and, when a config is supplied,
     a provenance block describing the run.  Markdown footnotes clamped
     baseline prices.
     """
-    if format == "csv":
-        return csv_table(_CSV_COLUMNS, map(_csv_cells, rows))
+    if format not in ("csv", "json", "markdown"):
+        raise ValueError(f"unknown report format {format!r}")
+    rl = (result.rl_price, result.rl_demand, result.rl_profit)
+    columns = [a.ravel().tolist() for a in rl]
+    flags = _DAGGER if format == "markdown" else _BOOL
+    for method in range(len(Method)):
+        price, demand, profit = (a[..., method].ravel().tolist() for a in result.baselines[:3])
+        flag = list(map(flags.__getitem__, result.baselines.clamped[..., method].ravel().tolist()))
+        columns += [price, flag, demand, profit] if format == "markdown" else [price, demand, profit, flag]
+    ratio_format, blank = {"csv": ("%.6f", ""), "json": ("%r", "null"), "markdown": ("%.4f", "")}[format]
+    ratios = zip(result.ratio.ravel().tolist(), result.rated.ravel().tolist())
+    columns.append([ratio_format % r if rated else blank for r, rated in ratios])
+    days = [day.label for day in _DAYS]
+    reasons = list(result.errors.values())
 
-    if format == "json":
-        head = {} if config is None else {"config": dataclasses.asdict(config)}
-        text = json.dumps({**head, "rows": []}, indent=2, allow_nan=False)
-        if rows:  # the rows replace the '[]\n}' json.dumps ends with
-            text = text[: -len("[]\n}")] + "[\n" + ",\n".join(map(_json_row, rows)) + "\n  ]\n}"
-        return text + "\n"
+    if format == "csv":
+        names = csv_quoted(result.names)
+        errors = dict(zip(result.errors, csv_quoted(reasons)))
+        rows = _rows(_CSV_ROW, names, [f",{day}" for day in days], columns, errors, _CSV_ERROR)
+        return _header(format, _CSV_COLUMNS) + rows
 
     if format == "markdown":
-        clamped = any(
-            opt is not None and opt.clamped
-            for row in rows
-            if not row.error
-            for opt in (row.analytic, row.grid_search, row.line_search)
-        )
-        footer = "† optimum clamped to the search interval boundary." if clamped else None
-        return markdown_table(_MD_HEADERS, map(_md_cells, rows), footer)
+        names = [f"| {markdown_escape(name)}" for name in result.names]
+        errors = dict(zip(result.errors, map(markdown_escape, reasons)))
+        rows = _rows(_MD_ROW, names, [f" | {day}" for day in days], columns, errors, _MD_ERROR)
+        clamped = result.baselines.clamped.any()  # an error product's flags are False
+        footer = "\n† optimum clamped to the search interval boundary.\n" if clamped else ""
+        return _header(format, _MD_HEADERS) + rows + footer
 
-    raise ValueError(f"unknown report format {format!r}")
+    _check_json(*rl, *(a[..., method] for method in range(len(Method)) for a in result.baselines[:3]), result.ratio)
+    head = {} if config is None else {"config": dataclasses.asdict(config)}
+    text = json.dumps({**head, "rows": []}, indent=2, allow_nan=False)
+    names = [f'    {{\n      "product": {name}' for name in map(encode_basestring_ascii, result.names)]
+    errors = dict(zip(result.errors, map(encode_basestring_ascii, reasons)))
+    rows = _rows(_JSON_ROW, names, [f',\n      "day": "{day}"' for day in days], columns, errors, _JSON_ERROR, ",\n")
+    if rows:  # the rows replace the '[]\n}' json.dumps ends with, in one copy
+        return "".join([text[: -len("[]\n}")], "[\n", rows, "\n  ]\n}\n"])
+    return text + "\n"
+
+
+def optimize_overflow(table: Columns) -> dict[int, str]:
+    """``{product: reason}`` for every product of a ``columns_by_day`` table
+    whose demand or profit is not finite, naming its first such day and
+    method, in that order; empty if there is none."""
+    finite = np.isfinite(table.demand) & np.isfinite(table.profit)
+    methods = list(Method)
+    return {
+        product: f"{methods[finite[product].argmin() % len(methods)].value} optimum overflows"
+        for product in np.flatnonzero(~finite.all(axis=(1, 2))).tolist()
+    }
+
+
+def render_optimize(names: list[str], table: Columns, format: str) -> str:
+    """The ``optimize`` report of a ``columns_by_day`` table, one row per
+    product, day and method; prices and demands at 1 decimal and profits at
+    2, except in JSON, which carries full precision."""
+    columns = [a.ravel().tolist() for a in table[:3]]
+    columns.append(list(map(_BOOL.__getitem__, table.clamped.ravel().tolist())))
+    if format == "json":
+        _check_json(*table[:3])
+        cells = [f'  {{\n    "product": {name}' for name in map(encode_basestring_ascii, names)]
+        slots = [f',\n    "day": "{day}",\n    "method": "{method}"' for day, method in _OPTIMIZE_SLOTS]
+        rows = _rows(_OPTIMIZE_JSON_ROW, cells, slots, columns, {}, "", ",\n")
+        return "[\n" + rows + "\n]\n" if rows else "[]\n"
+    if format == "markdown":
+        head, line, sep = _header(format, _OPTIMIZE_HEADERS), _OPTIMIZE_MD_ROW, " | "
+        cells = [f"| {markdown_escape(name)}" for name in names]
+    else:
+        head, line, sep = _header("csv", _OPTIMIZE_COLUMNS), _OPTIMIZE_CSV_ROW, ","
+        cells = csv_quoted(names)
+    slots = [f"{sep}{day}{sep}{method}" for day, method in _OPTIMIZE_SLOTS]
+    return head + _rows(line, cells, slots, columns, {}, "")
 
 
 # products per block of the curve export: bounds the arrays and strings

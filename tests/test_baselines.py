@@ -9,10 +9,11 @@ from pricelab.baselines import (
     Method,
     Optimum,
     analytic_optimum,
+    columns_by_day,
     grid_search_optimum,
     line_search_optimum,
     optima,
-    optima_by_day,
+    optimum_columns,
     profit_at,
 )
 from pricelab.domain import (
@@ -385,27 +386,30 @@ class TestLanesMatchScalarOracle:
         assert optima([], price_grids([])) == ([], [], [])
 
 
-class TestOptimaByDay:
+class TestColumnsByDay:
     @pytest.mark.parametrize(
         "modulation, calls",
         [(DayModulation(), [1.0]), (DayModulation(1.0, 1.2), [1.0, 1.2]), (DayModulation(1.3, 1.3), [1.3])],
     )
-    def test_one_optima_call_per_distinct_multiplier(self, monkeypatch, modulation, calls):
+    def test_one_optimum_columns_call_per_distinct_multiplier(self, monkeypatch, modulation, calls):
         import pricelab.baselines as baselines_module
 
         seen = []
 
         def counted(specs, grids, multiplier):
             seen.append(multiplier)
-            return optima(specs, grids, multiplier)
+            return optimum_columns(specs, grids, multiplier)
 
         specs = random_specs(60, seed=9)
         grids = price_grids(specs)
-        monkeypatch.setattr(baselines_module, "optima", counted)
-        by_day = optima_by_day(specs, grids, modulation)
+        with monkeypatch.context() as m:
+            m.setattr(baselines_module, "optimum_columns", counted)
+            table = columns_by_day(specs, grids, modulation)
         assert seen == calls
-        for day in DayType:
-            want = zip(*optima(specs, grids, modulation.multiplier(day)))
-            for got, expected in zip((per_product[day] for per_product in by_day), want, strict=True):
-                for g, e in zip(got, expected):
-                    assert_same(g, e)
+        assert table.price.shape == table.clamped.shape == (len(specs), len(DayType), len(Method))
+        # every (product, day, method) entry is bitwise that day's optimum
+        for j, day in enumerate(DayType):
+            for k, per_product in enumerate(optima(specs, grids, modulation.multiplier(day))):
+                for i, want in enumerate(per_product):
+                    price, d, profit, clamped = (a[i, j, k].item() for a in table)
+                    assert_same(Optimum(price, d, profit, want.method, clamped), want)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from pricelab.baselines import Columns, Method, Optimum
-from pricelab.cli import main, optimize_overflow, render_optimize
+from pricelab.cli import main
 from pricelab.domain import DayType
-from pricelab.experiment import check_products
+from pricelab.experiment import check_products, optimize_overflow, render_optimize
 
 FAST = ["--episodes", "250"]
 
@@ -257,6 +257,36 @@ class TestCompare:
         assert rows[:2] == expected
         assert [r["product"] for r in rows[2:]] == ["Big", "Big"]
         assert all("rewards overflow" in r["error"] and r["rl"] is None for r in rows[2:])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_overflowing_baseline_becomes_error_rows(self, tmp_path, capsys, fmt):
+        # at gamma 0 Edge's rewards are finite, but its analytic and
+        # line-search profits overflow: it is not trained, and its rows
+        # name the first overflowing method
+        header = "product_name,price_elasticity,base_price,base_demand\n"
+        fine = tmp_path / "fine.csv"
+        fine.write_text(header + "Fine TV,-1.0,100.0,10.0\n")
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(header + "Fine TV,-1.0,100.0,10.0\nEdge,-1.0,1e154,1.7978e154\n")
+        argv = ["compare", "--gamma", "0", *FAST, "--format", fmt]
+        code, want, _ = run(capsys, [*argv, "--catalog", str(fine)])
+        assert code == 0
+        code, out, err = run(capsys, [*argv, "--catalog", str(mixed)])
+        assert (code, err) == (0, "")
+        assert "inf" not in out
+        reason = "Analytic optimum overflows"
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            assert rows[:2] == json.loads(want)["rows"]
+            edge = [(r["product"], r["rl"], r["analytic"], r["error"]) for r in rows[2:]]
+            assert edge == [("Edge", None, None, reason)] * 2
+            return
+        lines = out.splitlines()
+        assert lines[:-2] == want.splitlines()
+        if fmt == "csv":
+            assert lines[-2:] == [f"Edge,{day.label}" + "," * 17 + reason for day in DayType]
+        else:
+            assert lines[-2:] == [f"| Edge | {day.label} |" + "  |" * 12 + f" error: {reason} |" for day in DayType]
 
 
 class TestTrain:
@@ -528,6 +558,14 @@ class TestOptimizeRendererMatchesOracle:
         if cells[0][0] != "price":
             field, product, _, method = min(cells, key=lambda c: c[1:])
             assert want == f"error: product {names[product]!r}: {list(Method)[method].value} optimum overflows"
+
+    def test_overflow_names_every_product(self):
+        names, table = random_table(3, 6)
+        table.profit[...] = table.demand[...] = 1.0
+        table.profit[4, 1, 0] = table.demand[4, 1, 2] = table.profit[1, 1, 1] = math.inf
+        table.demand[1, 0, 2] = math.nan
+        assert optimize_overflow(table) == {1: "LineSearch optimum overflows", 4: "Analytic optimum overflows"}
+        assert optimize_overflow(random_table(3, 0)[1]) == {}
 
     @pytest.mark.parametrize(
         "cells, named",

@@ -6,15 +6,20 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
-from pricelab.baselines import Method, Optimum
+from pricelab.baselines import Columns, Method
 from pricelab.catalog import sample_catalog
 from pricelab.domain import DayModulation, DayType, ProductSpec, price_grids
 from pricelab.experiment import (
+    _CSV_COLUMNS,
+    _MD_HEADERS,
+    Comparison,
     ComparisonRow,
     CostPolicy,
     ExperimentConfig,
+    compare_columns,
     export_revenue_curves,
     prepare_products,
     render_report,
@@ -191,14 +196,69 @@ class TestRunExperiment:
 
 
 @pytest.fixture(scope="module")
-def rows(sample_specs):
+def result(sample_specs):
     # MU6290 (index 4) clamps at the default span; include it
-    return run_experiment([sample_specs[0], sample_specs[4]], quick_config())
+    return compare_columns([sample_specs[0], sample_specs[4]], quick_config())
+
+
+@pytest.fixture(scope="module")
+def rows(result):
+    return result.rows()
+
+
+def comparison(names, errors=(), **values):
+    """A ``Comparison`` of ``len(names)`` products, rated, with no clamped
+    optimum and 1.0 in every float, except for the arrays ``values`` gives;
+    the products in ``errors`` ({index: reason}) hold zeros, as
+    ``compare_columns`` writes them."""
+    n = len(names)
+    floats = {key: values.get(key, np.ones((n, 2))) for key in ("rl_price", "rl_demand", "rl_profit", "ratio")}
+    baselines = values.get("baselines", Columns(*(np.ones((n, 2, 3)) for _ in range(3)), np.zeros((n, 2, 3), bool)))
+    rated = values.get("rated", np.ones((n, 2), bool))
+    errors = dict(errors)
+    for a in (*floats.values(), *baselines, rated):
+        a[list(errors)] = 0
+    return Comparison(list(names), baselines=baselines, rated=rated, errors=errors, **floats)
+
+
+class TestCompareColumns:
+    def test_rows_are_a_view(self, sample_specs):
+        catalog = [*sample_specs[:3], ProductSpec("Huge", 1.0, 1.7e308, -0.5)]
+        result = compare_columns(catalog, quick_config())
+        assert result.rows() == run_experiment(catalog, quick_config())
+        assert result.names == [spec.name for spec in catalog]
+        assert result.errors == {3: "grid upper bound 2.0 * base_price overflows"}
+        assert result.rl_price.shape == result.ratio.shape == result.rated.shape == (4, 2)
+        assert result.baselines.profit.shape == (4, 2, 3)
+        # an error product holds zeros and is not rated
+        for a in (result.rl_price, result.rl_demand, result.rl_profit, *result.baselines, result.ratio, result.rated):
+            assert not a[3].any()
+
+    def test_ratio_over_the_first_best_baseline_profit(self, sample_specs, monkeypatch):
+        import pricelab.experiment as experiment
+
+        # per product and day: analytic, grid-search and line-search profit
+        profits = [(1.0, 2.0, 3.0), (3.0, 2.0, 1.0), (2.0, 5.0, 5.0), (0.0, -0.0, 0.0), (-1.0, -2.0, -0.5),
+                   (-0.0, 0.0, 5e-324)]
+        real = experiment.columns_by_day
+
+        def crafted(specs, grids, modulation):
+            table = real(specs, grids, modulation)
+            table.profit[:] = np.array(profits).reshape(table.profit.shape)
+            return table
+
+        monkeypatch.setattr(experiment, "columns_by_day", crafted)
+        rows = run_experiment(sample_specs[:3], quick_config())
+        for row, want in zip(rows, profits, strict=True):
+            best = max(want)
+            assert (row.analytic.profit, row.grid_search.profit, row.line_search.profit) == want
+            ratio = row.rl_profit / best if best > 0 else None
+            assert repr(row.rl_vs_best_profit_ratio) == repr(ratio)
 
 
 class TestRenderReport:
-    def test_csv_shape_and_formatting(self, rows):
-        text = render_report(rows, "csv")
+    def test_csv_shape_and_formatting(self, result, rows):
+        text = render_report(result, "csv")
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0][:5] == ["product", "day", "rl_optimal_price", "rl_optimal_demand", "rl_profit"]
         assert len(parsed) == 1 + len(rows)
@@ -209,20 +269,20 @@ class TestRenderReport:
         assert first[2].count(".") == 1 and len(first[2].split(".")[1]) == 1
         assert len(first[4].split(".")[1]) == 2
 
-    def test_empty_rows_header_only(self):
-        text = render_report([], "csv")
-        assert text.splitlines() == [render_report([], "csv").splitlines()[0]]
+    def test_empty_result_header_only(self):
+        text = render_report(comparison([]), "csv")
+        assert text.splitlines() == [render_report(comparison([]), "csv").splitlines()[0]]
 
-    def test_csv_deterministic(self, rows):
-        assert render_report(rows, "csv") == render_report(rows, "csv")
+    def test_csv_deterministic(self, result):
+        assert render_report(result, "csv") == render_report(result, "csv")
 
-    def test_json_full_precision_round_trip(self, rows):
+    def test_json_full_precision_round_trip(self, result, rows):
         config = quick_config()
-        doc = json.loads(render_report(rows, "json", config))
+        doc = json.loads(render_report(result, "json", config))
         assert doc["config"]["master_seed"] == 0
         assert doc["config"]["hyperparams"]["episodes"] == 300
         assert doc["config"]["cost_policy"]["kind"] == "zero"
-        for row, rendered in zip(rows, doc["rows"]):
+        for row, rendered in zip(rows, doc["rows"], strict=True):
             assert rendered["rl"]["price"] == row.rl_price
             assert rendered["rl"]["profit"] == row.rl_profit
             assert rendered["analytic"]["price"] == row.analytic.price
@@ -258,43 +318,84 @@ class TestRenderReport:
             "master_seed": config.master_seed,
         }
         expected = json.dumps({"config": block, "rows": []}, indent=2) + "\n"
-        assert render_report([], "json", config) == expected
+        assert render_report(comparison([]), "json", config) == expected
 
     def test_json_rejects_non_finite_values(self):
-        row = ComparisonRow(
-            product_name="x", day_type=DayType.WEEKDAY, rl_price=1.0, rl_demand=1.0, rl_profit=float("inf")
-        )
         with pytest.raises(ValueError):
-            render_report([row], "json")
+            render_report(comparison(["x"], rl_profit=np.array([[1.0, math.inf]])), "json")
 
-    def test_markdown_headers_and_footnote(self, rows):
-        text = render_report(rows, "markdown")
+    def test_markdown_headers_and_footnote(self, result):
+        text = render_report(result, "markdown")
         header = text.splitlines()[0]
         assert "Optimal Price" in header
         assert "Optimal Demand" in header
         assert "†" in text  # MU6290's analytic optimum clamps at the span edge
         assert "clamped" in text
 
-    def test_markdown_renders_error_rows(self):
-        rows = [ComparisonRow(product_name="x", day_type=DayType.WEEKDAY, error="boom")]
-        text = render_report(rows, "markdown")
-        assert "error: boom" in text
+    def test_markdown_footnote_marks_any_clamped_optimum(self):
+        footer = "\n† optimum clamped to the search interval boundary.\n"
+        assert not render_report(comparison(["x", "y"]), "markdown").endswith(footer)
+        for day in range(2):
+            for method in range(len(Method)):
+                result = comparison(["x", "y"])
+                result.baselines.clamped[1, day, method] = True
+                text = render_report(result, "markdown")
+                assert text.endswith(footer) and text.count("†") == 2, (day, method)
 
-    def test_markdown_escapes_every_cell(self, rows):
+    def test_markdown_renders_error_rows(self):
+        assert "error: boom" in render_report(comparison(["x"], {0: "boom"}), "markdown")
+
+    def test_markdown_escapes_every_cell(self):
         # a reward-overflow message and a product name, each holding a literal |
         error = "rewards overflow: max |reward| / (1 - gamma) is inf"
-        bad = [ComparisonRow(product_name="a|b", day_type=day, error=error) for day in DayType]
-        good = [dataclasses.replace(row, product_name="c|d") for row in rows[:2]]
-        lines = render_report(good + bad, "markdown").splitlines()
+        lines = render_report(comparison(["c|d", "a|b"], {1: error}), "markdown").splitlines()
         # a table line is "| cell | ... |": the unescaped pipes bound 15 cells
         counts = [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines[:6]]
         assert counts == [15] * 6
         assert r"error: rewards overflow: max \|reward\| / (1 - gamma) is inf" in lines[4]
         assert lines[2].startswith(r"| c\|d |") and lines[4].startswith(r"| a\|b |")
 
-    def test_unknown_format_rejected(self, rows):
+    def test_unknown_format_rejected(self, result):
         with pytest.raises(ValueError):
-            render_report(rows, "xml")
+            render_report(result, "xml")
+
+
+# --- report renderer oracle ---------------------------------------------------
+
+
+def _f1(v: float | None) -> str:
+    return "" if v is None else f"{v:.1f}"
+
+
+def _f2(v: float | None) -> str:
+    return "" if v is None else f"{v:.2f}"
+
+
+def oracle_csv_cells(row: ComparisonRow) -> list[str]:
+    cells = [row.product_name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
+    for opt in (row.analytic, row.grid_search, row.line_search):
+        if opt is None:
+            cells += ["", "", "", ""]
+        else:
+            cells += [_f1(opt.price), _f1(opt.demand), _f2(opt.profit), str(opt.clamped).lower()]
+    ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.6f}"
+    cells += [ratio, row.error or ""]
+    return cells
+
+
+def oracle_md_cells(row: ComparisonRow) -> list[str]:
+    if row.error:
+        cells = [row.product_name, row.day_type.label] + [""] * 12 + [f"error: {row.error}"]
+    else:
+        cells = [row.product_name, row.day_type.label, _f1(row.rl_price), _f1(row.rl_demand), _f2(row.rl_profit)]
+        for opt in (row.analytic, row.grid_search, row.line_search):
+            if opt is None:
+                cells += ["", "", ""]
+            else:
+                cells += [f"{opt.price:.1f}{'†' if opt.clamped else ''}", f"{opt.demand:.1f}", f"{opt.profit:.2f}"]
+        ratio = "" if row.rl_vs_best_profit_ratio is None else f"{row.rl_vs_best_profit_ratio:.4f}"
+        cells.append(ratio)
+    return [cell.replace("|", "\\|") for cell in cells]
 
 
 def oracle_row_as_dict(row: ComparisonRow) -> dict:
@@ -319,60 +420,81 @@ def oracle_row_as_dict(row: ComparisonRow) -> dict:
     }
 
 
-def oracle_json(rows, config=None) -> str:
-    doc = {"rows": [oracle_row_as_dict(r) for r in rows]}
-    if config is not None:
-        doc = {"config": dataclasses.asdict(config), **doc}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+def oracle_report(rows: list[ComparisonRow], fmt: str, config=None) -> str:
+    """The row-by-row renderer ``render_report`` used before it rendered
+    from columns: one list of cells per ``ComparisonRow`` through the csv
+    module or the Markdown cell join, or one dict per row through
+    ``json.dumps``."""
+    if fmt == "json":
+        doc = {"rows": [oracle_row_as_dict(r) for r in rows]}
+        if config is not None:
+            doc = {"config": dataclasses.asdict(config), **doc}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows(map(oracle_csv_cells, rows))
+        return buf.getvalue()
+    clamped = any(
+        opt is not None and opt.clamped
+        for row in rows
+        if not row.error
+        for opt in (row.analytic, row.grid_search, row.line_search)
+    )
+    body = [_MD_HEADERS, ["---"] * len(_MD_HEADERS), *map(oracle_md_cells, rows)]
+    lines = "".join(f"| {' | '.join(cells)} |\n" for cells in body)
+    return lines + "\n† optimum clamped to the search interval boundary.\n" if clamped else lines
 
 
-# characters JSON escapes or writes as \uXXXX: quote, backslash, control
-# characters, non-ASCII (one outside the BMP, one lone surrogate); "/" is not escaped
-NAME_CHARS = ['"', "\\", "/", "\t", "\n", "\x00", "\x1f", "\x7f", "é", "€", "\u2028", "\U0001f600", "\ud800"]
+def rendered_or_error(render, *args) -> str:
+    """What ``render(*args)`` writes, or its error message."""
+    try:
+        return render(*args)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+# characters the csv module quotes on, and ones JSON escapes or writes as
+# \uXXXX: quote, backslash, control characters, non-ASCII (one outside the
+# BMP, one lone surrogate); "/" is not escaped; "|" is escaped in Markdown
+NAME_CHARS = [",", "\r", '"', "\\", "/", "\t", "\n", "\x00", "\x1f", "\x7f", "é", "€", " ", "\U0001f600", "\ud800"]
 NAME_CHARS += ["a", " ", "|"]
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.0**53, 1e16, 1e-7, 0.1, 1 / 3]
 
 
-def random_rows(seed, count=60):
+def random_result(seed, products=30):
+    """A random ``Comparison``: edge and random floats, clamped optima,
+    unrated days, error products, and names and error reasons that need CSV
+    quoting and Markdown or JSON escapes."""
     rng = random.Random(seed)
 
-    def num():
-        if rng.random() < 0.5:
-            return rng.choice(EDGE_FLOATS)
-        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+    def floats(*shape):
+        values = [
+            rng.choice(EDGE_FLOATS) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+            for _ in range(math.prod(shape))
+        ]
+        return np.array(values, dtype=np.float64).reshape(shape)
 
-    def maybe():
-        return None if rng.random() < 0.1 else num()
-
-    def optimum():
-        if rng.random() < 0.15:
-            return None
-        return Optimum(num(), num(), num(), rng.choice(list(Method)), rng.random() < 0.5)
+    def flags(p, *shape):
+        return np.array([rng.random() < p for _ in range(math.prod(shape))], dtype=bool).reshape(shape)
 
     def text():
         return "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 10)))
 
-    rows = []
-    for _ in range(count):
-        day = rng.choice(list(DayType))
-        if rng.random() < 0.2:
-            rows.append(ComparisonRow(product_name=text(), day_type=day, error=rng.choice(["", text()])))
-            continue
-        rows.append(
-            ComparisonRow(
-                product_name=text(),
-                day_type=day,
-                rl_price=None if rng.random() < 0.1 else num(),
-                rl_demand=maybe(),
-                rl_profit=maybe(),
-                analytic=optimum(),
-                grid_search=optimum(),
-                line_search=optimum(),
-                rl_vs_best_profit_ratio=maybe(),
-                error=text() if rng.random() < 0.05 else None,
-            )
-        )
-    return rows
+    names = [text() for _ in range(products)]
+    errors = {index: text() for index in range(products) if rng.random() < 0.2}
+    rated = flags(0.8, products, 2)
+    return comparison(
+        names,
+        errors,
+        rl_price=floats(products, 2),
+        rl_demand=floats(products, 2),
+        rl_profit=floats(products, 2),
+        baselines=Columns(*(floats(products, 2, 3) for _ in range(3)), flags(0.5, products, 2, 3)),
+        ratio=np.where(rated, floats(products, 2), 0.0),
+        rated=rated,
+    )
 
 
 NON_DEFAULT = ExperimentConfig(
@@ -382,64 +504,75 @@ NON_DEFAULT = ExperimentConfig(
     cost_policy=CostPolicy("fraction", 0.4),
     master_seed=2**64 - 1,
 )
+FORMATS = ["csv", "json", "markdown"]
 
 
-class TestJsonTemplate:
-    """``render_report``'s JSON equals ``json.dumps`` of the row dicts."""
+class TestReportMatchesOracle:
+    """``render_report`` writes what the row-by-row oracle writes for the
+    comparison's rows, in every format."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("products", [0, 1, 7, 30])
+    def test_random_results(self, fmt, products):
+        for seed in range(5):
+            result = random_result(seed * 100 + products, products)
+            assert render_report(result, fmt) == oracle_report(result.rows(), fmt)
 
     @pytest.mark.parametrize(
         "config", [None, ExperimentConfig(), NON_DEFAULT], ids=["none", "default", "non-default"]
     )
-    def test_random_rows_equal_json_dumps(self, config):
-        for seed in range(10):
-            rows = random_rows(seed)
-            assert render_report(rows, "json", config) == oracle_json(rows, config)
+    def test_json_config_block(self, config):
+        for seed in range(3):
+            result = random_result(seed)
+            assert render_report(result, "json", config) == oracle_report(result.rows(), "json", config)
+        assert render_report(comparison([]), "json", config) == oracle_report([], "json", config)
 
-    @pytest.mark.parametrize("config", [None, ExperimentConfig()], ids=["none", "default"])
-    def test_no_rows(self, config):
-        assert render_report([], "json", config) == oracle_json([], config)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_run_result(self, result, fmt):
+        assert render_report(result, fmt, quick_config()) == oracle_report(result.rows(), fmt, quick_config())
 
-    def test_run_rows_equal_json_dumps(self, rows):
-        assert render_report(rows, "json", quick_config()) == oracle_json(rows, quick_config())
-
-    FIELDS = ["rl_price", "rl_demand", "rl_profit", "rl_vs_best_profit_ratio"] + [
-        f"{opt}.{field}"
-        for opt in ("analytic", "grid_search", "line_search")
-        for field in ("price", "demand", "profit")
+    FIELDS = ["rl_price", "rl_demand", "rl_profit", "ratio"] + [
+        f"{field}.{method}" for method in range(len(Method)) for field in ("price", "demand", "profit")
     ]
 
+    @staticmethod
+    def inject(result, field, product, day, value):
+        name, _, method = field.partition(".")
+        if method:
+            getattr(result.baselines, name)[product, day, int(method)] = value
+        else:
+            getattr(result, name)[product, day] = value
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", FIELDS)
-    def test_non_finite_value_raises_as_json_dumps_does(self, field, value):
-        row = random_rows(1, count=1)[0]
-        row = dataclasses.replace(
-            row,
-            rl_price=1.0,
-            rl_demand=2.0,
-            rl_profit=3.0,
-            analytic=Optimum(1.0, 2.0, 3.0, Method.ANALYTIC, False),
-            grid_search=Optimum(1.0, 2.0, 3.0, Method.GRID_SEARCH, True),
-            line_search=Optimum(1.0, 2.0, 3.0, Method.LINE_SEARCH, False),
-            rl_vs_best_profit_ratio=0.5,
-        )
-        if "." in field:
-            name, attr = field.split(".")
-            row = dataclasses.replace(row, **{name: dataclasses.replace(getattr(row, name), **{attr: value})})
-        else:
-            row = dataclasses.replace(row, **{field: value})
-        with pytest.raises(ValueError) as want:
-            oracle_json([row])
-        with pytest.raises(ValueError) as got:
-            render_report([row], "json")
-        assert str(got.value) == str(want.value) == f"Out of range float values are not JSON compliant: {value!r}"
+    def test_non_finite_value(self, fmt, field, value):
+        result = comparison(["x", "y"], {0: "unusable"})
+        self.inject(result, field, 1, 1, value)
+        want = rendered_or_error(oracle_report, result.rows(), fmt)
+        assert rendered_or_error(render_report, result, fmt) == want
+        if fmt == "json":  # raised as json.dumps raises it
+            assert want == f"error: Out of range float values are not JSON compliant: {value!r}"
 
-    def test_first_non_finite_value_in_document_order_is_named(self):
-        row = ComparisonRow(
-            product_name="x", day_type=DayType.WEEKEND, rl_price=1.0, rl_demand=-math.inf, rl_profit=1.0,
-            rl_vs_best_profit_ratio=math.nan,
-        )
-        with pytest.raises(ValueError, match=r"compliant: -inf$"):
-            render_report([ComparisonRow(product_name="ok", day_type=DayType.WEEKDAY), row], "json")
+    @pytest.mark.parametrize(
+        "cells, named",
+        [
+            # rows in product then day order, whatever the field
+            ([("rl_price", 2, 0, math.inf), ("ratio", 1, 1, math.nan)], "nan"),
+            ([("profit.2", 1, 0, math.inf), ("rl_demand", 1, 1, -math.inf)], "inf"),
+            # within a row: RL, then each method's price, demand and profit, then the ratio
+            ([("ratio", 1, 1, math.nan), ("demand.0", 1, 1, math.inf), ("rl_profit", 1, 1, -math.inf)], "-inf"),
+            ([("price.2", 1, 0, math.inf), ("profit.1", 1, 0, math.nan)], "nan"),
+        ],
+        ids=["by-product", "by-day", "rl-first", "by-method"],
+    )
+    def test_json_names_the_first_non_finite_value(self, cells, named):
+        result = comparison(["ok", "x", "y"], {0: "unusable"})
+        for cell in cells:
+            self.inject(result, *cell)
+        want = f"error: Out of range float values are not JSON compliant: {named}"
+        assert rendered_or_error(oracle_report, result.rows(), "json") == want
+        assert rendered_or_error(render_report, result, "json") == want
 
 
 class TestExportRevenueCurves:
