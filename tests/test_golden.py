@@ -7,6 +7,10 @@ runs on a 40-product catalog (also for 300 episodes, past the epsilon
 floor) and on the 14-product sample, both also with rows whose grid or
 rewards are unusable, and ``compare --format json`` on names JSON must
 escape; every ``compare`` digest is checked on both training paths.
+``train`` and ``compare`` on the sample also run a long decay (1,500
+episodes at 0.999, about 1,050 of them above the floor), with 7- and
+5-step episodes, so that the decay spans several draw blocks and an
+episode can end inside one.
 ``optimize`` (csv, json, markdown) runs on such names and, with
 ``curve``, on a catalog with no accepted rows.  ``train`` (table and
 sidecar), ``validate`` and ``sample-catalog`` are pinned too.  A refactor
@@ -180,6 +184,38 @@ OTHER_GOLDEN = {
     "optimize-no-rows-markdown": "27e93865c5b848943fa72540902dee4bb2df7a9aece7d5d79e63611c4afca0a2",
     "curve-no-rows": "41e67cde87d681911467cd5d485ae511675a58a1390b1aabe29ddfa5fc81aa18",
 }
+
+
+# epsilon decays 1.0 -> 0.35 over about 1,050 episodes
+LONG_DECAY = ["--episodes", "1500", "--epsilon-decay", "0.999"]
+STEPS = {"7-steps": [], "5-steps": ["--steps-per-episode", "5"]}
+
+LONG_DECAY_GOLDEN = {
+    ("train", "7-steps"): (
+        "0b0f2c418188a2d0776676c19806c135c66fb46e10bdf28293d55e95da8677f5",
+        "43525bbff7d47f0be383da3afc87dd92da315d17c3fe4c860a1594c81b3913b1",
+    ),
+    ("train", "5-steps"): (
+        "36d2218aeaa19515a2d7f8b34728657310e8659687dd128d27038ca673969583",
+        "e31a6dc63aa22a30da4b5b54a0678d414ef3d4fa2a44e367409bbc743a6a9070",
+    ),
+    ("compare", "7-steps"): "5dc8587d8e5919a937222316f3e95682d069e6de78534997aebb5f642b084706",
+    ("compare", "5-steps"): "f8b20d312ef5d18d1cefbbfa8eea858f99582c6c43505caf86dbabbb10366c00",
+}
+
+
+@pytest.mark.parametrize("steps", list(STEPS))
+def test_train_long_decay_digest(tmp_path, steps):
+    argv = ["train", "--product", 'Samsung 24" HD', *LONG_DECAY, *STEPS[steps]]
+    assert main([*argv, "-o", str(tmp_path / "q.csv")]) == 0
+    got = (digest(tmp_path / "q.csv"), digest(tmp_path / "q.hyperparams.json"))
+    assert got == LONG_DECAY_GOLDEN["train", steps]
+
+
+@pytest.mark.parametrize("steps", list(STEPS))
+def test_compare_long_decay_digest(tmp_path, steps, kernel):
+    argv = ["compare", *LONG_DECAY, *STEPS[steps]]
+    assert run_to_file(tmp_path, None, argv) == LONG_DECAY_GOLDEN["compare", steps]
 
 
 def test_train_digest(tmp_path):
