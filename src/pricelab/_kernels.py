@@ -6,23 +6,30 @@ Python floats.  It draws from the same xorshift64 bit stream as
 ``pricelab.rng.XorShift64`` and applies float operations in the same order
 as the public ``select_action`` and ``update_q`` ops; the test suite
 replays training through those ops and asserts bitwise-equal results.
+``run_lockstep_kernel`` takes the same arguments, with one reward table
+and one stream state per lane.
 
-The walk does no random-number work.  Whether a step explores and the
+Both walks draw exploration by one rule.  Whether a step explores and the
 action it explores depend only on the bit stream and the episode's
-epsilon, never on Q, so ``_episode_draws`` draws them ahead of the walk
-and hands them over a few thousand steps at a time, always in whole
-episodes: per step an action code, the exploring action or -1 for the
-greedy one.  The stream is generated in numpy.  xorshift64 is linear
-over GF(2) (Marsaglia, "Xorshift RNGs", JSS 2003), so the state ``L``
-steps ahead is a fixed 64x64 bit matrix ``M^L`` times the current one
+epsilon (``_step_belows``), never on Q, so the words are drawn ahead in
+blocks (``_stream_words``).  The stream is generated in numpy.  xorshift64
+is linear over GF(2) (Marsaglia, "Xorshift RNGs", JSS 2003), so the state
+``L`` steps ahead is a fixed 64x64 bit matrix ``M^L`` times the current one
 (jump-ahead as in Haramoto et al., INFORMS JoC 2008).  A cached table of
-``M^(j * _SPACING)`` starts ``_LANES`` lanes ``_SPACING`` words apart, and
-every lane then steps at once.  While epsilon decays, a Python walk over
-the words sorts them into test and action words.  Once epsilon is
-constant, the words alone fix the sorting, so it runs on whole chunks:
-inside a run of below-threshold words the even offsets are exploring test
-words and the odd offsets their action words, and the word after a run
-is an action word if the run had odd length, else a test word.
+``M^(j * spacing)`` starts several lanes ``spacing`` words apart, and every
+lane then steps at once.  A step reads at most two words, its explore test
+and, if it explores, its action, so a block is read while two words are
+left, and the next block starts at the state after the last word read: a
+block can end anywhere inside an episode.
+
+The scalar walk sorts each block into step codes before it walks them
+(``_step_codes``): per step the exploring action, or -1 for the greedy
+one.  While epsilon decays, a Python loop over the words sorts them into
+test and action words.  Once epsilon is constant, the words alone fix the
+sorting, so it runs on the whole block (``_fixed_layout``): inside a run of
+below-threshold words the even offsets are exploring test words and the
+odd offsets their action words, and the word after a run is an action
+word if the run had odd length, else a test word.
 
 Each update changes one entry, so the scalar walk keeps every state's
 greedy result current instead of scanning its row twice per step:
@@ -45,13 +52,11 @@ lanes, one array operation per lane-wide step.  Every lane performs the
 same float operations as the scalar walk and keeps ``best``/``arg`` by the
 same rule, so each lane's table is bitwise equal to that product's scalar
 result; a step runs no full-row reduction, only the lanes whose greedy
-value fell rescan their row.  The lanes' words are drawn ahead in blocks
-(``_stream_words``; a narrow run starts several jump-ahead lanes per
-product), and a pointer per lane walks its words: each step tests one
-word against its episode's threshold and, if the lane explores, reads the
-action word after it.  A block is walked until some lane could run out,
-and each lane resumes after the last word it read, so the walk is the
-same during the epsilon decay and past it.  The fixed cost per step is
+value fell rescan their row.  A block holds every lane's words (a narrow
+run starts several jump-ahead lanes per product), and a pointer per lane
+walks them: each step tests one word against its episode's threshold and,
+if the lane explores, reads the action word after it.  The walk is the
+same during the epsilon decay and past it.  Its fixed cost per step is
 higher than the scalar walk's, so lockstep pays off only for many
 products (``qlearn.LOCKSTEP_MIN_PRODUCTS``).
 
@@ -80,35 +85,33 @@ def resolve_backend() -> str:
 
 
 def run_train_kernel(
-    demand_table: np.ndarray,
-    margins: np.ndarray,
+    rewards: np.ndarray,
+    rng_state: int,
     day_types: np.ndarray,
     next_day_types: np.ndarray,
     eps_schedule: np.ndarray,
     alpha: float,
     gamma: float,
-    rng_state: int,
     codes: list | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Train one Q table; returns (q, log).
 
-    ``demand_table`` holds the demand per (state, action), ``margins`` the
-    price minus unit cost per action, ``day_types`` and ``next_day_types``
-    the state of each calendar step and of its following day,
-    ``eps_schedule`` the epsilon per episode, and ``rng_state`` a nonzero
-    xorshift64 state.  ``log`` holds a ``(step, state, action)`` entry for
-    each step, counted over the whole run, after which the state's greedy
-    action changed; every greedy action starts at 0.  If ``codes`` is a
-    list, each walked piece of step codes (see ``_episode_draws``) is
-    appended to it.
+    ``rewards`` holds the reward (margin times demand) per (state, action),
+    ``rng_state`` is a nonzero xorshift64 state, ``day_types`` and
+    ``next_day_types`` the state of each calendar step and of its following
+    day, and ``eps_schedule`` the epsilon per episode.  ``log`` holds a
+    ``(step, state, action)`` entry for each step, counted over the whole
+    run, after which the state's greedy action changed; every greedy action
+    starts at 0.  If ``codes`` is a list, each walked piece of step codes
+    (see ``_step_codes``) is appended to it.
     """
-    n_states, n_actions = demand_table.shape
+    n_states, n_actions = rewards.shape
     alpha = float(alpha)
     gamma = float(gamma)
     keep = 1.0 - alpha
 
     # plain Python floats/ints: same IEEE values, much faster scalar ops
-    rew = (margins * demand_table).tolist()
+    rew = rewards.tolist()
 
     q = [[0.0] * n_actions for _ in range(n_states)]
     # best[s] is the float max(q[s]) returns, arg[s] the lowest index holding it
@@ -118,12 +121,13 @@ def run_train_kernel(
     log = []
     changed = log.append
 
-    step = 0
-    for piece in _episode_draws(eps_schedule, len(calendar), n_actions, int(rng_state)):
+    steps = itertools.count()
+    days = itertools.cycle(calendar)
+    for piece in _step_codes(eps_schedule, len(calendar), n_actions, int(rng_state)):
         if codes is not None:
             codes.append(piece)
-        # a piece holds whole episodes; zip stops at its end, before taking another day
-        for a, t, (s, ns, row, rew_s) in zip(piece, itertools.count(step), itertools.cycle(calendar)):
+        # the piece comes first, so zip stops before it takes another step or day
+        for a, t, (s, ns, row, rew_s) in zip(piece, steps, days):
             g = arg[s]
             if a < 0:
                 a = g
@@ -145,55 +149,52 @@ def run_train_kernel(
                 best[s] = v
                 arg[s] = a
                 changed((t, s, a))
-        step += len(piece)
 
     return np.array(q, dtype=np.float64), log
 
 
-def _episode_draws(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state: int):
-    """Yield the step codes of whole episodes, a list at a time: per step
-    the exploring action, or -1 for the greedy one."""
-    n_episodes = len(eps_schedule)
-    fixed = _floor_start(eps_schedule)
-    chunks = _top_chunks(state)
-    unread = np.empty(0, dtype=np.uint64)  # the stream from the last refill on
-    window, i = [], 0  # its first words as Python ints, and the next one to read
-    need = 2 * n_steps  # an episode reads at most 2 words a step
-    for eps in eps_schedule[:fixed].tolist():
-        below = _explore_below(eps)
-        if len(window) - i < need:
-            unread = unread[i:]
-            while len(unread) < need:
-                unread = np.concatenate((unread, next(chunks)))
-            window, i = unread[: 16 * need].tolist(), 0
-        codes = []
-        for _ in range(n_steps):
-            i += 1
-            if window[i - 1] < below:
-                codes.append(int(window[i] * _INV_2_53 * n_actions))
-                i += 1
-            else:
-                codes.append(-1)
-        yield codes
-
-    left = n_episodes - fixed
-    if not left:
-        return
-    below = np.uint64(_explore_below(eps_schedule[-1]))
+def _step_codes(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state: int):
+    """Yield the walk's step codes, a list per block of words: per step the
+    exploring action, or -1 for the greedy one."""
+    belows = _step_belows(eps_schedule, n_steps)
+    decay = _floor_start(eps_schedule) * n_steps  # the steps before the floor
+    left = len(eps_schedule) * n_steps
     # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
     # (k * 2**-53) * n does
-    action_scale = np.float64(n_actions * _INV_2_53)
-    carry = False
-    pending = np.empty(0, dtype=np.int64)
-    for chunk in itertools.chain([unread[i:]], chunks):
-        codes, carry = _fixed_layout(chunk, below, carry, action_scale)
-        pending = np.concatenate((pending, codes))
-        k = min(len(pending) // n_steps, left)
-        yield pending[: k * n_steps].tolist()
-        left -= k
-        if not left:
-            return
-        pending = pending[k * n_steps :]
+    action_scale = n_actions * _INV_2_53
+    x = np.uint64(state)
+    while left:
+        words = _stream_words(x, _DECAY_LANES if decay else _LANES)
+        top = words >> _SHIFT_11
+        if decay:
+            top = top.tolist()
+            codes, read = [], 0
+            # a step reads at most two words, so k more steps fit in the block
+            while k := min((len(top) - read) // 2, decay):
+                for below in itertools.islice(belows, k):
+                    read += 1
+                    if top[read - 1] < below:
+                        codes.append(int(top[read] * action_scale))
+                        read += 1
+                    else:
+                        codes.append(-1)
+                decay -= k
+        else:
+            below = np.uint64(_explore_below(eps_schedule[-1]))
+            codes, read = _fixed_layout(top, below, np.float64(action_scale))
+            codes = codes[:left].tolist()
+        left -= len(codes)
+        x = words[read - 1]
+        yield codes
+
+
+def _step_belows(eps_schedule: np.ndarray, n_steps: int):
+    """Each step's explore threshold, its episode's ``_explore_below``."""
+    # episode by episode: a list of the whole schedule would hold a Python
+    # float per episode for the whole walk
+    return itertools.chain.from_iterable(
+        itertools.repeat(_explore_below(eps), n_steps) for eps in map(float, eps_schedule)
+    )
 
 
 def _floor_start(eps_schedule: np.ndarray) -> int:
@@ -209,18 +210,15 @@ def _explore_below(eps: float) -> int:
     return math.ceil(eps * 9007199254740992.0)
 
 
-def _fixed_layout(top: np.ndarray, below: np.uint64, carry: bool, action_scale: np.float64):
-    """Step codes of consecutive words drawn at one epsilon; returns (codes, carry).
+def _fixed_layout(top: np.ndarray, below: np.uint64, action_scale: np.float64):
+    """Step codes of consecutive words drawn at one epsilon, word 0 a test
+    word; returns (codes, number of words read).
 
-    ``top`` holds the words' top 53 bits.  Word 0 is a test word, or, if
-    ``carry``, the action word of a step begun in the previous chunk.  A
-    step whose test is the last word and explores is left to the next
-    chunk, and the returned ``carry`` says so.
+    ``top`` holds the words' top 53 bits.  A step whose exploring test is
+    the last word is left out, and its test word is not read.
     """
     n = len(top)
     low = top < below
-    if carry:
-        low[0] = False  # an action word; the word after it is a test word
     # in a run of below-threshold words the even offsets are exploring test
     # words and the odd offsets their action words; a word past the run is a
     # test word unless the run had odd length
@@ -228,20 +226,15 @@ def _fixed_layout(top: np.ndarray, below: np.uint64, carry: bool, action_scale: 
     np.greater(low[1:], low[:-1], out=starts[1:])
     pos = np.arange(n)
     run_start = np.maximum.accumulate(np.where(starts, pos, 0))
-    action_word = np.empty(n + 1, dtype=bool)  # index n: the next chunk's word 0
-    action_word[0] = carry
+    action_word = np.zeros(n + 1, dtype=bool)  # index n: the word after the block
     action_word[1:] = low & ((pos - run_start) & 1 == 0)
     actions = np.flatnonzero(action_word[:n])
     word_codes = np.full(n + 1, -1, dtype=np.int64)
     word_codes[actions] = (top[actions] * action_scale).astype(np.int64)
+    read = n - int(action_word[n])
     # a step begins at each test word; its code sits in the word after it
-    begins = np.empty(n + 1, dtype=bool)
-    begins[0] = carry
-    begins[1:] = ~action_word[:n]
-    heads = np.flatnonzero(begins)
-    if action_word[n]:
-        heads = heads[:-1]
-    return word_codes[heads], bool(action_word[n])
+    tests = np.flatnonzero(~action_word[:read])
+    return word_codes[tests + 1], read
 
 
 _SHIFT_7 = np.uint64(7)
@@ -253,8 +246,12 @@ _ONE = np.uint64(1)
 _BYTE = np.uint64(0xFF)
 _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 
-# the stream is generated _LANES lanes at a time, each _SPACING consecutive words
+# the scalar walk draws its blocks as _LANES lanes of _SPACING consecutive
+# words past the epsilon floor, and as _DECAY_LANES lanes while epsilon
+# decays: its Python loop turns each of those blocks into Python ints, and
+# 256-word blocks keep that small
 _LANES = 256
+_DECAY_LANES = 16
 _SPACING = 16
 
 # The lockstep walk draws each lane's words ahead, about _BLOCK_WORDS words
@@ -342,24 +339,14 @@ def _stream_words(x: np.ndarray, lanes: int, spacing: int = _SPACING) -> np.ndar
     return np.swapaxes(block, 0, 1).reshape((-1,) + np.shape(x))
 
 
-def _top_chunks(state: int):
-    """Yield the top 53 bits of the xorshift64 words after ``state``, in
-    stream order, as uint64 arrays of ``_LANES * _SPACING`` words."""
-    x = np.uint64(state)
-    while True:
-        words = _stream_words(x, _LANES)
-        x = words[-1]
-        yield words >> _SHIFT_11
-
-
 def run_lockstep_kernel(
     rewards: np.ndarray,
+    rng_states: np.ndarray,
     day_types: np.ndarray,
     next_day_types: np.ndarray,
     eps_schedule: np.ndarray,
     alpha: float,
     gamma: float,
-    rng_states: np.ndarray,
 ) -> np.ndarray:
     """Train one Q table per lane; returns the ``(lanes, states, actions)`` tables.
 
@@ -390,10 +377,7 @@ def run_lockstep_kernel(
     # k * 2**-53 is exact, so k * (n * 2**-53) rounds exactly as the scalar
     # (k * 2**-53) * n does
     action_scale = np.float64(n_actions * _INV_2_53)
-    # each step's explore threshold, its episode's
-    belows = itertools.chain.from_iterable(
-        itertools.repeat(_explore_below(eps), len(calendar)) for eps in eps_schedule.tolist()
-    )
+    belows = _step_belows(eps_schedule, len(calendar))
     days = itertools.cycle(calendar)
     left = len(eps_schedule) * len(calendar) if n_lanes else 0
     x = np.array(rng_states, dtype=np.uint64)

@@ -216,11 +216,8 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Com
     never shifts the seeds of the others.  Training raises nothing on the
     products it gets, so any exception from it is a defect and propagates.
     """
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
-
     costed, grids, errors = prepare_products(catalog, config)
-    demand_table, margins, overflow = reward_lanes(
+    rewards, overflow = reward_lanes(
         ProductLanes.of(costed), grids, config.modulation, config.hyperparams.gamma
     )
     for index, reason in overflow.items():
@@ -231,7 +228,7 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Com
         errors[usable[row]] = reason
     trained = [index for index in usable if index not in errors]
     seeds = [config.seed(index) for index in trained]
-    values = train_lanes(demand_table[trained], margins[trained], config.hyperparams, seeds)
+    values = train_lanes(rewards[trained], config.hyperparams, seeds)
     greedy = greedy_lanes(values, ProductLanes.of([costed[i] for i in trained]), grids[trained], config.modulation)
 
     def full(part):  # the trained products' rows, zeros for the others

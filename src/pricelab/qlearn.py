@@ -188,37 +188,36 @@ def calendar_next_day_types(steps: int) -> np.ndarray:
 
 def reward_lanes(
     lanes: ProductLanes, grids: np.ndarray, modulation: DayModulation, gamma: float
-) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Every product's demand per (day type, price), shape
-    ``(n, 2, points)``, its per-price margins ``(n, points)``, and
-    ``{row: reason}`` for each product whose rewards overflow.
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Every product's reward (margin times demand) per (day type, price),
+    shape ``(n, 2, points)``, and ``{row: reason}`` for each product whose
+    rewards overflow.
 
     ``grids`` is the ``(n, points)`` array of ``prepare_products``; rows
-    it reports unusable give placeholder results.  A product is rejected unless every reward (margin times demand) is
-    finite and so is the bound ``max|r| / (1 - gamma)``; then every Q
-    entry stays within that bound (Watkins & Dayan, 1992) and no update
-    can reach inf or NaN.  Each row equals the scalar ``demand`` and
-    margin arithmetic of its product bit for bit.
+    it reports unusable give placeholder results.  A product is rejected
+    unless every reward is finite and so is the bound
+    ``max|r| / (1 - gamma)``; then every Q entry stays within that bound
+    (Watkins & Dayan, 1992) and no update can reach inf or NaN.  Each
+    reward equals the scalar ``demand`` and margin arithmetic of its
+    product bit for bit.
     """
     demand_table = np.stack([lanes.demand(grids, m) for m in (modulation.weekday, modulation.weekend)], axis=1)
     # a NaN or inf reward propagates through the max, so one test covers both
     with np.errstate(over="ignore", invalid="ignore"):
-        margins = grids - lanes.unit_cost
-        bounds = np.abs(margins[:, None, :] * demand_table).max(axis=(1, 2)) / (1.0 - gamma)
+        rewards = (grids - lanes.unit_cost)[:, None, :] * demand_table
+        bounds = np.abs(rewards).max(axis=(1, 2)) / (1.0 - gamma)
     bad = np.flatnonzero(~np.isfinite(bounds)).tolist()
     overflow = {i: f"rewards overflow: max |reward| / (1 - gamma) is {bounds[i].item()}" for i in bad}
-    return demand_table, margins, overflow
+    return rewards, overflow
 
 
-def reward_tables(
-    spec: ProductSpec, grid: PriceGrid, modulation: DayModulation, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One product's ``reward_lanes``: demand per (day type, price) and
-    per-price margins; a product whose rewards overflow is a ValueError."""
-    demand_table, margins, overflow = reward_lanes(ProductLanes.of([spec]), grid.as_array()[None], modulation, gamma)
+def reward_tables(spec: ProductSpec, grid: PriceGrid, modulation: DayModulation, gamma: float) -> np.ndarray:
+    """One product's ``reward_lanes``: its reward per (day type, price); a
+    product whose rewards overflow is a ValueError."""
+    rewards, overflow = reward_lanes(ProductLanes.of([spec]), grid.as_array()[None], modulation, gamma)
     if overflow:
         raise ValueError(overflow[0])
-    return demand_table[0], margins[0]
+    return rewards[0]
 
 
 def _shared_kernel_args(hp: Hyperparams) -> tuple:
@@ -241,17 +240,17 @@ def train(
     Returns the learned table and a per-episode trace; ``record_policies``
     adds the greedy action per state after every episode to the trace.
     """
-    demand_table, margins = reward_tables(spec, grid, modulation, hp.gamma)
+    rewards = reward_tables(spec, grid, modulation, hp.gamma)
     days, next_days, epsilons, alpha, gamma = _shared_kernel_args(hp)
     pieces = []
     values, log = _kernels.run_train_kernel(
-        demand_table, margins, days, next_days, epsilons, alpha, gamma, seed_to_state(hp.seed), codes=pieces
+        rewards, seed_to_state(hp.seed), days, next_days, epsilons, alpha, gamma, codes=pieces
     )
     codes = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.int64)
-    rewards, visits, policies = _replay_log(margins * demand_table, days, codes, log)
+    totals, visits, policies = _replay_log(rewards, days, codes, log)
     trace = TrainingTrace(
         epsilons=epsilons,
-        episode_rewards=rewards,
+        episode_rewards=totals,
         visit_counts=visits,
         greedy_policies=policies if record_policies else None,
     )
@@ -298,22 +297,22 @@ def _replay_log(
 LOCKSTEP_MIN_PRODUCTS = 64
 
 
-def train_lanes(demand_table: np.ndarray, margins: np.ndarray, hp: Hyperparams, seeds: list[int]) -> np.ndarray:
+def train_lanes(rewards: np.ndarray, hp: Hyperparams, seeds: list[int]) -> np.ndarray:
     """Train many products at once, without a trace; returns
     their Q tables, shape ``(n, 2, points)``.
 
-    ``demand_table`` and ``margins`` are rows of ``reward_lanes`` whose
-    rewards do not overflow, and ``seeds[p]`` is product ``p``'s seed;
-    ``hp.seed`` is not used.  Each table is bitwise equal to the one
-    ``train`` returns for that product and seed.
+    ``rewards`` holds rows of ``reward_lanes`` that do not overflow, and
+    ``seeds[p]`` is product ``p``'s seed; ``hp.seed`` is not used.  Each
+    table is bitwise equal to the one ``train`` returns for that product
+    and seed.
     """
     shared = _shared_kernel_args(hp)
     if len(seeds) >= LOCKSTEP_MIN_PRODUCTS:
         states = np.array([seed_to_state(seed) for seed in seeds], dtype=np.uint64)
-        return _kernels.run_lockstep_kernel(margins[:, None, :] * demand_table, *shared, states)
-    values = np.empty(demand_table.shape)
+        return _kernels.run_lockstep_kernel(rewards, states, *shared)
+    values = np.empty(rewards.shape)
     for p, seed in enumerate(seeds):
-        values[p], _ = _kernels.run_train_kernel(demand_table[p], margins[p], *shared, seed_to_state(seed))
+        values[p], _ = _kernels.run_train_kernel(rewards[p], seed_to_state(seed), *shared)
     return values
 
 

@@ -166,9 +166,18 @@ class TestRunExperiment:
         assert [r.error is not None for r in lockstep].count(True) == 2
         assert "rewards overflow" in lockstep[10].error
 
-    def test_empty_catalog_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiment([], quick_config())
+    def test_empty_catalog_gives_empty_reports(self, monkeypatch):
+        # a header, a bare table or an empty list of rows, on both paths
+        from pricelab import qlearn
+
+        config = quick_config()
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", threshold)
+            result = compare_columns([], config)
+            assert result.names == [] and result.rl_price.shape == (0, 2) and result.errors == {}
+            assert result.rows() == []
+            for fmt in ("csv", "json", "markdown"):
+                assert render_report(result, fmt, config) == oracle_report([], fmt, config)
 
     def test_defect_propagates(self, sample_specs, monkeypatch):
         # only setup errors become rows; an exception from training is a bug

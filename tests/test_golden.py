@@ -6,13 +6,13 @@ defaults and under a weekend uplift with a cost fraction; ``compare``
 runs on a 40-product catalog (also for 300 episodes, past the epsilon
 floor) and on the 14-product sample, both also with rows whose grid or
 rewards are unusable, and ``compare --format json`` on names JSON must
-escape; every ``compare`` digest is checked on both training paths.
+escape.  ``optimize`` (csv, json, markdown) runs on such names and, with
+``curve`` and ``compare``, on a catalog with no accepted rows.
 ``train`` and ``compare`` on the sample also run a long decay (1,500
-episodes at 0.999, about 1,050 of them above the floor), with 7- and
+episodes at 0.999, about 1,050 of them above the floor) with 7- and
 5-step episodes, so that the decay spans several draw blocks and an
-episode can end inside one.
-``optimize`` (csv, json, markdown) runs on such names and, with
-``curve``, on a catalog with no accepted rows.  ``train`` (table and
+episode can end inside one.  Every ``compare`` digest with products to
+train is checked on both training paths.  ``train`` (table and
 sidecar), ``validate`` and ``sample-catalog`` are pinned too.  A refactor
 of the baselines, grids, product setup, training kernels or renderers
 must leave every digest unchanged.
@@ -183,6 +183,9 @@ OTHER_GOLDEN = {
     "optimize-no-rows-json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "optimize-no-rows-markdown": "27e93865c5b848943fa72540902dee4bb2df7a9aece7d5d79e63611c4afca0a2",
     "curve-no-rows": "41e67cde87d681911467cd5d485ae511675a58a1390b1aabe29ddfa5fc81aa18",
+    "compare-no-rows-csv": "36311191bbe83e90521c9170a5ea7556c7f13b7a76821463b311e467937022e8",
+    "compare-no-rows-json": "7fd0ceb57a0f7052cc71cd4665a71606541e1ce072300ea45f93b278fde52763",
+    "compare-no-rows-markdown": "7b24ccf159378b9cd0a87e6cdd9b0a92b415f6f4da412622e9725c465c1a3ef7",
 }
 
 
@@ -291,8 +294,10 @@ def test_optimize_escaped_names_digest(tmp_path, fmt):
 
 @pytest.mark.parametrize(
     "command", [["optimize", "--format", "csv"], ["optimize", "--format", "json"],
-                ["optimize", "--format", "markdown"], ["curve"]],
-    ids=["optimize-csv", "optimize-json", "optimize-markdown", "curve"],
+                ["optimize", "--format", "markdown"], ["curve"], ["compare", "--format", "csv"],
+                ["compare", "--format", "json"], ["compare", "--format", "markdown"]],
+    ids=["optimize-csv", "optimize-json", "optimize-markdown", "curve", "compare-csv", "compare-json",
+         "compare-markdown"],
 )
 def test_no_rows_digest(tmp_path, command):
     # every row rejected: a header, a bare table or an empty list

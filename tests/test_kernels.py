@@ -1,6 +1,5 @@
-"""The exploration stream the scalar kernel draws ahead of its walk."""
+"""The exploration stream both kernels draw ahead of their walks, in blocks."""
 
-import itertools
 import math
 
 import numpy as np
@@ -54,11 +53,17 @@ def test_lane_starts_of_many_states_equal_each_state_alone():
         assert starts[:, j].tolist() == _kernels._lane_starts(state, table).tolist()
 
 
-def test_chunks_follow_the_scalar_stream():
-    chunks = _kernels._top_chunks(REMAPPED_ZERO)
-    got = np.concatenate([next(chunks) for _ in range(3)]).tolist()
+@pytest.mark.parametrize("lanes", [1, _kernels._DECAY_LANES, _kernels._LANES])
+def test_blocks_resumed_from_a_word_continue_the_scalar_stream(lanes):
+    # each block starts at the state after the last word read from the one before
+    x, got = np.uint64(REMAPPED_ZERO), []
+    for read in (1, 7, lanes * _kernels._SPACING, 5):
+        words = _kernels._stream_words(x, lanes)
+        assert len(words) == lanes * _kernels._SPACING
+        got += words[:read].tolist()
+        x = words[read - 1]
     rng = scalar_stream(REMAPPED_ZERO)
-    assert got == [rng.next_u64() >> 11 for _ in got]
+    assert got == [rng.next_u64() for _ in got]
 
 
 def walk_words(tops, below, n_actions):
@@ -81,19 +86,24 @@ def walk_words(tops, below, n_actions):
 def test_run_parity_layout_equals_a_word_walk(eps):
     below = math.ceil(eps * 2.0**53)
     n_actions = 21
-    tops = next(_kernels._top_chunks(seed_to_state(9)))[:1500]
-    steps, expected_carry = walk_words(tops.tolist(), below, n_actions)
-    # cut at arbitrary words and, unless nothing explores, right after an
-    # exploring test word, so that its action word opens the next piece
-    cuts = {0, 301, 302, 777, len(tops)}
-    if eps > 0:
-        cuts.add(next(t for t, code in steps if code >= 0 and t >= 200) + 1)
-    codes, carry = [], False
-    for a, b in itertools.pairwise(sorted(cuts)):
-        piece, carry = _kernels._fixed_layout(tops[a:b], np.uint64(below), carry, np.float64(n_actions * _INV_2_53))
+    tops = (_kernels._stream_words(np.uint64(seed_to_state(9)), _kernels._LANES) >> np.uint64(11))[:1500]
+    steps, past_end = walk_words(tops.tolist(), below, n_actions)
+    # blocks end at arbitrary words and, unless nothing explores, right after
+    # an exploring test word; each block starts at the first word not read
+    ends = {301, 302, 777, len(tops)}
+    explored = next((t for t, code in steps if code >= 0 and t >= 200), None)
+    if explored is not None:
+        ends.add(explored + 1)
+    codes, start = [], 0
+    for end in sorted(ends):
+        piece, read = _kernels._fixed_layout(tops[start:end], np.uint64(below), np.float64(n_actions * _INV_2_53))
+        if explored is not None and end == explored + 1:
+            # the step whose exploring test is the last word is left out
+            assert read == explored - start
         codes += piece.tolist()
+        start += read
     assert codes == [code for _, code in steps]
-    assert carry == expected_carry
+    assert start == len(tops) - past_end
 
 
 def reference_draws(eps_schedule, n_steps, n_actions, state):
@@ -112,17 +122,19 @@ def reference_draws(eps_schedule, n_steps, n_actions, state):
         (Hyperparams(episodes=1500, epsilon_start=0.0, epsilon_min=0.0, seed=4), 5),
         (Hyperparams(episodes=1500, epsilon_start=0.35, epsilon_min=0.35, seed=5), 5),
         (Hyperparams(episodes=1500, epsilon_start=1.0, epsilon_min=1.0), 5),
+        # decays for about 1,050 episodes, over many blocks
+        (Hyperparams(episodes=1500, epsilon_decay=0.999, seed=6), 5),
+        (Hyperparams(episodes=1500, epsilon_decay=0.9999, seed=7), 7),
+        (Hyperparams(episodes=1, seed=8), 1),
     ],
-    ids=["decay-then-floor", "eps-0", "eps-0.35", "eps-1-seed-0"],
+    ids=["decay-then-floor", "eps-0", "eps-0.35", "eps-1-seed-0", "decay-0.999", "floor-never-reached", "1-step"],
 )
 def test_episode_draws_equal_scalar_draws(hp, n_steps):
     eps = epsilon_schedule(hp)
     state = seed_to_state(hp.seed)
     codes = []
-    for piece in _kernels._episode_draws(eps, n_steps, 13, state):
-        # handed over in pieces: a chunk's steps, plus those left over from
-        # the chunks before, that end on an episode boundary
-        assert len(piece) % n_steps == 0
-        assert len(piece) < _kernels._LANES * _kernels._SPACING + n_steps
+    for piece in _kernels._step_codes(eps, n_steps, 13, state):
+        # one piece per block of words, a step per word at most
+        assert len(piece) <= _kernels._LANES * _kernels._SPACING
         codes += piece
     assert codes == reference_draws(eps, n_steps, 13, state)

@@ -235,10 +235,10 @@ class TestTrainContract:
     def test_q_bounds_invariant(self, monkeypatch):
         grid = default_price_grid(S24, 11)
         hp = small_hp(episodes=400)
-        demand_table, margins = reward_tables(S24, grid, DayModulation(), hp.gamma)
+        rewards = reward_tables(S24, grid, DayModulation(), hp.gamma)
         scalar, _ = train(S24, grid, hp=hp)
         monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1)
-        [lockstep] = train_lanes(demand_table[None], margins[None], hp, [hp.seed])
+        [lockstep] = train_lanes(rewards[None], hp, [hp.seed])
         r_max = max(reward(S24, p, demand(S24, p)) for p in grid)
         for values in (scalar.values, lockstep):
             assert (values >= 0.0).all()
@@ -252,7 +252,7 @@ class TestTrainContract:
         assert trace.visit_counts[1].sum() == 100 * 2
 
 
-def assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expected):
+def assert_train_lanes_paths(monkeypatch, rewards, hp, seeds, expected):
     """``train_lanes`` in lockstep (threshold n) and product by product
     (threshold n + 1) each give ``expected`` bit for bit, and each path
     runs only its own kernel."""
@@ -265,8 +265,8 @@ def assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expe
         with monkeypatch.context() as m:
             m.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", threshold)
             m.setattr(_kernels, other, unused)
-            tables = train_lanes(demand_table, margins, hp, seeds)
-        assert tables.shape == demand_table.shape
+            tables = train_lanes(rewards, hp, seeds)
+        assert tables.shape == rewards.shape
         assert [t.tobytes() for t in tables] == [e.tobytes() for e in expected]
 
 
@@ -331,7 +331,7 @@ class TestLockstep:
         modulation = DayModulation(1.0, 1.2)
         seeds = [0, 2**64 - 1, 12345, *range(1, len(specs) - 2)]
         grids = [default_price_grid(spec, 9) for spec in specs]
-        demand_table, margins, overflow = reward_lanes(
+        rewards, overflow = reward_lanes(
             ProductLanes.of(specs), np.array([g.as_array() for g in grids]), modulation, hp.gamma
         )
         assert not overflow
@@ -341,11 +341,11 @@ class TestLockstep:
         ]
         for name, value in LOCKSTEP_DRAWS[draws].items():
             monkeypatch.setattr(_kernels, name, value)
-        assert_train_lanes_paths(monkeypatch, demand_table, margins, hp, seeds, expected)
+        assert_train_lanes_paths(monkeypatch, rewards, hp, seeds, expected)
 
     @pytest.mark.parametrize("hp", [small_hp(), small_hp(epsilon_start=0.35)], ids=["decay", "floor"])
     def test_zero_lanes(self, hp, monkeypatch):
-        assert_train_lanes_paths(monkeypatch, np.empty((0, 2, 9)), np.empty((0, 9)), hp, [], [])
+        assert_train_lanes_paths(monkeypatch, np.empty((0, 2, 9)), hp, [], [])
 
     def test_rejects_overflowing_rewards(self):
         big = ProductSpec(name="big", base_demand=1e307, base_price=100.0, elasticity=-0.5)
@@ -393,13 +393,15 @@ class TestReplayParity:
             pytest.param(0.9 * 142.7, small_hp(episodes=120, seed=42), id="negative-margin"),
             # greedy only: each losing greedy value falls and the row's best moves on
             pytest.param(0.9 * 142.7, small_hp(episodes=120, seed=42, epsilon_start=0.0, epsilon_min=0.0), id="greedy-only"),
-            # past the floor (episode 21 at decay 0.95) the codes come in multi-episode chunks
+            # past the floor (episode 21 at decay 0.95) the codes come in multi-episode blocks
             pytest.param(30.0, small_hp(episodes=400, seed=43, epsilon_decay=0.95), id="floor"),
             pytest.param(0.9 * 142.7, small_hp(episodes=400, seed=44, epsilon_decay=0.95), id="floor-negative-margin"),
             pytest.param(30.0, small_hp(episodes=400, seed=45, epsilon_decay=0.95, steps_per_episode=1), id="floor-1-step"),
             pytest.param(30.0, small_hp(episodes=400, seed=46, epsilon_decay=0.95, steps_per_episode=10), id="floor-10-steps"),
             pytest.param(30.0, small_hp(episodes=1, seed=47), id="1-episode"),
             pytest.param(30.0, small_hp(episodes=400, seed=48, epsilon_min=1.0), id="epsilon-1"),
+            # a decay over many draw blocks, with episodes that end inside a block
+            pytest.param(30.0, small_hp(episodes=1500, seed=49, epsilon_decay=0.999, steps_per_episode=5), id="decay-0.999-5-steps"),
         ],
     )
     def test_kernel_matches_public_ops(self, unit_cost, hp):
@@ -429,7 +431,7 @@ class TestReplayParity:
         # write a value equal to the row's best, at a lower or higher index
         demand_table = np.array([[0.0, 5.0, 0.0, 5.0, 2.0, 5.0], [1.0, 3.0, 3.0, 0.0, 3.0, 1.0]])
         margins = np.ones(6)
-        monkeypatch.setattr(qlearn, "reward_tables", lambda *args: (demand_table, margins))
+        monkeypatch.setattr(qlearn, "reward_tables", lambda *args: margins * demand_table)
         grid = default_price_grid(S24, 6)  # only its size matters here
         days = calendar_day_types(7)
         nxt = calendar_next_day_types(7)
@@ -525,18 +527,14 @@ def same_bits(got, want) -> bool:
 
 
 def oracle_reward_tables(spec, prices, modulation, gamma):
-    """The scalar build ``reward_lanes`` replaced: (demand, margins, the
-    overflow message or None)."""
+    """The scalar build ``reward_lanes`` replaced: (the scalar
+    ``margin * demand`` per day type and price, the overflow message or
+    None)."""
     mults = (modulation.weekday, modulation.weekend)
-    demand_table = np.empty((2, len(prices)))
-    for s in range(2):
-        for a, price in enumerate(prices):
-            demand_table[s, a] = demand(spec, price, mults[s])
-    margins = np.array(prices) - spec.unit_cost
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(np.abs(margins * demand_table).max()) / (1.0 - gamma)
+    rewards = np.array([[(price - spec.unit_cost) * demand(spec, price, m) for price in prices] for m in mults])
+    bound = float(np.abs(rewards).max()) / (1.0 - gamma)
     error = None if math.isfinite(bound) else f"rewards overflow: max |reward| / (1 - gamma) is {bound}"
-    return demand_table, margins, error
+    return rewards, error
 
 
 # rewards of inf, finite rewards whose bound overflows at gamma 0.9, and a
@@ -556,13 +554,12 @@ class TestRewardLanes:
     def test_rows_equal_scalar_oracle(self, modulation, gamma):
         specs = random_specs(300, seed=int(gamma * 1000)) + OVERFLOWING
         grids = price_grids(specs, 21)
-        demand_table, margins, overflow = reward_lanes(ProductLanes.of(specs), grids, modulation, gamma)
-        assert demand_table.shape == (len(specs), 2, 21) and margins.shape == (len(specs), 21)
+        rewards, overflow = reward_lanes(ProductLanes.of(specs), grids, modulation, gamma)
+        assert rewards.shape == (len(specs), 2, 21)
         errors = {}
         for i, (spec, prices) in enumerate(zip(specs, grids.tolist())):
-            want_demand, want_margins, error = oracle_reward_tables(spec, prices, modulation, gamma)
-            assert same_bits(demand_table[i], want_demand), spec
-            assert same_bits(margins[i], want_margins), spec
+            want, error = oracle_reward_tables(spec, prices, modulation, gamma)
+            assert same_bits(rewards[i], want), spec
             if error is not None:
                 errors[i] = error
         assert overflow == errors
@@ -572,17 +569,16 @@ class TestRewardLanes:
         modulation = DayModulation(1.0, 1.2)
         for spec in random_specs(40, seed=3) + OVERFLOWING:
             grid = default_price_grid(spec, 9)
-            want_demand, want_margins, error = oracle_reward_tables(spec, list(grid), modulation, 0.9)
+            want, error = oracle_reward_tables(spec, list(grid), modulation, 0.9)
             if error is None:
-                got_demand, got_margins = reward_tables(spec, grid, modulation, 0.9)
-                assert same_bits(got_demand, want_demand) and same_bits(got_margins, want_margins)
+                assert same_bits(reward_tables(spec, grid, modulation, 0.9), want)
             else:
                 with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                     reward_tables(spec, grid, modulation, 0.9)
 
     def test_empty_catalog(self):
-        demand_table, margins, overflow = reward_lanes(ProductLanes.of([]), price_grids([], 5), DayModulation(), 0.9)
-        assert demand_table.shape == (0, 2, 5) and margins.shape == (0, 5) and overflow == {}
+        rewards, overflow = reward_lanes(ProductLanes.of([]), price_grids([], 5), DayModulation(), 0.9)
+        assert rewards.shape == (0, 2, 5) and overflow == {}
 
 
 def oracle_greedy(q, spec, prices, modulation):
