@@ -11,7 +11,6 @@ from .baselines import (
     analytic_optimum,
     grid_search_optimum,
     line_search_optimum,
-    optima,
     profit_at,
 )
 from .catalog import (
@@ -29,9 +28,7 @@ from .domain import (
     ProductSpec,
     default_price_grid,
     demand,
-    price_grids,
     reward,
-    revenue_curve,
     zero_demand_price,
 )
 from .experiment import (
@@ -89,12 +86,9 @@ __all__ = [
     "export_revenue_curves",
     "grid_search_optimum",
     "line_search_optimum",
-    "optima",
     "parse_catalog",
-    "price_grids",
     "profit_at",
     "render_report",
-    "revenue_curve",
     "reward",
     "run_experiment",
     "sample_catalog",

@@ -164,7 +164,7 @@ def _step_codes(eps_schedule: np.ndarray, n_steps: int, n_actions: int, state: i
     action_scale = n_actions * _INV_2_53
     x = np.uint64(state)
     while left:
-        words = _stream_words(x, _DECAY_LANES if decay else _LANES)
+        words = _stream_words(x, _LANES)
         top = words >> _SHIFT_11
         if decay:
             top = top.tolist()
@@ -243,15 +243,10 @@ _SHIFT_13 = np.uint64(13)
 _SHIFT_17 = np.uint64(17)
 _BITS = np.arange(64, dtype=np.uint64)
 _ONE = np.uint64(1)
-_BYTE = np.uint64(0xFF)
-_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 
-# the scalar walk draws its blocks as _LANES lanes of _SPACING consecutive
-# words past the epsilon floor, and as _DECAY_LANES lanes while epsilon
-# decays: its Python loop turns each of those blocks into Python ints, and
-# 256-word blocks keep that small
+# the scalar walk draws each block as _LANES lanes of _SPACING consecutive
+# words, during the epsilon decay and past it
 _LANES = 256
-_DECAY_LANES = 16
 _SPACING = 16
 
 # The lockstep walk draws each lane's words ahead, about _BLOCK_WORDS words
@@ -273,18 +268,6 @@ def _xorshift_lanes(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
     dst ^= tmp
 
 
-def _gf2_apply(columns: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The 64x64 bit matrix whose column i is ``columns[i]``, applied to every word."""
-    # images[k, v]: the image of byte value v at byte position k
-    images = np.zeros((8, 256), dtype=np.uint64)
-    for i, column in enumerate(columns.reshape(8, 8).T):
-        images[:, 1 << i : 2 << i] = images[:, : 1 << i] ^ column[:, None]
-    out = np.zeros_like(words)
-    for shift, image in zip(_BYTE_SHIFTS, images):
-        out ^= image[(words >> shift) & _BYTE]
-    return out
-
-
 @functools.lru_cache(maxsize=4)
 def _jump_table(spacing: int, lanes: int) -> np.ndarray:
     """``(64, lanes)`` words: entry (i, j) is ``M^(j * spacing)`` times bit i.
@@ -302,8 +285,9 @@ def _jump_table(spacing: int, lanes: int) -> np.ndarray:
     filled = 1
     while filled < lanes:  # jump holds the columns of M^(filled * spacing)
         n = min(filled, lanes - filled)
-        table[:, filled : filled + n] = _gf2_apply(jump, table[:, :n])
-        jump = _gf2_apply(jump, jump)
+        # a one-column table applies M^(filled * spacing) to every word
+        table[:, filled : filled + n] = _lane_starts(table[:, :n], jump[:, None])[0]
+        jump = _lane_starts(jump, jump[:, None])[0]
         filled += n
     table.flags.writeable = False
     return table

@@ -15,9 +15,9 @@ positive and identically zero beyond the zero-demand price, so it is
 unimodal on any interval that starts below that point; the golden
 section's bracketing logic relies on that.
 
-``optima`` runs all three over a whole catalog at once, one float64 lane
-per product, and every lane equals the one-product scalar arithmetic bit
-for bit:
+``optimum_columns`` runs all three over a whole catalog at once, one
+float64 lane per product, and every lane equals the one-product scalar
+arithmetic bit for bit:
 
 - analytic: the clamp is ``np.where`` on the comparisons Python's ``max``
   and ``min`` make, so NaN and signed zeros resolve as they would;
@@ -31,13 +31,13 @@ for bit:
 The columns are the one source of results: ``optimum_columns`` gives
 each method's price, demand, profit and clamped flag as arrays, and
 ``columns_by_day`` stacks them as ``(product, day, method)`` arrays, which
-``pricelab optimize`` and ``pricelab compare`` render directly.  ``optima``
-and the one-lane calls ``analytic_optimum``, ``grid_search_optimum`` and
-``line_search_optimum`` are views of those columns as ``Optimum`` lists,
-with Python floats and bools (``tolist``), so reports print exactly what
+``pricelab optimize`` and ``pricelab compare`` render directly.  The
+one-lane calls ``analytic_optimum``, ``grid_search_optimum`` and
+``line_search_optimum`` view one product's columns as an ``Optimum``,
+with Python floats and bools (``tolist``), so it prints exactly what
 scalar code would.  A one-lane call pays numpy's per-operation overhead
 (golden section: about 2 ms), so more than a few products belong in one
-batch call.
+``optimum_columns`` call.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ from .domain import DayModulation, DayType, PriceGrid, ProductLanes, ProductSpec
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 _LOG_INV_PHI = math.log(_INV_PHI)
+# the golden section stops once its bracket is narrower than this; a line
+# search optimum this close to a bound is flagged clamped
+_TOLERANCE = 1e-4
 
 
 class Method(Enum):
@@ -117,11 +120,8 @@ def _grid_search(lanes: ProductLanes, grids: np.ndarray, multiplier: float) -> C
 
 
 def _line_search(
-    lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float, tolerance: float
+    lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: float
 ) -> Columns:
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
-
     def profit(x):
         return lanes.reward(x, lanes.demand(x, multiplier))
 
@@ -130,7 +130,7 @@ def _line_search(
     with np.errstate(over="ignore", invalid="ignore"):
         h = b - a
         counts = [
-            math.ceil(math.log(tolerance / w) / _LOG_INV_PHI) if w > tolerance else 0 for w in h.ravel().tolist()
+            math.ceil(math.log(_TOLERANCE / w) / _LOG_INV_PHI) if w > _TOLERANCE else 0 for w in h.ravel().tolist()
         ]
         shrinks = np.array(counts, dtype=np.int64).reshape(-1, 1) - 1  # -1: the bracket is already narrow
         c = a + _INV_PHI_SQ * h
@@ -155,35 +155,27 @@ def _line_search(
         b = np.where(searched & (fc > fd), d, b)
         a = np.where(searched & ~(fc > fd), c, a)
         price = (a + b) / 2.0
-        clamped = ((price - lo) <= tolerance) | ((hi - price) <= tolerance)
+        clamped = ((price - lo) <= _TOLERANCE) | ((hi - price) <= _TOLERANCE)
     return _columns(lanes, price, multiplier, clamped)
 
 
 def optimum_columns(
-    specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0, tolerance: float = 1e-4
+    specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0
 ) -> tuple[Columns, Columns, Columns]:
     """Analytic, grid-search and line-search optima of every product, as
     columns in ``specs`` order.
 
-    ``grids`` is the ``(len(specs), points)`` array ``domain.price_grids``
-    returns; the analytic and line searches run over each row's
-    ``[first, last]`` price.
+    ``grids`` is the ``(len(specs), points)`` price array of
+    ``experiment.prepare_products``; the analytic and line searches run
+    over each row's ``[first, last]`` price.
     """
     lanes = ProductLanes.of(specs)
     lo, hi = grids[:, :1], grids[:, -1:]
     return (
         _analytic(lanes, lo, hi, multiplier),
         _grid_search(lanes, grids, multiplier),
-        _line_search(lanes, lo, hi, multiplier, tolerance),
+        _line_search(lanes, lo, hi, multiplier),
     )
-
-
-def optima(
-    specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0, tolerance: float = 1e-4
-) -> tuple[list[Optimum], list[Optimum], list[Optimum]]:
-    """``optimum_columns`` as one ``Optimum`` list per method, each in
-    ``specs`` order."""
-    return tuple(map(_view, Method, optimum_columns(specs, grids, multiplier, tolerance)))
 
 
 def columns_by_day(specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation) -> Columns:
@@ -236,14 +228,13 @@ def line_search_optimum(
     spec: ProductSpec,
     bounds: tuple[float, float],
     multiplier: float = 1.0,
-    tolerance: float = 1e-4,
 ) -> Optimum:
     """Golden-section maximization of profit over the bounds.
 
     Deterministic iteration count chosen up front so the final bracket is
-    narrower than ``tolerance``; the bracket midpoint is returned.  On a
+    narrower than ``_TOLERANCE``; the bracket midpoint is returned.  On a
     flat (clipped-demand) stretch the shrinking bracket still terminates
     and the midpoint's profit is no worse than both endpoints'.
     """
     lo, hi = _one_lane_bounds(bounds)
-    return _view(Method.LINE_SEARCH, _line_search(ProductLanes.of([spec]), lo, hi, multiplier, tolerance))[0]
+    return _view(Method.LINE_SEARCH, _line_search(ProductLanes.of([spec]), lo, hi, multiplier))[0]

@@ -8,8 +8,10 @@ because real catalog feeds are dirty and the harness should proceed
 with whatever validates.
 
 Rows are parsed line by line, so a malformed line (wrong column count,
-unparseable number) poisons only itself.  Quoted fields spanning
-multiple lines are not supported.
+unparseable number) poisons only itself.  As in CSV, a line ends only
+at CR LF, CR or LF; other characters that ``str.splitlines`` breaks at,
+such as a form feed or U+2028, stay in their field.  Quoted fields
+spanning multiple lines are not supported.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -145,7 +148,7 @@ def parse_catalog(text: str) -> tuple[list[ProductSpec], ValidationReport]:
     header itself is missing or wrong; every data-row problem is reported,
     not raised.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in re.split(r"\r\n|\r|\n", text) if ln.strip()]
     if not lines:
         raise ValueError("catalog is empty: header row required")
 

@@ -31,6 +31,7 @@ from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, PriceGrid
 from .experiment import run_experiment  # noqa: F401
 from .experiment import (
+    COST_POLICY_KINDS,
     CostPolicy,
     ExperimentConfig,
     check_products,
@@ -239,7 +240,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-span", type=float, nargs=2, metavar=("LO", "HI"), dest="grid_span")
     parser.add_argument("--weekday-multiplier", type=float, dest="weekday_multiplier")
     parser.add_argument("--weekend-multiplier", type=float, dest="weekend_multiplier")
-    parser.add_argument("--cost-policy", choices=["catalog", "zero", "fraction"], dest="cost_policy")
+    parser.add_argument("--cost-policy", choices=COST_POLICY_KINDS, dest="cost_policy")
     parser.add_argument("--cost-fraction", type=float, dest="cost_fraction")
 
 

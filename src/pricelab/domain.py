@@ -11,6 +11,10 @@ demand.  Because the factor multiplies the whole demand curve, it scales
 profit uniformly across prices and therefore never moves the
 profit-maximizing price: that invariance is relied on throughout the
 test suite.
+
+A catalog's price grids are one float64 array built by ``_uniform_grids``
+(called through ``experiment.prepare_products``), which also reports every
+unusable row; ``default_price_grid`` is its one-product call.
 """
 
 from __future__ import annotations
@@ -147,21 +151,6 @@ def reward(spec: ProductSpec, price: float, demand_value: float) -> float:
     return (price - spec.unit_cost) * demand_value
 
 
-def revenue_curve(
-    spec: ProductSpec, grid: PriceGrid, multiplier: float = 1.0
-) -> list[tuple[float, float, float]]:
-    """Sample (price, revenue, demand) at every grid price, in grid order.
-
-    Revenue is ``price * demand`` (not profit), the quantity plotted when
-    visualizing how income varies with price.
-    """
-    out = []
-    for price in grid:
-        d = demand(spec, price, multiplier)
-        out.append((price, price * d, d))
-    return out
-
-
 @dataclass(frozen=True)
 class ProductLanes:
     """Many products' model parameters as float64 columns of shape (n, 1),
@@ -231,25 +220,6 @@ def _uniform_grids(
         else:
             unusable[i] = "prices must be strictly increasing"
     return grids, unusable
-
-
-def price_grids(
-    specs: list[ProductSpec],
-    num_points: int = 21,
-    lo_ratio: float = 0.5,
-    hi_ratio: float = 2.0,
-) -> np.ndarray:
-    """``(len(specs), num_points)`` float64 array of uniform price grids,
-    row i equal to ``default_price_grid(specs[i], ...)``.
-
-    Raises ValueError naming the first product whose upper bound
-    overflows or whose prices are not positive and strictly increasing.
-    """
-    grids, unusable = _uniform_grids([s.base_price for s in specs], num_points, lo_ratio, hi_ratio)
-    if unusable:
-        i, reason = next(iter(unusable.items()))
-        raise ValueError(f"product {specs[i].name!r}: {reason}")
-    return grids
 
 
 def default_price_grid(

@@ -97,13 +97,13 @@ class QTable:
 
 @dataclass
 class TrainingTrace:
-    """Per-episode observability: epsilon used, total reward, optional
-    greedy-policy snapshots, and the state/action visit counts."""
+    """Per-episode observability: epsilon used, total reward and the greedy
+    action per state after the episode, and the state/action visit counts."""
 
     epsilons: np.ndarray
     episode_rewards: np.ndarray
     visit_counts: np.ndarray
-    greedy_policies: np.ndarray | None = None
+    greedy_policies: np.ndarray
 
     def __len__(self) -> int:
         return len(self.epsilons)
@@ -232,13 +232,10 @@ def train(
     grid: PriceGrid,
     modulation: DayModulation = DayModulation(),
     hp: Hyperparams = Hyperparams(),
-    *,
-    record_policies: bool = False,
 ) -> tuple[QTable, TrainingTrace]:
     """Run the full training loop for one product.
 
-    Returns the learned table and a per-episode trace; ``record_policies``
-    adds the greedy action per state after every episode to the trace.
+    Returns the learned table and a per-episode trace.
     """
     rewards = reward_tables(spec, grid, modulation, hp.gamma)
     days, next_days, epsilons, alpha, gamma = _shared_kernel_args(hp)
@@ -252,7 +249,7 @@ def train(
         epsilons=epsilons,
         episode_rewards=totals,
         visit_counts=visits,
-        greedy_policies=policies if record_policies else None,
+        greedy_policies=policies,
     )
     return QTable(values), trace
 

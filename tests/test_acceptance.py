@@ -113,7 +113,7 @@ def test_analytic_vs_brute_force():
                     grid_failures.append((name, cost_ratio, mult))
                 if not ana.clamped:
                     unclamped += 1
-                    ls = line_search_optimum(spec_costed, bounds, mult, tolerance=1e-4)
+                    ls = line_search_optimum(spec_costed, bounds, mult)
                     if abs(ls.price - ana.price) > 1e-3:
                         line_failures.append((name, cost_ratio, mult))
     ok = cases == 56 and not grid_failures and not line_failures

@@ -8,11 +8,11 @@ import pytest
 from pricelab.baselines import (
     Method,
     Optimum,
+    _view,
     analytic_optimum,
     columns_by_day,
     grid_search_optimum,
     line_search_optimum,
-    optima,
     optimum_columns,
     profit_at,
 )
@@ -23,7 +23,6 @@ from pricelab.domain import (
     ProductSpec,
     default_price_grid,
     demand,
-    price_grids,
     reward,
     zero_demand_price,
 )
@@ -128,24 +127,24 @@ class TestGridSearch:
 
 class TestLineSearch:
     def test_matches_analytic_vertex(self):
-        opt = line_search_optimum(S24, (54.6, 218.4), tolerance=1e-4)
+        opt = line_search_optimum(S24, (54.6, 218.4))
         assert opt.method is Method.LINE_SEARCH
         assert abs(opt.price - 163.8) <= 1e-3
         assert not opt.clamped
 
     def test_collapsed_bounds_return_midpoint(self):
-        opt = line_search_optimum(S24, (100.0, 100.0 + 1e-6), tolerance=1e-4)
+        opt = line_search_optimum(S24, (100.0, 100.0 + 1e-6))
         assert opt.price == pytest.approx(100.0 + 5e-7, abs=1e-9)
 
     def test_clamped_on_monotone_profit(self):
-        opt = line_search_optimum(MU6290, (222.35, 889.4), tolerance=1e-4)
+        opt = line_search_optimum(MU6290, (222.35, 889.4))
         assert opt.clamped
         assert abs(opt.price - 889.4) <= 1e-3
 
     def test_flat_clipped_region_terminates(self):
         spec = ProductSpec(name="steep", base_demand=60.0, base_price=2011.6, elasticity=-8.4)
         lo, hi = 1.2 * 2011.6, 2.0 * 2011.6  # fully beyond the zero-demand price
-        opt = line_search_optimum(spec, (lo, hi), tolerance=1e-3)
+        opt = line_search_optimum(spec, (lo, hi))
         assert opt.profit >= profit_at(spec, lo)
         assert opt.profit >= profit_at(spec, hi)
         assert opt.profit == 0.0
@@ -166,10 +165,6 @@ class TestLineSearch:
                     abs(a_coef + 2 * b_coef * grid.hi - c * b_coef),
                 )
                 assert ls.profit >= gs.profit - slope_bound * grid.step - 1e-9
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            line_search_optimum(S24, (54.6, 218.4), tolerance=0.0)
 
 
 class TestCrossMethodInvariants:
@@ -207,7 +202,7 @@ class TestCrossMethodInvariants:
 
 # --- scalar oracle ----------------------------------------------------------
 # The one-product Python-float loops the batch lanes replaced.  Every lane of
-# ``optima`` and every one-lane call must reproduce them bit for bit.
+# ``optimum_columns`` and every one-lane call must reproduce them bit for bit.
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -271,6 +266,16 @@ def oracle_line_search(spec, bounds, multiplier=1.0, tolerance=1e-4):
     return Optimum(price, d, reward(spec, price, d), Method.LINE_SEARCH, clamped)
 
 
+def grid_rows(specs, points=21, lo_ratio=0.5, hi_ratio=2.0):
+    """Each product's ``default_price_grid`` as one row of an array."""
+    return np.array([default_price_grid(s, points, lo_ratio, hi_ratio).prices for s in specs]).reshape(-1, points)
+
+
+def optima(specs, grids, multiplier=1.0):
+    """``optimum_columns`` as one ``Optimum`` list per method."""
+    return tuple(map(_view, Method, optimum_columns(specs, grids, multiplier)))
+
+
 def same_float(a, b):
     """Equal as the reports print them: same value and sign, or both NaN."""
     if math.isnan(a) or math.isnan(b):
@@ -332,7 +337,7 @@ class TestLanesMatchScalarOracle:
     @pytest.mark.parametrize("points, span", [(21, (0.5, 2.0)), (7, (0.3, 3.0)), (2, (0.9, 1.1))])
     def test_random_catalog(self, multiplier, points, span):
         specs = random_specs(300, seed=points * 31 + int(multiplier * 10))
-        grids = price_grids(specs, points, *span)
+        grids = grid_rows(specs, points, *span)
         ana, gs, ls = optima(specs, grids, multiplier)
         for spec, row, a, g, l in zip(specs, grids.tolist(), ana, gs, ls):
             bounds = (row[0], row[-1])
@@ -383,7 +388,7 @@ class TestLanesMatchScalarOracle:
             assert_same(line_search_optimum(spec, bounds), oracle_line_search(spec, bounds))
 
     def test_empty_catalog(self):
-        assert optima([], price_grids([])) == ([], [], [])
+        assert optima([], grid_rows([])) == ([], [], [])
 
 
 class TestColumnsByDay:
@@ -401,7 +406,7 @@ class TestColumnsByDay:
             return optimum_columns(specs, grids, multiplier)
 
         specs = random_specs(60, seed=9)
-        grids = price_grids(specs)
+        grids = grid_rows(specs)
         with monkeypatch.context() as m:
             m.setattr(baselines_module, "optimum_columns", counted)
             table = columns_by_day(specs, grids, modulation)

@@ -4,6 +4,7 @@ import pytest
 
 from pricelab.catalog import (
     RejectReason,
+    RowOutcome,
     parse_catalog,
     sample_catalog,
     serialize_catalog,
@@ -116,6 +117,16 @@ class TestParseCatalog:
         with pytest.raises(ValueError):
             parse_catalog("name,price\na,1\n")
 
+    # str.splitlines also breaks lines at these, but a CSV row ends only at CR or LF
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_row_ends_only_at_cr_or_lf(self, char):
+        specs, report = parse_catalog(f"{HEADER}\nA{char}B,-1,10,5\n")
+        assert [s.name for s in specs] == [f"A{char}B"]
+        assert report.outcomes == [RowOutcome(1, True, name=f"A{char}B")]
+        again, report = parse_catalog(serialize_catalog(specs))
+        assert again == specs
+        assert not report.rejections
+
     def test_one_outcome_per_row(self):
         text = HEADER + "\n" + "\n".join(f"p{i},-1.0,10.0,5.0" for i in range(7))
         _, report = parse_catalog(text)
@@ -129,6 +140,8 @@ FUZZ_PIECES = [
     "", " ", "0", "-0", "1", "-1.5", "109.2", "1e308", "-1e308", "1.7e308", "5e-324", "1e-400", "1e999",
     "inf", "-inf", "nan", "NaN", "+7", "1_000", "0x10", "1,5", "١٢", "abc", "Samsung 24\" HD", '"', '""',
     '"a,b"', '"x', ",", ",,", "\t", "\x00", "\x7f", "é", "💡", "\\", "'", ";", "|", "=1+1",
+    # line breaks to str.splitlines, not to CSV
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
 ]
 
 

@@ -12,11 +12,10 @@ from pricelab.domain import (
     _uniform_grids,
     default_price_grid,
     demand,
-    price_grids,
     reward,
-    revenue_curve,
     zero_demand_price,
 )
+from pricelab.experiment import ExperimentConfig, check_products, prepare_products
 from pricelab.rng import XorShift64
 
 
@@ -164,33 +163,6 @@ class TestDayMultiplierArgmaxInvariance:
                 assert profits.index(max(profits)) == base.index(max(base))
 
 
-class TestRevenueCurve:
-    def test_two_point_example(self):
-        spec = spec_of(-0.5, 109.2, 80.0)
-        curve = revenue_curve(spec, PriceGrid((109.2, 218.4)), 1.0)
-        (p1, r1, d1), (p2, r2, d2) = curve
-        assert (p1, d1) == (109.2, 80.0)
-        assert r1 == pytest.approx(8736.0, rel=1e-12)
-        assert p2 == 218.4
-        assert d2 == pytest.approx(40.0, rel=1e-12)
-        assert r2 == pytest.approx(8736.0, rel=1e-12)
-
-    def test_follows_grid_order(self):
-        spec = spec_of(-1.1, 1412.1, 49.0)
-        grid = default_price_grid(spec, 7)
-        curve = revenue_curve(spec, grid)
-        assert [p for p, _, _ in curve] == list(grid)
-
-    def test_unique_interior_maximum_when_vertex_inside(self):
-        spec = spec_of(-0.5, 109.2, 80.0)
-        grid = default_price_grid(spec, 201)
-        revenues = [r for _, r, _ in revenue_curve(spec, grid)]
-        k = revenues.index(max(revenues))
-        assert 0 < k < len(grid) - 1
-        vertex = spec.base_price * (spec.elasticity - 1) / (2 * spec.elasticity)
-        assert abs(grid[k] - vertex) <= grid.step
-
-
 class TestDefaultPriceGrid:
     def test_two_points(self):
         grid = default_price_grid(spec_of(-1.0, 100.0, 10.0), 2)
@@ -243,11 +215,6 @@ class TestPriceGrids:
         for i in (0, 2):
             assert grids[i].tobytes() == np.linspace(0.5 * bases[i], 2.0 * bases[i], 21).tobytes()
 
-    def test_default_grid_is_the_one_row_case(self, sample_specs):
-        grids = price_grids(sample_specs, 21, 0.4, 2.5)
-        for spec, row in zip(sample_specs, grids.tolist()):
-            assert default_price_grid(spec, 21, 0.4, 2.5).prices == tuple(row)
-
     @pytest.mark.parametrize(
         "p0, reason",
         [
@@ -259,15 +226,13 @@ class TestPriceGrids:
     def test_names_the_first_bad_product(self, p0, reason):
         specs = [spec_of(-1.0, 100.0, 10.0, name="ok"), spec_of(-1.0, p0, 10.0, name="bad"),
                  spec_of(-1.0, 1.7e308, 10.0, name="later")]
+        _, _, unusable = prepare_products(specs, ExperimentConfig())
         with pytest.raises(ValueError) as excinfo:
-            price_grids(specs, 21)
+            check_products(specs, unusable)
         assert str(excinfo.value) == f"product 'bad': {reason}"
         with pytest.raises(ValueError) as excinfo:
             default_price_grid(specs[1], 21)
         assert str(excinfo.value) == reason
-
-    def test_empty_catalog(self):
-        assert price_grids([], 5).shape == (0, 5)
 
 
 class TestZeroDemandPrice:

@@ -11,7 +11,7 @@ import pytest
 
 from pricelab.baselines import Columns, Method
 from pricelab.catalog import sample_catalog
-from pricelab.domain import DayModulation, DayType, ProductSpec, price_grids
+from pricelab.domain import DayModulation, DayType, ProductSpec, default_price_grid
 from pricelab.experiment import (
     _CSV_COLUMNS,
     _MD_HEADERS,
@@ -96,7 +96,8 @@ class TestPrepareProducts:
         costed, grids, unusable = prepare_products(sample_specs, config)
         assert unusable == {}
         assert costed == [config.cost_policy.apply(spec) for spec in sample_specs]
-        assert grids.tobytes() == price_grids(sample_specs, 11, 0.4, 2.5).tobytes()
+        rows = [default_price_grid(spec, 11, 0.4, 2.5).prices for spec in sample_specs]
+        assert grids.tobytes() == np.array(rows).tobytes()
 
     def test_reports_every_unusable_product(self):
         catalog = [S24, ProductSpec("Huge", 1.0, 1.7e308, -0.5), S24, ProductSpec("Tiny", 10.0, 5e-324, -1.0)]

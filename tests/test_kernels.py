@@ -53,7 +53,7 @@ def test_lane_starts_of_many_states_equal_each_state_alone():
         assert starts[:, j].tolist() == _kernels._lane_starts(state, table).tolist()
 
 
-@pytest.mark.parametrize("lanes", [1, _kernels._DECAY_LANES, _kernels._LANES])
+@pytest.mark.parametrize("lanes", [1, 16, _kernels._LANES])
 def test_blocks_resumed_from_a_word_continue_the_scalar_stream(lanes):
     # each block starts at the state after the last word read from the one before
     x, got = np.uint64(REMAPPED_ZERO), []

@@ -15,7 +15,6 @@ from pricelab.domain import (
     ProductSpec,
     default_price_grid,
     demand,
-    price_grids,
     reward,
 )
 from pricelab.qlearn import (
@@ -223,11 +222,11 @@ class TestTrainContract:
         assert trace.episode_rewards.shape == (80,)
         assert np.isfinite(trace.episode_rewards).all()
         assert trace.visit_counts.sum() == 80 * hp.steps_per_episode
-        assert trace.greedy_policies is None
+        assert trace.greedy_policies.shape == (80, 2)
 
     def test_policy_snapshots(self):
         grid = default_price_grid(S24, 5)
-        q, trace = train(S24, grid, hp=small_hp(episodes=50), record_policies=True)
+        q, trace = train(S24, grid, hp=small_hp(episodes=50))
         assert trace.greedy_policies.shape == (50, 2)
         assert trace.greedy_policies[-1, 0] == q.argmax_action(0)
         assert trace.greedy_policies[-1, 1] == q.argmax_action(1)
@@ -408,7 +407,7 @@ class TestReplayParity:
         spec = ProductSpec(name="costy", base_demand=40.0, base_price=142.7, elasticity=-1.9, unit_cost=unit_cost)
         grid = default_price_grid(spec, 7)
         modulation = DayModulation(weekday=1.0, weekend=1.2)
-        q_train, trace = train(spec, grid, modulation, hp, record_policies=True)
+        q_train, trace = train(spec, grid, modulation, hp)
         q_replay, totals, visits, policies = self.replay(spec, grid, modulation, hp)
         assert np.array_equal(q_train.values, q_replay.values)
         assert trace.episode_rewards.tobytes() == totals.tobytes()
@@ -437,7 +436,7 @@ class TestReplayParity:
         nxt = calendar_next_day_types(7)
         for seed in range(20):
             hp = Hyperparams(alpha=1.0, gamma=gamma, epsilon_decay=0.9, episodes=300, seed=seed)
-            values, trace = train(S24, grid, hp=hp, record_policies=True)
+            values, trace = train(S24, grid, hp=hp)
             q = QTable.zeros(2, 6)
             rng = XorShift64(seed)
             visits = np.zeros((2, 6), dtype=np.int64)
@@ -522,6 +521,11 @@ def random_specs(count, seed):
     return specs
 
 
+def grid_rows(specs, points):
+    """Each product's ``default_price_grid`` as one row of an array."""
+    return np.array([default_price_grid(s, points).prices for s in specs]).reshape(-1, points)
+
+
 def same_bits(got, want) -> bool:
     return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
@@ -553,7 +557,7 @@ class TestRewardLanes:
     )
     def test_rows_equal_scalar_oracle(self, modulation, gamma):
         specs = random_specs(300, seed=int(gamma * 1000)) + OVERFLOWING
-        grids = price_grids(specs, 21)
+        grids = grid_rows(specs, 21)
         rewards, overflow = reward_lanes(ProductLanes.of(specs), grids, modulation, gamma)
         assert rewards.shape == (len(specs), 2, 21)
         errors = {}
@@ -577,7 +581,7 @@ class TestRewardLanes:
                     reward_tables(spec, grid, modulation, 0.9)
 
     def test_empty_catalog(self):
-        rewards, overflow = reward_lanes(ProductLanes.of([]), price_grids([], 5), DayModulation(), 0.9)
+        rewards, overflow = reward_lanes(ProductLanes.of([]), grid_rows([], 5), DayModulation(), 0.9)
         assert rewards.shape == (0, 2, 5) and overflow == {}
 
 
@@ -595,7 +599,7 @@ class TestGreedyLanes:
     @pytest.mark.parametrize("modulation", [DayModulation(), DayModulation(1.0, 1.2)])
     def test_rows_equal_scalar_oracle(self, modulation):
         specs = random_specs(300, seed=11)
-        grids = price_grids(specs, 9)
+        grids = grid_rows(specs, 9)
         rng = np.random.default_rng(5)
         # values 0, 1 and 2 only: most rows hold ties, which break toward the lowest index
         values = rng.integers(0, 3, size=(len(specs), 2, 9)).astype(np.float64)
