@@ -17,30 +17,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import fields
 from pathlib import Path
 
-# perfbench/tracing.py times the one-product optimizers, default_price_grid and
-# run_experiment as attributes of this module, so they stay importable here; nothing
-# here calls them: optimize runs columns_by_day, prepare_products builds every grid
-# in one call, and compare runs compare_columns
+# perfbench/tracing.py times the one-product optimizers, default_price_grid,
+# run_experiment, render_report and export_revenue_curves as attributes of this
+# module, so they stay importable here; nothing here calls them: optimize runs
+# columns_by_day, prepare_products builds every grid in one call, compare runs
+# compare_columns, and the reports are written from their block functions
+# (report_blocks, optimize_blocks, revenue_curve_blocks)
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
 from .baselines import columns_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, PriceGrid
-from .experiment import run_experiment  # noqa: F401
+from .experiment import export_revenue_curves, render_report, run_experiment  # noqa: F401
 from .experiment import (
     COST_POLICY_KINDS,
     CostPolicy,
     ExperimentConfig,
     check_products,
     compare_columns,
-    export_revenue_curves,
+    optimize_blocks,
     optimize_overflow,
     prepare_products,
-    render_optimize,
-    render_report,
+    report_blocks,
+    revenue_curve_blocks,
 )
 from .qlearn import Hyperparams, hyperparams_to_json, qtable_to_csv, train
 
@@ -142,15 +145,19 @@ def _load_catalog(args: argparse.Namespace):
     return specs, report
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(blocks: Iterable[str], path: str | None) -> None:
+    """Write each text block as it comes.  The block functions run every
+    check that can fail before they return, so a failed run writes no byte
+    and creates no file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
 
 
 def _cmd_sample_catalog(args) -> int:
-    _write_output(serialize_catalog(sample_catalog()), args.output)
+    _write_output([serialize_catalog(sample_catalog())], args.output)
     return 0
 
 
@@ -163,14 +170,14 @@ def _cmd_validate(args) -> int:
         else:
             lines.append(f"row {o.row_number}: rejected ({o.reason.value}): {o.detail}")
     lines.append(f"accepted {report.accepted_count} of {len(report.outcomes)} rows")
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(["\n".join(lines) + "\n"], args.output)
     return 1 if report.rejections else 0
 
 
 def _cmd_curve(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    _write_output(export_revenue_curves(catalog, config, args.samples), args.output)
+    _write_output(revenue_curve_blocks(catalog, config, args.samples), args.output)
     return 0
 
 
@@ -188,7 +195,7 @@ def _cmd_train(args) -> int:
         q, _trace = train(spec, grid, config.modulation, hp)
     except ValueError as exc:  # its rewards overflow
         raise CliError(f"product {spec.name!r}: {exc}") from None
-    _write_output(qtable_to_csv(q, grid), args.output)
+    _write_output([qtable_to_csv(q, grid)], args.output)
     # the sidecar goes only next to a regular file (not /dev/null, a pipe, ...)
     if args.output not in (None, "-") and Path(args.output).is_file():
         sidecar = Path(args.output).with_suffix(".hyperparams.json")
@@ -204,7 +211,7 @@ def _cmd_optimize(args) -> int:
     usable = min(unusable, default=len(catalog))
     table = columns_by_day(costed[:usable], grids[:usable], config.modulation)
     check_products(catalog, {**unusable, **optimize_overflow(table)})
-    _write_output(render_optimize([spec.name for spec in catalog], table, args.format), args.output)
+    _write_output(optimize_blocks([spec.name for spec in catalog], table, args.format), args.output)
     return 0
 
 
@@ -213,7 +220,7 @@ def _cmd_compare(args) -> int:
     config = _build_config(args)
     if args.jobs is not None and args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    _write_output(render_report(compare_columns(catalog, config), args.format, config), args.output)
+    _write_output(report_blocks(compare_columns(catalog, config), args.format, config), args.output)
     return 0
 
 

@@ -25,13 +25,17 @@ no object per row; ``run_experiment``'s ``ComparisonRow`` list is a view
 of it.  Training raises nothing on the products it gets, so an exception
 from it propagates.
 
-``render_report`` (``compare``) and ``render_optimize`` (``optimize``)
+``report_blocks`` (``compare``) and ``optimize_blocks`` (``optimize``)
 write all three formats from such arrays through one writer, ``_rows``:
 each row is one ``%`` of its format's row template, and an error row
 comes from its own template.  The JSON equals ``json.dumps(report,
 indent=2, allow_nan=False)`` byte for byte, including the error for the
 first non-finite value (``json.dumps`` uses its C encoder only without
-``indent``).
+``indent``).  These and ``revenue_curve_blocks`` (``curve``) run every
+check that can fail first, then return the report as a lazy sequence of
+text blocks of ``_BLOCK`` products, so a writer holds one block at a time;
+``render_report``, ``render_optimize`` and ``export_revenue_curves`` are
+the blocks joined into one string.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import io
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, replace
 
@@ -320,27 +325,97 @@ def _header(format: str, columns: list[str]) -> str:
     return f"| {' | '.join(columns)} |\n|{' --- |' * len(columns)}\n"
 
 
-def _rows(line: str, names: list[str], slots: list[str], columns, errors: dict[int, str], error: str, sep="") -> str:
+# products per block of every report: a report is written block by block, so
+# the arrays and strings held at once do not grow with the catalog
+_BLOCK = 128
+
+
+def _document(head: str, count: int, block, sep: str, tail: str) -> Iterator[str]:
+    """``head``, then ``block(start)`` for each block of ``count`` products
+    in turn, joined by ``sep``, then ``tail``."""
+    yield head
+    for start in range(0, count, _BLOCK):
+        if start:
+            yield sep
+        yield block(start)
+    yield tail
+
+
+def _rows(line: str, names: list[str], slots: list[str], columns, errors: dict[int, str], error: str, sep="",
+          start=0) -> str:
     """Each product's rows, one per slot, joined by ``sep``: ``line % (name
     + slot, *cells)``, the cells taken in turn from ``columns``, with one
-    ``%`` per row; the rows of a product in ``errors`` (``{index: escaped
-    reason}``) are ``error % (name + slot, reason)`` instead."""
+    ``%`` per row; the rows of a product in ``errors`` (``{catalog index:
+    escaped reason}``, ``names[0]`` at index ``start``) are ``error % (name
+    + slot, reason)`` instead."""
     prefixes = [name + slot for name in names for slot in slots]
     rows = list(map(line.__mod__, zip(prefixes, *columns)))
-    for index, reason in errors.items():
-        for row in range(index * len(slots), (index + 1) * len(slots)):
-            rows[row] = error % (prefixes[row], reason)
+    for index in range(len(names)):
+        if start + index in errors:
+            for row in range(index * len(slots), (index + 1) * len(slots)):
+                rows[row] = error % (prefixes[row], errors[start + index])
     return sep.join(rows)
 
 
 def _check_json(*columns: np.ndarray) -> None:
     """Raise the error ``json.dumps(allow_nan=False)`` raises for the first
     non-finite float of a document whose floats are ``columns`` (arrays of
-    one shape) taken entry by entry."""
-    cells = np.stack(columns, axis=-1)
-    finite = np.isfinite(cells)
-    if not finite.all():
-        raise ValueError(f"Out of range float values are not JSON compliant: {cells.flat[finite.argmin()].item()!r}")
+    one shape, one product per entry of the first axis) taken entry by
+    entry."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        cells = np.stack([a[start : start + _BLOCK] for a in columns], axis=-1)
+        finite = np.isfinite(cells)
+        if not finite.all():
+            value = cells.flat[finite.argmin()].item()
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def report_blocks(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> Iterator[str]:
+    """``render_report``'s text as blocks of ``_BLOCK`` products, after
+    every check that can fail: the format, and in JSON every value's
+    finiteness."""
+    if format not in ("csv", "json", "markdown"):
+        raise ValueError(f"unknown report format {format!r}")
+    rl = (result.rl_price, result.rl_demand, result.rl_profit)
+    flags = _DAGGER if format == "markdown" else _BOOL
+    ratio_format, blank = {"csv": ("%.6f", ""), "json": ("%r", "null"), "markdown": ("%.4f", "")}[format]
+    days = [day.label for day in _DAYS]
+    reasons = list(result.errors.values())
+    sep, tail = "", ""
+    if format == "csv":
+        head, line, error = _header(format, _CSV_COLUMNS), _CSV_ROW, _CSV_ERROR
+        cells, slots = csv_quoted, [f",{day}" for day in days]
+        errors = dict(zip(result.errors, csv_quoted(reasons)))
+    elif format == "markdown":
+        head, line, error = _header(format, _MD_HEADERS), _MD_ROW, _MD_ERROR
+        cells, slots = lambda names: [f"| {markdown_escape(name)}" for name in names], [f" | {day}" for day in days]
+        errors = dict(zip(result.errors, map(markdown_escape, reasons)))
+        if result.baselines.clamped.any():  # an error product's flags are False
+            tail = "\n† optimum clamped to the search interval boundary.\n"
+    else:
+        _check_json(*rl, *(a[..., method] for method in range(len(Method)) for a in result.baselines[:3]),
+                    result.ratio)
+        provenance = {} if config is None else {"config": dataclasses.asdict(config)}
+        text = json.dumps({**provenance, "rows": []}, indent=2, allow_nan=False)
+        # the rows replace the '[]\n}' json.dumps ends with
+        head, tail = (text[: -len("[]\n}")] + "[\n", "\n  ]\n}\n") if result.names else (text + "\n", "")
+        line, error, sep = _JSON_ROW, _JSON_ERROR, ",\n"
+        cells = lambda names: [f'    {{\n      "product": {name}' for name in map(encode_basestring_ascii, names)]
+        slots = [f',\n      "day": "{day}"' for day in days]
+        errors = dict(zip(result.errors, map(encode_basestring_ascii, reasons)))
+
+    def block(start: int) -> str:
+        part = slice(start, start + _BLOCK)
+        columns = [a[part].ravel().tolist() for a in rl]
+        for method in range(len(Method)):
+            price, demand, profit = (a[part, ..., method].ravel().tolist() for a in result.baselines[:3])
+            flag = list(map(flags.__getitem__, result.baselines.clamped[part, ..., method].ravel().tolist()))
+            columns += [price, flag, demand, profit] if format == "markdown" else [price, demand, profit, flag]
+        ratios = zip(result.ratio[part].ravel().tolist(), result.rated[part].ravel().tolist())
+        columns.append([ratio_format % r if rated else blank for r, rated in ratios])
+        return _rows(line, cells(result.names[part]), slots, columns, errors, error, sep, start)
+
+    return _document(head, len(result.names), block, sep, tail)
 
 
 def render_report(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> str:
@@ -348,46 +423,9 @@ def render_report(result: Comparison, format: str = "csv", config: ExperimentCon
 
     JSON output carries full precision and, when a config is supplied,
     a provenance block describing the run.  Markdown footnotes clamped
-    baseline prices.
+    baseline prices.  The text of ``report_blocks``, joined.
     """
-    if format not in ("csv", "json", "markdown"):
-        raise ValueError(f"unknown report format {format!r}")
-    rl = (result.rl_price, result.rl_demand, result.rl_profit)
-    columns = [a.ravel().tolist() for a in rl]
-    flags = _DAGGER if format == "markdown" else _BOOL
-    for method in range(len(Method)):
-        price, demand, profit = (a[..., method].ravel().tolist() for a in result.baselines[:3])
-        flag = list(map(flags.__getitem__, result.baselines.clamped[..., method].ravel().tolist()))
-        columns += [price, flag, demand, profit] if format == "markdown" else [price, demand, profit, flag]
-    ratio_format, blank = {"csv": ("%.6f", ""), "json": ("%r", "null"), "markdown": ("%.4f", "")}[format]
-    ratios = zip(result.ratio.ravel().tolist(), result.rated.ravel().tolist())
-    columns.append([ratio_format % r if rated else blank for r, rated in ratios])
-    days = [day.label for day in _DAYS]
-    reasons = list(result.errors.values())
-
-    if format == "csv":
-        names = csv_quoted(result.names)
-        errors = dict(zip(result.errors, csv_quoted(reasons)))
-        rows = _rows(_CSV_ROW, names, [f",{day}" for day in days], columns, errors, _CSV_ERROR)
-        return _header(format, _CSV_COLUMNS) + rows
-
-    if format == "markdown":
-        names = [f"| {markdown_escape(name)}" for name in result.names]
-        errors = dict(zip(result.errors, map(markdown_escape, reasons)))
-        rows = _rows(_MD_ROW, names, [f" | {day}" for day in days], columns, errors, _MD_ERROR)
-        clamped = result.baselines.clamped.any()  # an error product's flags are False
-        footer = "\n† optimum clamped to the search interval boundary.\n" if clamped else ""
-        return _header(format, _MD_HEADERS) + rows + footer
-
-    _check_json(*rl, *(a[..., method] for method in range(len(Method)) for a in result.baselines[:3]), result.ratio)
-    head = {} if config is None else {"config": dataclasses.asdict(config)}
-    text = json.dumps({**head, "rows": []}, indent=2, allow_nan=False)
-    names = [f'    {{\n      "product": {name}' for name in map(encode_basestring_ascii, result.names)]
-    errors = dict(zip(result.errors, map(encode_basestring_ascii, reasons)))
-    rows = _rows(_JSON_ROW, names, [f',\n      "day": "{day}"' for day in days], columns, errors, _JSON_ERROR, ",\n")
-    if rows:  # the rows replace the '[]\n}' json.dumps ends with, in one copy
-        return "".join([text[: -len("[]\n}")], "[\n", rows, "\n  ]\n}\n"])
-    return text + "\n"
+    return "".join(report_blocks(result, format, config))
 
 
 def optimize_overflow(table: Columns) -> dict[int, str]:
@@ -402,31 +440,93 @@ def optimize_overflow(table: Columns) -> dict[int, str]:
     }
 
 
+def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[str]:
+    """``render_optimize``'s text as blocks of ``_BLOCK`` products, after
+    every check that can fail: in JSON, every value's finiteness."""
+    sep, tail = "", ""
+    if format == "json":
+        _check_json(*table[:3])
+        head, tail = ("[\n", "\n]\n") if names else ("[]\n", "")
+        line, sep = _OPTIMIZE_JSON_ROW, ",\n"
+        cells = lambda names: [f'  {{\n    "product": {name}' for name in map(encode_basestring_ascii, names)]
+        slots = [f',\n    "day": "{day}",\n    "method": "{method}"' for day, method in _OPTIMIZE_SLOTS]
+    else:
+        if format == "markdown":
+            head, line, cell_sep = _header(format, _OPTIMIZE_HEADERS), _OPTIMIZE_MD_ROW, " | "
+            cells = lambda names: [f"| {markdown_escape(name)}" for name in names]
+        else:
+            head, line, cell_sep = _header("csv", _OPTIMIZE_COLUMNS), _OPTIMIZE_CSV_ROW, ","
+            cells = csv_quoted
+        slots = [f"{cell_sep}{day}{cell_sep}{method}" for day, method in _OPTIMIZE_SLOTS]
+
+    def block(start: int) -> str:
+        part = slice(start, start + _BLOCK)
+        columns = [a[part].ravel().tolist() for a in table[:3]]
+        columns.append(list(map(_BOOL.__getitem__, table.clamped[part].ravel().tolist())))
+        return _rows(line, cells(names[part]), slots, columns, {}, "", sep)
+
+    return _document(head, len(names), block, sep, tail)
+
+
 def render_optimize(names: list[str], table: Columns, format: str) -> str:
     """The ``optimize`` report of a ``columns_by_day`` table, one row per
     product, day and method; prices and demands at 1 decimal and profits at
-    2, except in JSON, which carries full precision."""
-    columns = [a.ravel().tolist() for a in table[:3]]
-    columns.append(list(map(_BOOL.__getitem__, table.clamped.ravel().tolist())))
-    if format == "json":
-        _check_json(*table[:3])
-        cells = [f'  {{\n    "product": {name}' for name in map(encode_basestring_ascii, names)]
-        slots = [f',\n    "day": "{day}",\n    "method": "{method}"' for day, method in _OPTIMIZE_SLOTS]
-        rows = _rows(_OPTIMIZE_JSON_ROW, cells, slots, columns, {}, "", ",\n")
-        return "[\n" + rows + "\n]\n" if rows else "[]\n"
-    if format == "markdown":
-        head, line, sep = _header(format, _OPTIMIZE_HEADERS), _OPTIMIZE_MD_ROW, " | "
-        cells = [f"| {markdown_escape(name)}" for name in names]
-    else:
-        head, line, sep = _header("csv", _OPTIMIZE_COLUMNS), _OPTIMIZE_CSV_ROW, ","
-        cells = csv_quoted(names)
-    slots = [f"{sep}{day}{sep}{method}" for day, method in _OPTIMIZE_SLOTS]
-    return head + _rows(line, cells, slots, columns, {}, "")
+    2, except in JSON, which carries full precision.  The text of
+    ``optimize_blocks``, joined."""
+    return "".join(optimize_blocks(names, table, format))
 
 
-# products per block of the curve export: bounds the arrays and strings
-# held at once (unblocked, peak memory grows with the catalog)
-_CURVE_BLOCK = 64
+def _curves(specs: list[ProductSpec], sampled: ExperimentConfig) -> tuple:
+    """The sampled prices of ``specs``, their setup errors, and ``{multiplier:
+    (demand, revenue, profit)}`` for each distinct day multiplier (equal
+    multipliers give equal curves)."""
+    costed, prices, errors = prepare_products(specs, sampled)
+    lanes = ProductLanes.of(costed)
+    curves = {}
+    for mult in {sampled.modulation.multiplier(day) for day in _DAYS}:
+        d = lanes.demand(prices, mult)
+        with np.errstate(over="ignore", invalid="ignore"):
+            revenue = prices * d
+        curves[mult] = (d, revenue, lanes.reward(prices, d))
+    return prices, errors, curves
+
+
+def revenue_curve_blocks(
+    catalog: list[ProductSpec], config: ExperimentConfig, samples_per_curve: int = 101
+) -> Iterator[str]:
+    """``export_revenue_curves``'s text as blocks of ``_BLOCK`` products,
+    after every check that can fail: a first pass sets every product up and
+    tests its curve values, with nothing formatted, and the first product
+    that cannot be set up or whose curve overflows is an error naming it."""
+    if samples_per_curve < 2:
+        raise ValueError("samples_per_curve must be >= 2")
+    sampled = replace(config, grid_points=samples_per_curve)
+    days = [(day.label, config.modulation.multiplier(day)) for day in _DAYS]
+    for start in range(0, len(catalog), _BLOCK):
+        specs = catalog[start : start + _BLOCK]
+        _, errors, curves = _curves(specs, sampled)
+        finite = np.ones(len(specs), dtype=bool)
+        for curve in curves.values():
+            finite &= np.isfinite(np.hstack(curve)).all(axis=1)
+        if not finite.all():  # an unusable product keeps its setup error
+            errors.setdefault(int(finite.argmin()), "revenue curve overflows")
+        check_products(specs, errors)
+
+    def block(start: int) -> str:
+        specs = catalog[start : start + _BLOCK]
+        prices, _, curves = _curves(specs, sampled)
+        rows = {}
+        for mult, (d, revenue, profit) in curves.items():
+            columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), profit.tolist())
+            rows[mult] = [list(map("%r,%r,%r,%r".__mod__, zip(*product))) for product in columns]
+        lines = []
+        for i, name in enumerate(csv_quoted([spec.name for spec in specs])):
+            for label, mult in days:
+                prefix = f"{name},{label},"
+                lines.append(prefix + ("\n" + prefix).join(rows[mult][i]) + "\n")
+        return "".join(lines)
+
+    return _document("product,day,price,demand,revenue,profit\n", len(catalog), block, "", "")
 
 
 def export_revenue_curves(
@@ -438,36 +538,7 @@ def export_revenue_curves(
     precision (``repr``) so downstream plots and checks see exactly what
     the model computed.  Products are set up as for training, with
     ``samples_per_curve`` grid points; a product that cannot be set up,
-    or whose curve overflows, is an error naming it.
+    or whose curve overflows, is an error naming it.  The text of
+    ``revenue_curve_blocks``, joined.
     """
-    if samples_per_curve < 2:
-        raise ValueError("samples_per_curve must be >= 2")
-    sampled = replace(config, grid_points=samples_per_curve)
-    days = [(day.label, config.modulation.multiplier(day)) for day in _DAYS]
-    parts = ["product,day,price,demand,revenue,profit\n"]
-    for start in range(0, len(catalog), _CURVE_BLOCK):
-        block = catalog[start : start + _CURVE_BLOCK]
-        costed, prices, errors = prepare_products(block, sampled)
-        lanes = ProductLanes.of(costed)
-        # equal day multipliers give equal curves: format each distinct one once
-        curves = {}
-        finite = np.ones(len(block), dtype=bool)
-        for _, mult in days:
-            if mult not in curves:
-                d = lanes.demand(prices, mult)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    revenue = prices * d
-                profit = lanes.reward(prices, d)
-                finite &= np.isfinite(np.hstack([d, revenue, profit])).all(axis=1)
-                columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), profit.tolist())
-                curves[mult] = [list(map("%r,%r,%r,%r".__mod__, zip(*rows))) for rows in columns]
-        if not finite.all():  # an unusable product keeps its setup error
-            errors.setdefault(int(finite.argmin()), "revenue curve overflows")
-        check_products(block, errors)
-        lines = []
-        for i, name in enumerate(csv_quoted([spec.name for spec in block])):
-            for label, mult in days:
-                prefix = f"{name},{label},"
-                lines.append(prefix + ("\n" + prefix).join(curves[mult][i]) + "\n")
-        parts.append("".join(lines))
-    return "".join(parts)
+    return "".join(revenue_curve_blocks(catalog, config, samples_per_curve))

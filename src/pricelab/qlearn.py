@@ -137,7 +137,10 @@ def epsilon_schedule(hp: Hyperparams) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _schedule(hp: Hyperparams) -> np.ndarray:
-    return np.array([epsilon_at(hp, k) for k in range(hp.episodes)])
+    # allocated first, so an episode count too large to hold fails at once
+    schedule = np.empty(hp.episodes)
+    schedule[:] = [epsilon_at(hp, k) for k in range(hp.episodes)]
+    return schedule
 
 
 def select_action(q: QTable, state_index: int, epsilon: float, rng: XorShift64) -> int:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pricelab.baselines import Columns, Method, Optimum
+from pricelab import cli, experiment
 from pricelab.cli import main
 from pricelab.domain import DayType
 from pricelab.experiment import check_products, optimize_overflow, render_optimize
@@ -437,7 +438,8 @@ def test_markdown_escapes_pipe_in_product_names(tmp_path, capsys):
 
 def test_first_unusable_or_overflowing_product_in_catalog_order_is_named(tmp_path, capsys):
     # Big's optimum and curve overflow, Huge's grid is unusable; Huge comes
-    # right after Big (one curve block) or 30 rows later (the next block)
+    # right after Big or 30 rows later (in Big's block or a later one, by
+    # the block size)
     clean = [f"P{i},-1.{i},{100 + i}.0,{10 + i}.0\n" for i in range(1, 71)]
     big, huge = "Big,-0.5,100.0,1e307\n", "Huge,-0.5,1.7e308,1.0\n"
     catalogs = {
@@ -451,6 +453,78 @@ def test_first_unusable_or_overflowing_product_in_catalog_order_is_named(tmp_pat
         for command, message in messages.items():
             code, out, err = run(capsys, [command, "--catalog", str(cat)])
             assert (code, out, err) == (2, "", f"pricelab: error: {message}\n"), (label, command)
+
+
+@pytest.mark.parametrize("block", [7, 1])
+def test_first_failing_product_is_named_in_small_blocks(tmp_path, capsys, monkeypatch, block):
+    monkeypatch.setattr(experiment, "_BLOCK", block)
+    test_first_unusable_or_overflowing_product_in_catalog_order_is_named(tmp_path, capsys)
+
+
+class TestFailedRunWritesNothing:
+    """A product that fails in the last block of the report: exit 2, with
+    no byte written to stdout and no ``-o`` file created."""
+
+    def run_both(self, tmp_path, capfd, argv):
+        out = tmp_path / "out.txt"
+        assert main(argv) == 2
+        assert main([*argv, "-o", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("pricelab: error:") == 2, captured.err
+        assert not out.exists()
+        return captured.err
+
+    def catalog(self, tmp_path, last_row):
+        # Fine products fill two blocks; last_row starts the third
+        rows = [f"P{i},-1.{i},{100 + i}.0,{10 + i}.0\n" for i in range(1, 2 * experiment._BLOCK + 1)]
+        cat = tmp_path / "cat.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\n" + "".join(rows) + last_row)
+        return str(cat)
+
+    def test_curve_overflow(self, tmp_path, capfd):
+        cat = self.catalog(tmp_path, "Big,-0.5,100.0,1e307\n")
+        err = self.run_both(tmp_path, capfd, ["curve", "--catalog", cat, "--samples", "3"])
+        assert "product 'Big': revenue curve overflows" in err
+
+    def test_optimize_overflow(self, tmp_path, capfd):
+        cat = self.catalog(tmp_path, "Big,-0.5,100.0,1e307\n")
+        for fmt in ("csv", "json", "markdown"):
+            err = self.run_both(tmp_path, capfd, ["optimize", "--catalog", cat, "--format", fmt])
+            assert "product 'Big': GridSearch optimum overflows" in err
+
+    def test_compare_json_non_finite_value(self, tmp_path, capfd, monkeypatch):
+        def compare_columns(catalog, config):  # the last product's Weekend RL profit is inf
+            result = experiment.compare_columns(catalog, config)
+            result.rl_profit[-1, 1] = math.inf
+            return result
+
+        monkeypatch.setattr(cli, "compare_columns", compare_columns)
+        cat = self.catalog(tmp_path, "Last,-1.0,100.0,10.0\n")
+        argv = ["compare", "--catalog", cat, "--episodes", "1", "--format", "json"]
+        err = self.run_both(tmp_path, capfd, argv)
+        assert "Out of range float values are not JSON compliant: inf" in err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [(["--episodes", "100000000000000000000"], None), ([], {"episodes": 1e20})],
+    ids=["flag", "config"],
+)
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_episode_count_too_large_to_hold_exits_two(tmp_path, capsys, command, flags, config):
+    # 10**20 episodes exceed the largest array numpy can describe, so the
+    # epsilon schedule fails before anything is allocated or computed
+    argv = [command, *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    if command == "train":
+        argv += ["--product", 'Samsung 24" HD']
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"pricelab: error: [^\n]+\n", err), err
 
 
 # --- optimize renderer oracle ------------------------------------------------

@@ -12,10 +12,12 @@ escape.  ``optimize`` (csv, json, markdown) runs on such names and, with
 episodes at 0.999, about 1,050 of them above the floor) with 7- and
 5-step episodes, so that the decay spans several draw blocks and an
 episode can end inside one.  Every ``compare`` digest with products to
-train is checked on both training paths.  ``train`` (table and
-sidecar), ``validate`` and ``sample-catalog`` are pinned too.  A refactor
-of the baselines, grids, product setup, training kernels or renderers
-must leave every digest unchanged.
+train is checked on both training paths.  Every ``optimize``, ``curve``
+and ``compare`` digest is also checked with the reports written in blocks
+of 1 and of 5 products, so that every catalog here is split into blocks.
+``train`` (table and sidecar), ``validate`` and ``sample-catalog`` are
+pinned too.  A refactor of the baselines, grids, product setup, training
+kernels or renderers must leave every digest unchanged.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ import random
 
 import pytest
 
-from pricelab import qlearn
+from pricelab import experiment, qlearn
 from pricelab.catalog import parse_catalog, sample_catalog, serialize_catalog
 from pricelab.cli import main
 
@@ -292,15 +294,75 @@ def test_optimize_escaped_names_digest(tmp_path, fmt):
     assert run_to_file(tmp_path, None, argv) == OTHER_GOLDEN[f"optimize-escaped-names-{fmt}"]
 
 
-@pytest.mark.parametrize(
-    "command", [["optimize", "--format", "csv"], ["optimize", "--format", "json"],
-                ["optimize", "--format", "markdown"], ["curve"], ["compare", "--format", "csv"],
-                ["compare", "--format", "json"], ["compare", "--format", "markdown"]],
-    ids=["optimize-csv", "optimize-json", "optimize-markdown", "curve", "compare-csv", "compare-json",
-         "compare-markdown"],
-)
+NO_ROWS_COMMANDS = [["optimize", "--format", "csv"], ["optimize", "--format", "json"],
+                    ["optimize", "--format", "markdown"], ["curve"], ["compare", "--format", "csv"],
+                    ["compare", "--format", "json"], ["compare", "--format", "markdown"]]
+NO_ROWS_IDS = ["optimize-csv", "optimize-json", "optimize-markdown", "curve", "compare-csv", "compare-json",
+               "compare-markdown"]
+
+
+@pytest.mark.parametrize("command", NO_ROWS_COMMANDS, ids=NO_ROWS_IDS)
 def test_no_rows_digest(tmp_path, command):
     # every row rejected: a header, a bare table or an empty list
     catalog = write_catalog(tmp_path, HEADER + "Flat,0.5,100.0,10.0,0\nFree,-1.0,0.0,10.0,0\n")
     name = "-".join([command[0], "no-rows", *command[2:]])
     assert run_to_file(tmp_path, None, [*command, "--catalog", str(catalog)]) == OTHER_GOLDEN[name]
+
+
+# --- the same digests with the reports written in small blocks ---------------
+# With 5 products a block, the bad rows (catalog indices 3 to 5) fall on both
+# sides of a block boundary, the 14-product catalogs end in a short block and
+# the 40-product ones in a full one; with 1, every product is a block.
+
+
+@pytest.fixture(params=[1, 5], ids=["block-1", "block-5"])
+def small_block(request, monkeypatch):
+    monkeypatch.setattr(experiment, "_BLOCK", request.param)
+
+
+@pytest.mark.parametrize("catalog, setting, fmt", list(OPTIMIZE_GOLDEN))
+def test_optimize_digest_in_small_blocks(tmp_path, catalogs, catalog, setting, fmt, small_block):
+    test_optimize_digest(tmp_path, catalogs, catalog, setting, fmt)
+
+
+@pytest.mark.parametrize("catalog, setting", list(CURVE_GOLDEN))
+def test_curve_digest_in_small_blocks(tmp_path, catalogs, catalog, setting, small_block):
+    test_curve_digest(tmp_path, catalogs, catalog, setting)
+
+
+@pytest.mark.parametrize("fmt", list(COMPARE_GOLDEN))
+def test_compare_digest_in_small_blocks(tmp_path, catalogs, fmt, small_block):
+    test_compare_digest(tmp_path, catalogs, fmt, None)
+    test_compare_markdown_digest(tmp_path, catalogs, None)
+    test_compare_floor_digest(tmp_path, catalogs, None)
+
+
+@pytest.mark.parametrize("steps", list(STEPS))
+def test_compare_long_decay_digest_in_small_blocks(tmp_path, steps, small_block):
+    test_compare_long_decay_digest(tmp_path, steps, None)
+
+
+def test_compare_sample_digest_in_small_blocks(tmp_path, small_block):
+    test_compare_sample_digest(tmp_path, None)
+
+
+@pytest.mark.parametrize(
+    "base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown"), ("forty", "json")]
+)
+def test_compare_bad_rows_digest_in_small_blocks(tmp_path, catalogs, base, fmt, small_block):
+    test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt, None)
+
+
+@pytest.mark.parametrize("rows", [14, 40])
+def test_compare_escaped_names_json_digest_in_small_blocks(tmp_path, rows, small_block):
+    test_compare_escaped_names_json_digest(tmp_path, rows, None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_optimize_escaped_names_digest_in_small_blocks(tmp_path, fmt, small_block):
+    test_optimize_escaped_names_digest(tmp_path, fmt)
+
+
+@pytest.mark.parametrize("command", NO_ROWS_COMMANDS, ids=NO_ROWS_IDS)
+def test_no_rows_digest_in_small_blocks(tmp_path, command, small_block):
+    test_no_rows_digest(tmp_path, command)
