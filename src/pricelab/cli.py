@@ -24,9 +24,9 @@ from pathlib import Path
 # perfbench/tracing.py times the one-product optimizers, default_price_grid,
 # run_experiment, render_report and export_revenue_curves as attributes of this
 # module, so they stay importable here; nothing here calls them: optimize runs
-# columns_by_day, prepare_products builds every grid in one call, compare runs
-# compare_columns, and the reports are written from their block functions
-# (report_blocks, optimize_blocks, revenue_curve_blocks)
+# columns_by_day, prepare_products builds every grid in one call, and the
+# reports are written from their block functions (compare_report,
+# optimize_blocks, revenue_curve_blocks)
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
 from .baselines import columns_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
@@ -38,14 +38,13 @@ from .experiment import (
     CostPolicy,
     ExperimentConfig,
     check_products,
-    compare_columns,
+    compare_report,
     optimize_blocks,
     optimize_overflow,
     prepare_products,
-    report_blocks,
     revenue_curve_blocks,
 )
-from .qlearn import Hyperparams, hyperparams_to_json, qtable_to_csv, train
+from .qlearn import Hyperparams, epsilon_schedule, hyperparams_to_json, qtable_to_csv, train
 
 CONFIG_KEYS = {
     "alpha": float,
@@ -191,6 +190,7 @@ def _cmd_train(args) -> int:
     check_products([spec], unusable)
     grid = PriceGrid(tuple(grids[0].tolist()))
     hp = config.seeded(matches[0])
+    epsilon_schedule(hp)  # an episode count too large to hold is an error of its own, not of the product
     try:
         q, _trace = train(spec, grid, config.modulation, hp)
     except ValueError as exc:  # its rewards overflow
@@ -216,11 +216,12 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    if args.jobs is not None and args.jobs < 1:
-        raise CliError("--jobs must be >= 1")
-    _write_output(report_blocks(compare_columns(catalog, config), args.format, config), args.output)
+    with compare_report(catalog, config, args.format, args.jobs) as blocks:
+        _write_output(blocks, args.output)
     return 0
 
 
@@ -303,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        help="accepted for compatibility, must be >= 1; has no effect on output or speed "
-        "(large catalogs train in lockstep in one process)",
+        default=1,
+        metavar="N",
+        help="processes to compare in (default 1): the catalog is split into up to N contiguous parts, "
+        "capped at the usable CPUs and the product count; the report is the same at any N",
     )
     p.set_defaults(func=_cmd_compare)
 

@@ -36,16 +36,24 @@ check that can fail first, then return the report as a lazy sequence of
 text blocks of ``_BLOCK`` products, so a writer holds one block at a time;
 ``render_report``, ``render_optimize`` and ``export_revenue_curves`` are
 the blocks joined into one string.
+
+``compare_report`` (``compare``) gives ``report_blocks``' text for a
+whole catalog, compared and rendered in contiguous parts, one per
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import itertools
 import json
 import math
+import os
+import pickle
+import tempfile
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, replace
@@ -61,7 +69,7 @@ from .baselines import Columns, Method, Optimum, columns_by_day
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, DayType, ProductLanes, ProductSpec, _uniform_grids
 from .qlearn import evaluate_greedy, train  # noqa: F401
-from .qlearn import Hyperparams, greedy_lanes, reward_lanes, train_lanes
+from .qlearn import Hyperparams, epsilon_schedule, greedy_lanes, reward_lanes, train_lanes
 from .rng import MASK64, split_seed
 
 COST_POLICY_KINDS = ("catalog", "zero", "fraction")
@@ -210,7 +218,7 @@ class Comparison:
         return rows
 
 
-def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Comparison:
+def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start: int = 0) -> Comparison:
     """Train and compare every product, as arrays in catalog order.
 
     Each phase is a pass over the whole catalog: set every product up
@@ -218,8 +226,10 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Com
     read every greedy policy.  A product that fails setup, or whose
     baseline optimum overflows, gets error rows instead of aborting the
     batch and is not trained; its seed comes from its catalog index, so it
-    never shifts the seeds of the others.  Training raises nothing on the
-    products it gets, so any exception from it is a defect and propagates.
+    never shifts the seeds of the others.  ``catalog`` may be the part of a
+    larger catalog that begins at catalog index ``start``.  Training raises
+    nothing on the products it gets, so any exception from it is a defect
+    and propagates.
     """
     costed, grids, errors = prepare_products(catalog, config)
     rewards, overflow = reward_lanes(
@@ -232,7 +242,7 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Com
     for row, reason in optimize_overflow(table).items():
         errors[usable[row]] = reason
     trained = [index for index in usable if index not in errors]
-    seeds = [config.seed(index) for index in trained]
+    seeds = [config.seed(start + index) for index in trained]
     values = train_lanes(rewards[trained], config.hyperparams, seeds)
     greedy = greedy_lanes(values, ProductLanes.of([costed[i] for i in trained]), grids[trained], config.modulation)
 
@@ -341,6 +351,133 @@ def _document(head: str, count: int, block, sep: str, tail: str) -> Iterator[str
     yield tail
 
 
+def _report_part(catalog: list[ProductSpec], config: ExperimentConfig, format: str, start: int):
+    """Compare the part of a catalog that begins at catalog index ``start``:
+    its rows' block function, the separator between blocks, and whether it
+    has a clamped optimum, after every check of its rows."""
+    result = compare_columns(catalog, config, start)
+    block, sep = _report_rows(result, format)
+    return block, sep, bool(result.baselines.clamped.any())
+
+
+class _Helper:
+    """A forked process that runs ``_report_part`` on one part of a catalog.
+
+    It sends the part's clamped flag, or the exception of a failed check,
+    through a pipe as soon as its checks end, then renders its rows into
+    an unlinked temporary file and exits.  Its part is never the first, so
+    each of its blocks follows a separator.
+    """
+
+    def __init__(self, catalog: list[ProductSpec], config: ExperimentConfig, format: str, start: int):
+        self.out = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        self.status, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (self.status, write):
+                os.close(fd)
+            self.out.close()
+            raise
+        if self.pid == 0:
+            code = 1
+            try:  # the helper leaves only through os._exit, so it flushes none of the parent's buffers
+                try:
+                    block, sep, status = _report_part(catalog, config, format, start)
+                except Exception as exc:
+                    status = exc
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(status))
+                if not isinstance(status, Exception):
+                    self.out.writelines(_document(sep, len(catalog), block, sep, ""))
+                    self.out.flush()
+                    code = 0
+            finally:
+                os._exit(code)
+        os.close(write)  # so the pipe ends when the helper closes it, and no later helper holds it
+
+    def checked(self) -> bool:
+        """Whether the part has a clamped optimum, once its checks have
+        passed; a failed check raises its error here."""
+        with open(self.status, "rb") as pipe:
+            self.status = None
+            data = pipe.read()
+        if not data:
+            raise ChildProcessError(f"a compare helper process exited with status {self._wait()}")
+        status = pickle.loads(data)
+        if isinstance(status, Exception):
+            raise status
+        return status
+
+    def text(self) -> Iterator[str]:
+        """The part's rendered text, in chunks, once the helper has exited."""
+        code = self._wait()
+        if code:
+            raise ChildProcessError(f"a compare helper process exited with status {code}")
+        self.out.seek(0)
+        yield from iter(lambda: self.out.read(1 << 16), "")
+
+    def _wait(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def close(self) -> None:
+        """Stop the helper if it still runs (its text is not wanted), reap
+        it, and release its pipe and file."""
+        if self.pid is not None:
+            import signal  # imported where it is used, so importing pricelab loads no module numpy does not
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._wait()
+        if self.status is not None:
+            os.close(self.status)
+        self.out.close()
+
+
+@contextlib.contextmanager
+def compare_report(
+    catalog: list[ProductSpec], config: ExperimentConfig, format: str = "csv", jobs: int = 1
+) -> Iterator[Iterator[str]]:
+    """``report_blocks(compare_columns(catalog, config), format, config)``,
+    the same text, computed in up to ``jobs`` processes.
+
+    The catalog is split into contiguous parts, one per process, capped at
+    the usable CPUs and the product count.  Part 0 runs in this process and
+    each other part in a forked ``_Helper``; every part compares its
+    products with the seeds of their catalog indices and the kernel the
+    ``train_lanes`` rule picks for it, so every table is the same bits at
+    any ``jobs``.  The context is entered once every part has passed its
+    checks, so a failed run writes nothing; otherwise the error of the
+    first failing part in catalog order is raised.  The blocks it yields
+    stream part 0 as it renders, then each helper's text in turn.  Every
+    helper is reaped when the context is left, on every path.
+    """
+    # every part reads this schedule, and an episode count too large to hold fails here, before any fork
+    epsilon_schedule(config.hyperparams)
+    parts = max(1, min(jobs, len(os.sched_getaffinity(0)), len(catalog)))
+    bounds = [-(-len(catalog) * k // parts) for k in range(parts + 1)]
+    helpers = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            helpers.append(_Helper(catalog[start:stop], config, format, start))
+        block, sep, clamped = _report_part(catalog[: bounds[1]], config, format, 0)
+        for helper in helpers:
+            clamped |= helper.checked()
+        head, tail = _report_frame(format, config, bool(catalog), clamped)
+
+        def blocks() -> Iterator[str]:
+            yield from _document(head, bounds[1], block, sep, "")
+            for helper in helpers:
+                yield from helper.text()
+            yield tail
+
+        yield blocks()
+    finally:
+        for helper in helpers:
+            helper.close()
+
+
 def _rows(line: str, names: list[str], slots: list[str], columns, errors: dict[int, str], error: str, sep="",
           start=0) -> str:
     """Each product's rows, one per slot, joined by ``sep``: ``line % (name
@@ -370,10 +507,10 @@ def _check_json(*columns: np.ndarray) -> None:
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
-def report_blocks(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> Iterator[str]:
-    """``render_report``'s text as blocks of ``_BLOCK`` products, after
-    every check that can fail: the format, and in JSON every value's
-    finiteness."""
+def _report_rows(result: Comparison, format: str):
+    """The block function of ``result``'s report rows and the separator
+    between blocks, after every check that can fail: the format, and in
+    JSON every value's finiteness."""
     if format not in ("csv", "json", "markdown"):
         raise ValueError(f"unknown report format {format!r}")
     rl = (result.rl_price, result.rl_demand, result.rl_profit)
@@ -381,24 +518,18 @@ def report_blocks(result: Comparison, format: str = "csv", config: ExperimentCon
     ratio_format, blank = {"csv": ("%.6f", ""), "json": ("%r", "null"), "markdown": ("%.4f", "")}[format]
     days = [day.label for day in _DAYS]
     reasons = list(result.errors.values())
-    sep, tail = "", ""
+    sep = ""
     if format == "csv":
-        head, line, error = _header(format, _CSV_COLUMNS), _CSV_ROW, _CSV_ERROR
+        line, error = _CSV_ROW, _CSV_ERROR
         cells, slots = csv_quoted, [f",{day}" for day in days]
         errors = dict(zip(result.errors, csv_quoted(reasons)))
     elif format == "markdown":
-        head, line, error = _header(format, _MD_HEADERS), _MD_ROW, _MD_ERROR
+        line, error = _MD_ROW, _MD_ERROR
         cells, slots = lambda names: [f"| {markdown_escape(name)}" for name in names], [f" | {day}" for day in days]
         errors = dict(zip(result.errors, map(markdown_escape, reasons)))
-        if result.baselines.clamped.any():  # an error product's flags are False
-            tail = "\n† optimum clamped to the search interval boundary.\n"
     else:
         _check_json(*rl, *(a[..., method] for method in range(len(Method)) for a in result.baselines[:3]),
                     result.ratio)
-        provenance = {} if config is None else {"config": dataclasses.asdict(config)}
-        text = json.dumps({**provenance, "rows": []}, indent=2, allow_nan=False)
-        # the rows replace the '[]\n}' json.dumps ends with
-        head, tail = (text[: -len("[]\n}")] + "[\n", "\n  ]\n}\n") if result.names else (text + "\n", "")
         line, error, sep = _JSON_ROW, _JSON_ERROR, ",\n"
         cells = lambda names: [f'    {{\n      "product": {name}' for name in map(encode_basestring_ascii, names)]
         slots = [f',\n      "day": "{day}"' for day in days]
@@ -415,6 +546,28 @@ def report_blocks(result: Comparison, format: str = "csv", config: ExperimentCon
         columns.append([ratio_format % r if rated else blank for r, rated in ratios])
         return _rows(line, cells(result.names[part]), slots, columns, errors, error, sep, start)
 
+    return block, sep
+
+
+def _report_frame(format: str, config: ExperimentConfig | None, rows: bool, clamped: bool) -> tuple[str, str]:
+    """The head and the tail of a report that has ``rows`` or none, and a
+    clamped optimum (an error product's flags are False) or none."""
+    if format == "csv":
+        return _header(format, _CSV_COLUMNS), ""
+    if format == "markdown":
+        return _header(format, _MD_HEADERS), "\n† optimum clamped to the search interval boundary.\n" if clamped else ""
+    provenance = {} if config is None else {"config": dataclasses.asdict(config)}
+    text = json.dumps({**provenance, "rows": []}, indent=2, allow_nan=False)
+    # the rows replace the '[]\n}' json.dumps ends with
+    return (text[: -len("[]\n}")] + "[\n", "\n  ]\n}\n") if rows else (text + "\n", "")
+
+
+def report_blocks(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> Iterator[str]:
+    """``render_report``'s text as blocks of ``_BLOCK`` products, after
+    every check that can fail: the format, and in JSON every value's
+    finiteness."""
+    block, sep = _report_rows(result, format)
+    head, tail = _report_frame(format, config, bool(result.names), bool(result.baselines.clamped.any()))
     return _document(head, len(result.names), block, sep, tail)
 
 

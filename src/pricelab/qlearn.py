@@ -138,7 +138,10 @@ def epsilon_schedule(hp: Hyperparams) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _schedule(hp: Hyperparams) -> np.ndarray:
     # allocated first, so an episode count too large to hold fails at once
-    schedule = np.empty(hp.episodes)
+    try:
+        schedule = np.empty(hp.episodes)
+    except (ValueError, MemoryError):  # more than numpy can index, or than memory holds
+        raise ValueError(f"episodes is too large: {hp.episodes} epsilon values cannot be allocated") from None
     schedule[:] = [epsilon_at(hp, k) for k in range(hp.episodes)]
     return schedule
 

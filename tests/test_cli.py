@@ -15,6 +15,7 @@ from pricelab import cli, experiment
 from pricelab.cli import main
 from pricelab.domain import DayType
 from pricelab.experiment import check_products, optimize_overflow, render_optimize
+from pricelab.qlearn import LOCKSTEP_MIN_PRODUCTS
 
 FAST = ["--episodes", "250"]
 
@@ -239,9 +240,12 @@ class TestCompare:
         assert code == 2
         assert "/missing.csv" in err
 
-    def test_bad_jobs_exits_two(self, capsys):
-        code, _, err = run(capsys, ["compare", "--jobs", "0", *FAST])
-        assert code == 2
+    def test_bad_jobs_exits_two(self, tmp_path, capsys):
+        # checked before the catalog is read, so its rejected row draws no warning
+        cat = tmp_path / "cat.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\nTV,-1.0,99.0,10.0\nBad,0.5,99.0,10.0\n")
+        code, out, err = run(capsys, ["compare", "--jobs", "0", "--catalog", str(cat), *FAST])
+        assert (code, out, err) == (2, "", "pricelab: error: --jobs must be >= 1\n")
 
     def test_overflowing_product_becomes_error_row(self, tmp_path, capsys):
         header = "product_name,price_elasticity,base_price,base_demand\n"
@@ -494,16 +498,140 @@ class TestFailedRunWritesNothing:
             assert "product 'Big': GridSearch optimum overflows" in err
 
     def test_compare_json_non_finite_value(self, tmp_path, capfd, monkeypatch):
-        def compare_columns(catalog, config):  # the last product's Weekend RL profit is inf
-            result = experiment.compare_columns(catalog, config)
+        original = experiment.compare_columns
+
+        def compare_columns(catalog, config, start=0):  # the last product's Weekend RL profit is inf
+            result = original(catalog, config, start)
             result.rl_profit[-1, 1] = math.inf
             return result
 
-        monkeypatch.setattr(cli, "compare_columns", compare_columns)
+        monkeypatch.setattr(experiment, "compare_columns", compare_columns)
         cat = self.catalog(tmp_path, "Last,-1.0,100.0,10.0\n")
         argv = ["compare", "--catalog", cat, "--episodes", "1", "--format", "json"]
         err = self.run_both(tmp_path, capfd, argv)
         assert "Out of range float values are not JSON compliant: inf" in err
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestJobs:
+    """``compare --jobs N`` splits the catalog into up to N contiguous parts,
+    one per process, capped at the usable CPUs and the product count."""
+
+    HEADER = "product_name,price_elasticity,base_price,base_demand\n"
+
+    def parts_catalog(self, tmp_path):
+        # 2L + 1 products, L = LOCKSTEP_MIN_PRODUCTS: at --jobs 2 the parts
+        # hold L + 1 and L rows, and Big, the first row of part 1, leaves it
+        # L - 1 products to train, so part 0 trains in lockstep and part 1 by
+        # the scalar walk; at --jobs 3 every part trains by the scalar walk.
+        # Only the first 10 products (part 0 at any N) have clamped optima.
+        n = 2 * LOCKSTEP_MIN_PRODUCTS + 1
+        rows = [f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0\n" for i in range(n)]
+        rows[:10] = [f"Flat{i},-0.2,{100 + i}.0,{10 + i}.0\n" for i in range(10)]
+        rows[LOCKSTEP_MIN_PRODUCTS + 1] = "Big,-0.5,100.0,1e307\n"
+        rows[20] = '"Say ""hé"", |20",-0.8,50.0,20.0\n'
+        cat = tmp_path / "parts.csv"
+        cat.write_text(self.HEADER + "".join(rows), encoding="utf-8")
+        return cat
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):  # so that 2 and 3 parts run on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    def reports(self, capsys, cat, jobs):
+        outputs = {}
+        for fmt in ("csv", "json", "markdown"):
+            for n in jobs:
+                code, outputs[fmt, n], err = run(capsys, ["compare", "--catalog", str(cat), "--episodes", "30",
+                                                          "--format", fmt, "--jobs", str(n)])
+                assert (code, err) == (0, "")
+            assert {outputs[fmt, n] for n in jobs} == {outputs[fmt, jobs[0]]}, fmt
+        no_child_left()
+        return outputs
+
+    def test_same_report_at_any_jobs(self, tmp_path, capsys, four_cpus):
+        outputs = self.reports(capsys, self.parts_catalog(tmp_path), [1, 2, 3])
+        assert outputs["markdown", 1].endswith("\n† optimum clamped to the search interval boundary.\n")
+        assert json.loads(outputs["json", 1])["rows"][40]["product"] == 'Say "hé", |20'
+
+    def test_same_report_to_a_file(self, tmp_path, capsys, four_cpus):
+        argv = ["compare", "--catalog", str(self.parts_catalog(tmp_path)), "--episodes", "30", "--format", "json"]
+        _, printed, _ = run(capsys, argv)
+        for jobs in ("1", "3"):
+            out = tmp_path / f"{jobs}.json"
+            assert main([*argv, "--jobs", jobs, "-o", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == printed
+
+    def test_more_jobs_than_products(self, tmp_path, capsys, four_cpus):
+        cat = tmp_path / "three.csv"  # only the last part has a clamped optimum
+        cat.write_text(self.HEADER + "A,-1.5,100.0,10.0\nB,-2.0,10.0,5.0\nC,-0.2,50.0,20.0\n")
+        outputs = self.reports(capsys, cat, [1, 8])
+        assert outputs["markdown", 1].endswith("\n† optimum clamped to the search interval boundary.\n")
+
+    def test_header_only_catalog(self, tmp_path, capsys, four_cpus):
+        cat = tmp_path / "empty.csv"
+        cat.write_text(self.HEADER)
+        outputs = self.reports(capsys, cat, [1, 2])
+        assert json.loads(outputs["json", 1])["rows"] == []
+
+    def run_both(self, capfd, argv):
+        """Exit code and stderr at --jobs 1 and --jobs 2; neither writes to stdout."""
+        results = []
+        for jobs in ("1", "2"):
+            results.append(main([*argv, "--jobs", jobs]))
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            results.append(captured.err)
+            no_child_left()
+        assert results[:2] == results[2:]
+        return results[:2]
+
+    def test_normal_run_leaves_no_process(self, capfd, four_cpus):
+        assert self.run_both(capfd, ["compare", *FAST, "-o", os.devnull]) == [0, ""]
+
+    def test_failed_check_in_a_helper_writes_nothing(self, tmp_path, capfd, monkeypatch, four_cpus):
+        original = experiment.compare_columns
+        cat = self.parts_catalog(tmp_path)
+        n = 2 * LOCKSTEP_MIN_PRODUCTS + 1
+
+        def compare_columns(catalog, config, start=0):  # the last product's Weekend RL profit is inf
+            result = original(catalog, config, start)
+            if start + len(catalog) == n:
+                result.rl_profit[-1, 1] = math.inf
+            return result
+
+        monkeypatch.setattr(experiment, "compare_columns", compare_columns)
+        out = tmp_path / "out.json"
+        argv = ["compare", "--catalog", str(cat), "--episodes", "30", "--format", "json", "-o", str(out)]
+        message = "pricelab: error: Out of range float values are not JSON compliant: inf\n"
+        assert self.run_both(capfd, argv) == [2, message]
+        assert not out.exists()
+
+    def test_output_that_cannot_be_opened(self, tmp_path, capfd, four_cpus):
+        target = tmp_path / "missing" / "out.csv"
+        code, err = self.run_both(capfd, ["compare", *FAST, "-o", str(target)])
+        assert code == 2
+        assert err.startswith("pricelab: error:") and str(target) in err
+
+    def test_forks_at_most_one_process_per_cpu_and_product(self, tmp_path, capsys, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        cat = tmp_path / "three.csv"
+        cat.write_text(self.HEADER + "A,-1.5,100.0,10.0\nB,-0.2,50.0,20.0\nC,-2.0,10.0,5.0\n")
+        code, _, _ = run(capsys, ["compare", "--catalog", str(cat), *FAST, "--jobs", "1000000"])
+        assert code == 0
+        assert len(forks) == min(len(os.sched_getaffinity(0)), 3) - 1
+        no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -514,7 +642,8 @@ class TestFailedRunWritesNothing:
 @pytest.mark.parametrize("command", ["compare", "train"])
 def test_episode_count_too_large_to_hold_exits_two(tmp_path, capsys, command, flags, config):
     # 10**20 episodes exceed the largest array numpy can describe, so the
-    # epsilon schedule fails before anything is allocated or computed
+    # epsilon schedule fails before anything is allocated or computed; the
+    # error names the setting, not a product
     argv = [command, *flags]
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -524,7 +653,7 @@ def test_episode_count_too_large_to_hold_exits_two(tmp_path, capsys, command, fl
         argv += ["--product", 'Samsung 24" HD']
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
-    assert re.fullmatch(r"pricelab: error: [^\n]+\n", err), err
+    assert err == "pricelab: error: episodes is too large: 100000000000000000000 epsilon values cannot be allocated\n"
 
 
 # --- optimize renderer oracle ------------------------------------------------
