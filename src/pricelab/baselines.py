@@ -160,16 +160,15 @@ def _line_search(
 
 
 def optimum_columns(
-    specs: list[ProductSpec], grids: np.ndarray, multiplier: float = 1.0
+    lanes: ProductLanes, grids: np.ndarray, multiplier: float = 1.0
 ) -> tuple[Columns, Columns, Columns]:
     """Analytic, grid-search and line-search optima of every product, as
-    columns in ``specs`` order.
+    columns in ``lanes`` order.
 
-    ``grids`` is the ``(len(specs), points)`` price array of
-    ``experiment.prepare_products``; the analytic and line searches run
-    over each row's ``[first, last]`` price.
+    ``lanes`` and the ``(n, points)`` price array ``grids`` are rows of
+    ``experiment.prepare_products``' results; the analytic and line
+    searches run over each row's ``[first, last]`` price.
     """
-    lanes = ProductLanes.of(specs)
     lo, hi = grids[:, :1], grids[:, -1:]
     return (
         _analytic(lanes, lo, hi, multiplier),
@@ -178,13 +177,13 @@ def optimum_columns(
     )
 
 
-def columns_by_day(specs: list[ProductSpec], grids: np.ndarray, modulation: DayModulation) -> Columns:
+def columns_by_day(lanes: ProductLanes, grids: np.ndarray, modulation: DayModulation) -> Columns:
     """Every product's optima as ``(product, day, method)`` arrays, day and
     method in ``DayType`` and ``Method`` order, from one ``optimum_columns``
     call per distinct day multiplier."""
     multipliers = [modulation.multiplier(day) for day in DayType]
     # equal multipliers give equal optima
-    computed = {m: optimum_columns(specs, grids, m) for m in dict.fromkeys(multipliers)}
+    computed = {m: optimum_columns(lanes, grids, m) for m in dict.fromkeys(multipliers)}
     per_day = [computed[m] for m in multipliers]
     return Columns(*(
         np.array([[getattr(method, field) for method in methods] for methods in per_day]).transpose(2, 0, 1)

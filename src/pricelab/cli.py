@@ -22,11 +22,11 @@ from dataclasses import fields
 from pathlib import Path
 
 # perfbench/tracing.py times the one-product optimizers, default_price_grid,
-# run_experiment, render_report and export_revenue_curves as attributes of this
-# module, so they stay importable here; nothing here calls them: optimize runs
-# columns_by_day, prepare_products builds every grid in one call, and the
-# reports are written from their block functions (compare_report,
-# optimize_blocks, revenue_curve_blocks)
+# run_experiment, render_report, export_revenue_curves and train as attributes
+# of this module, so they stay importable here; nothing here calls them:
+# optimize runs columns_by_day, prepare_products sets every product up in one
+# call, train runs train_lanes, and the reports are written from their block
+# functions (compare_report, optimize_blocks, revenue_curve_blocks)
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
 from .baselines import columns_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
@@ -44,7 +44,8 @@ from .experiment import (
     prepare_products,
     revenue_curve_blocks,
 )
-from .qlearn import Hyperparams, epsilon_schedule, hyperparams_to_json, qtable_to_csv, train
+from .qlearn import train  # noqa: F401
+from .qlearn import Hyperparams, QTable, epsilon_schedule, hyperparams_to_json, qtable_to_csv, reward_lanes, train_lanes
 
 CONFIG_KEYS = {
     "alpha": float,
@@ -186,16 +187,15 @@ def _cmd_train(args) -> int:
     matches = [i for i, s in enumerate(catalog) if s.name == args.product]
     if not matches:
         raise CliError(f"product not found in catalog: {args.product!r}")
-    (spec,), grids, unusable = prepare_products([catalog[matches[0]]], config)
-    check_products([spec], unusable)
-    grid = PriceGrid(tuple(grids[0].tolist()))
+    product = [catalog[matches[0]]]
+    lanes, grids, unusable = prepare_products(product, config)
+    check_products(product, unusable)
     hp = config.seeded(matches[0])
     epsilon_schedule(hp)  # an episode count too large to hold is an error of its own, not of the product
-    try:
-        q, _trace = train(spec, grid, config.modulation, hp)
-    except ValueError as exc:  # its rewards overflow
-        raise CliError(f"product {spec.name!r}: {exc}") from None
-    _write_output([qtable_to_csv(q, grid)], args.output)
+    rewards, overflow = reward_lanes(lanes, grids, config.modulation, hp.gamma)
+    check_products(product, overflow)
+    values = train_lanes(rewards, hp, [hp.seed])
+    _write_output([qtable_to_csv(QTable(values[0]), PriceGrid(tuple(grids[0].tolist())))], args.output)
     # the sidecar goes only next to a regular file (not /dev/null, a pipe, ...)
     if args.output not in (None, "-") and Path(args.output).is_file():
         sidecar = Path(args.output).with_suffix(".hyperparams.json")
@@ -206,10 +206,10 @@ def _cmd_train(args) -> int:
 def _cmd_optimize(args) -> int:
     catalog, _ = _load_catalog(args)
     config = _build_config(args)
-    costed, grids, unusable = prepare_products(catalog, config)
+    lanes, grids, unusable = prepare_products(catalog, config)
     # the error names the first unusable product or an earlier one, so no later one is run
-    usable = min(unusable, default=len(catalog))
-    table = columns_by_day(costed[:usable], grids[:usable], config.modulation)
+    usable = slice(min(unusable, default=len(catalog)))
+    table = columns_by_day(lanes.take(usable), grids[usable], config.modulation)
     check_products(catalog, {**unusable, **optimize_overflow(table)})
     _write_output(optimize_blocks([spec.name for spec in catalog], table, args.format), args.output)
     return 0

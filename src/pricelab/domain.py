@@ -174,6 +174,10 @@ class ProductLanes:
         ).reshape(-1, 4)
         return cls(*(cols[:, k : k + 1] for k in range(4)))
 
+    def take(self, rows) -> ProductLanes:
+        """The lanes of ``rows`` (a slice or an index list), in that order."""
+        return ProductLanes(self.base_demand[rows], self.base_price[rows], self.elasticity[rows], self.unit_cost[rows])
+
     def demand(self, prices: np.ndarray, multiplier: float = 1.0) -> np.ndarray:
         d0, p0 = self.base_demand, self.base_price
         with np.errstate(over="ignore", invalid="ignore"):
@@ -186,7 +190,7 @@ class ProductLanes:
 
 
 def _uniform_grids(
-    base_prices: list[float], num_points: int, lo_ratio: float, hi_ratio: float
+    base_prices: np.ndarray, num_points: int, lo_ratio: float, hi_ratio: float
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Grids over ``[lo_ratio * p0, hi_ratio * p0]``, one row per base price,
     and ``{row: reason}`` for every unusable row, in row order.
@@ -201,7 +205,7 @@ def _uniform_grids(
         raise ValueError("num_points must be >= 2")
     if not (0 < lo_ratio < hi_ratio):
         raise ValueError("need 0 < lo_ratio < hi_ratio")
-    base = np.array(base_prices, dtype=np.float64).reshape(-1, 1)
+    base = np.asarray(base_prices, dtype=np.float64).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         start = lo_ratio * base
         stop = hi_ratio * base
@@ -229,7 +233,7 @@ def default_price_grid(
     hi_ratio: float = 2.0,
 ) -> PriceGrid:
     """Uniform grid over ``[lo_ratio * p0, hi_ratio * p0]``, inclusive."""
-    grids, unusable = _uniform_grids([spec.base_price], num_points, lo_ratio, hi_ratio)
+    grids, unusable = _uniform_grids(np.array([spec.base_price]), num_points, lo_ratio, hi_ratio)
     if unusable:
         raise ValueError(unusable[0])
     return PriceGrid(tuple(grids[0].tolist()))

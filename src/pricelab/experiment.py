@@ -7,14 +7,15 @@ Reports render as CSV, JSON (full precision, with a config provenance
 block), or Markdown.
 
 Every product is set up by one path, shared with the CLI's ``train``,
-``optimize`` and ``curve``: ``prepare_products`` applies the cost policy
-and builds all price grids in one call, reporting each unusable product
-with its reason (``check_products`` makes the first one in catalog order,
-or an earlier product whose optimum or curve overflows, an error naming
-it), and ``ExperimentConfig.seeded`` gives a product its
-hyperparameters, with a seed split from the master seed and its catalog
-index by a frozen function (see ``pricelab.rng.split_seed``).  So
-everything is deterministic given the catalog and config.
+``optimize`` and ``curve``: ``prepare_products`` builds a catalog's costed
+``ProductLanes`` (which later stages read rows of through ``take``) and
+price grids once per run (``curve``: once per block, so that its grids stay
+block-sized), reporting each unusable product with its reason
+(``check_products`` makes the first one in catalog order, or an earlier
+product whose optimum or curve overflows, an error naming it), and
+``ExperimentConfig.seeded`` gives a product its hyperparameters, with a
+seed split from the master seed and its catalog index by a frozen function
+(see ``pricelab.rng.split_seed``).  So everything is deterministic.
 
 ``compare_columns`` runs a comparison as passes over the whole catalog:
 the setup (``qlearn.reward_lanes``), the baselines
@@ -89,12 +90,13 @@ class CostPolicy:
         if not (0 <= self.fraction < 1):
             raise ValueError("cost fraction must be in [0, 1)")
 
-    def apply(self, spec: ProductSpec) -> ProductSpec:
+    def apply(self, lanes: ProductLanes) -> ProductLanes:
+        """``lanes`` with this policy's unit costs (``prepare_products`` checks them)."""
         if self.kind == "zero":
-            return dataclasses.replace(spec, unit_cost=0.0)
+            return replace(lanes, unit_cost=np.zeros_like(lanes.unit_cost))
         if self.kind == "fraction":
-            return dataclasses.replace(spec, unit_cost=self.fraction * spec.base_price)
-        return spec
+            return replace(lanes, unit_cost=self.fraction * lanes.base_price)
+        return lanes
 
 
 @dataclass(frozen=True)
@@ -128,22 +130,19 @@ class ExperimentConfig:
 
 def prepare_products(
     catalog: list[ProductSpec], config: ExperimentConfig
-) -> tuple[list[ProductSpec], np.ndarray, dict[int, str]]:
-    """Every product's costed spec and price grid, from one grid build.
+) -> tuple[ProductLanes, np.ndarray, dict[int, str]]:
+    """Every product's costed lanes and price grid, from one build each.
 
-    Returns the specs under the cost policy, the ``(len(catalog),
-    grid_points)`` grids, and ``{index: reason}`` for every product that
-    cannot be used; such a product's spec and grid row are placeholders.
+    Returns the catalog's ``ProductLanes`` under the cost policy, the
+    ``(len(catalog), grid_points)`` grids, and ``{index: reason}`` for every
+    product that cannot be used; its lanes and grid row are placeholders.
     """
-    grids, unusable = _uniform_grids([s.base_price for s in catalog], config.grid_points, *config.grid_span)
-    costed = []
-    for index, spec in enumerate(catalog):
-        try:
-            spec = config.cost_policy.apply(spec)
-        except ValueError as exc:  # a cost fraction of a subnormal price can round up to the price
-            unusable[index] = str(exc)
-        costed.append(spec)
-    return costed, grids, unusable
+    lanes = config.cost_policy.apply(ProductLanes.of(catalog))
+    grids, unusable = _uniform_grids(lanes.base_price, config.grid_points, *config.grid_span)
+    # a cost fraction of a subnormal price can round up to the price
+    for index in np.flatnonzero(lanes.unit_cost >= lanes.base_price).tolist():
+        unusable[index] = "unit_cost must be < base_price"
+    return lanes, grids, unusable
 
 
 def check_products(catalog: list[ProductSpec], errors: dict[int, str]) -> None:
@@ -231,20 +230,18 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start:
     nothing on the products it gets, so any exception from it is a defect
     and propagates.
     """
-    costed, grids, errors = prepare_products(catalog, config)
-    rewards, overflow = reward_lanes(
-        ProductLanes.of(costed), grids, config.modulation, config.hyperparams.gamma
-    )
+    lanes, grids, errors = prepare_products(catalog, config)
+    rewards, overflow = reward_lanes(lanes, grids, config.modulation, config.hyperparams.gamma)
     for index, reason in overflow.items():
         errors.setdefault(index, reason)  # an unusable grid is the first error
     usable = [index for index in range(len(catalog)) if index not in errors]
-    table = columns_by_day([costed[index] for index in usable], grids[usable], config.modulation)
+    table = columns_by_day(lanes.take(usable), grids[usable], config.modulation)
     for row, reason in optimize_overflow(table).items():
         errors[usable[row]] = reason
     trained = [index for index in usable if index not in errors]
     seeds = [config.seed(start + index) for index in trained]
     values = train_lanes(rewards[trained], config.hyperparams, seeds)
-    greedy = greedy_lanes(values, ProductLanes.of([costed[i] for i in trained]), grids[trained], config.modulation)
+    greedy = greedy_lanes(values, lanes.take(trained), grids[trained], config.modulation)
 
     def full(part):  # the trained products' rows, zeros for the others
         out = np.zeros((len(catalog), *part.shape[1:]), dtype=part.dtype)
@@ -633,8 +630,7 @@ def _curves(specs: list[ProductSpec], sampled: ExperimentConfig) -> tuple:
     """The sampled prices of ``specs``, their setup errors, and ``{multiplier:
     (demand, revenue, profit)}`` for each distinct day multiplier (equal
     multipliers give equal curves)."""
-    costed, prices, errors = prepare_products(specs, sampled)
-    lanes = ProductLanes.of(costed)
+    lanes, prices, errors = prepare_products(specs, sampled)
     curves = {}
     for mult in {sampled.modulation.multiplier(day) for day in _DAYS}:
         d = lanes.demand(prices, mult)

@@ -20,6 +20,7 @@ from pricelab.domain import (
     DayModulation,
     DayType,
     PriceGrid,
+    ProductLanes,
     ProductSpec,
     default_price_grid,
     demand,
@@ -273,7 +274,7 @@ def grid_rows(specs, points=21, lo_ratio=0.5, hi_ratio=2.0):
 
 def optima(specs, grids, multiplier=1.0):
     """``optimum_columns`` as one ``Optimum`` list per method."""
-    return tuple(map(_view, Method, optimum_columns(specs, grids, multiplier)))
+    return tuple(map(_view, Method, optimum_columns(ProductLanes.of(specs), grids, multiplier)))
 
 
 def same_float(a, b):
@@ -401,15 +402,15 @@ class TestColumnsByDay:
 
         seen = []
 
-        def counted(specs, grids, multiplier):
+        def counted(lanes, grids, multiplier):
             seen.append(multiplier)
-            return optimum_columns(specs, grids, multiplier)
+            return optimum_columns(lanes, grids, multiplier)
 
         specs = random_specs(60, seed=9)
         grids = grid_rows(specs)
         with monkeypatch.context() as m:
             m.setattr(baselines_module, "optimum_columns", counted)
-            table = columns_by_day(specs, grids, modulation)
+            table = columns_by_day(ProductLanes.of(specs), grids, modulation)
         assert seen == calls
         assert table.price.shape == table.clamped.shape == (len(specs), len(DayType), len(Method))
         # every (product, day, method) entry is bitwise that day's optimum

@@ -11,7 +11,7 @@ import pytest
 
 from pricelab.baselines import Columns, Method
 from pricelab.catalog import sample_catalog
-from pricelab.domain import DayModulation, DayType, ProductSpec, default_price_grid
+from pricelab.domain import DayModulation, DayType, ProductLanes, ProductSpec, default_price_grid
 from pricelab.experiment import (
     _CSV_COLUMNS,
     _MD_HEADERS,
@@ -43,10 +43,10 @@ def quick_config(**kw):
 
 class TestCostPolicy:
     def test_kinds(self):
-        spec = ProductSpec(name="x", base_demand=10.0, base_price=100.0, elasticity=-1.0, unit_cost=20.0)
-        assert CostPolicy("catalog").apply(spec).unit_cost == 20.0
-        assert CostPolicy("zero").apply(spec).unit_cost == 0.0
-        assert CostPolicy("fraction", 0.3).apply(spec).unit_cost == pytest.approx(30.0)
+        lanes = ProductLanes.of([ProductSpec(name="x", base_demand=10.0, base_price=100.0, elasticity=-1.0, unit_cost=20.0)])
+        assert CostPolicy("catalog").apply(lanes).unit_cost.item() == 20.0
+        assert CostPolicy("zero").apply(lanes).unit_cost.item() == 0.0
+        assert CostPolicy("fraction", 0.3).apply(lanes).unit_cost.item() == pytest.approx(30.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -93,9 +93,10 @@ class TestSeedSplitting:
 class TestPrepareProducts:
     def test_costs_and_grids_in_one_call(self, sample_specs):
         config = quick_config(cost_policy=CostPolicy("fraction", 0.4), grid_points=11, grid_span=(0.4, 2.5))
-        costed, grids, unusable = prepare_products(sample_specs, config)
+        lanes, grids, unusable = prepare_products(sample_specs, config)
         assert unusable == {}
-        assert costed == [config.cost_policy.apply(spec) for spec in sample_specs]
+        columns = np.hstack([lanes.base_demand, lanes.base_price, lanes.elasticity, lanes.unit_cost])
+        assert columns.tolist() == [[s.base_demand, s.base_price, s.elasticity, 0.4 * s.base_price] for s in sample_specs]
         rows = [default_price_grid(spec, 11, 0.4, 2.5).prices for spec in sample_specs]
         assert grids.tobytes() == np.array(rows).tobytes()
 
