@@ -134,7 +134,7 @@ def _parse_catalog_file(path: str):
 def _load_catalog(args: argparse.Namespace):
     path = getattr(args, "catalog", None)
     if path is None:
-        return sample_catalog(), None
+        return sample_catalog()
     specs, report = _parse_catalog_file(path)
     if report.rejections:
         print(
@@ -142,7 +142,7 @@ def _load_catalog(args: argparse.Namespace):
             f"proceeding with {len(specs)} (run `pricelab validate` for details)",
             file=sys.stderr,
         )
-    return specs, report
+    return specs
 
 
 def _write_output(blocks: Iterable[str], path: str | None) -> None:
@@ -175,14 +175,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    catalog, _ = _load_catalog(args)
+    catalog = _load_catalog(args)
     config = _build_config(args)
     _write_output(revenue_curve_blocks(catalog, config, args.samples), args.output)
     return 0
 
 
 def _cmd_train(args) -> int:
-    catalog, _ = _load_catalog(args)
+    catalog = _load_catalog(args)
     config = _build_config(args)
     matches = [i for i, s in enumerate(catalog) if s.name == args.product]
     if not matches:
@@ -204,7 +204,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    catalog, _ = _load_catalog(args)
+    catalog = _load_catalog(args)
     config = _build_config(args)
     lanes, grids, unusable = prepare_products(catalog, config)
     # the error names the first unusable product or an earlier one, so no later one is run
@@ -218,7 +218,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    catalog, _ = _load_catalog(args)
+    catalog = _load_catalog(args)
     config = _build_config(args)
     with compare_report(catalog, config, args.format, args.jobs) as blocks:
         _write_output(blocks, args.output)

@@ -70,7 +70,7 @@ from .baselines import Columns, Method, Optimum, columns_by_day
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, DayType, ProductLanes, ProductSpec, _uniform_grids
 from .qlearn import evaluate_greedy, train  # noqa: F401
-from .qlearn import Hyperparams, epsilon_schedule, greedy_lanes, reward_lanes, train_lanes
+from .qlearn import Hyperparams, epsilon_schedule, greedy_lanes, require_integers, reward_lanes, train_lanes
 from .rng import MASK64, split_seed
 
 COST_POLICY_KINDS = ("catalog", "zero", "fraction")
@@ -109,6 +109,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "grid_points", "master_seed")
         lo, hi = self.grid_span
         if not (0 < lo < hi < math.inf):
             raise ValueError("grid_span must be finite and satisfy 0 < lo < hi")
@@ -452,7 +453,11 @@ def compare_report(
     """
     # every part reads this schedule, and an episode count too large to hold fails here, before any fork
     epsilon_schedule(config.hyperparams)
-    parts = max(1, min(jobs, len(os.sched_getaffinity(0)), len(catalog)))
+    parts = max(1, min(jobs, len(catalog)))
+    if parts > 1:  # os.sched_getaffinity is missing on some platforms (macOS, Windows)
+        if not hasattr(os, "sched_getaffinity"):
+            raise ValueError("more than one job needs os.sched_getaffinity, which this platform lacks")
+        parts = min(parts, len(os.sched_getaffinity(0)))
     bounds = [-(-len(catalog) * k // parts) for k in range(parts + 1)]
     helpers = []
     try:

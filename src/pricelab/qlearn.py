@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "episodes", "steps_per_episode", "seed")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must be in (0, 1]")
         if not (0 <= self.gamma < 1):
@@ -70,6 +72,19 @@ class Hyperparams:
             raise ValueError("steps_per_episode must be >= 1")
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must be a 64-bit unsigned integer")
+
+
+def require_integers(instance, *names: str) -> None:
+    """Raise a ValueError naming the first of the fields ``names`` of
+    ``instance`` that holds a bool or a value ``operator.index`` rejects."""
+    for name in names:
+        value = getattr(instance, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

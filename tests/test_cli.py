@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -235,6 +236,13 @@ class TestCompare:
         assert code == 0
         assert out.count("Only TV") == 2
 
+    @pytest.mark.parametrize("command", [["compare"], ["train", "--product", 'Samsung 24" HD']])
+    def test_zero_cost_policy_ignores_cost_fraction(self, capsys, command):
+        code, want, err = run(capsys, [*command, *FAST, "--cost-policy", "zero"])
+        assert (code, err) == (0, "")
+        assert run(capsys, [*command, *FAST, "--cost-policy", "zero", "--cost-fraction", "0.3"]) == (0, want, "")
+        assert run(capsys, [*command, *FAST, "--cost-policy", "fraction", "--cost-fraction", "0.3"])[1] != want
+
     def test_missing_catalog_exits_two(self, capsys):
         code, _, err = run(capsys, ["compare", "--catalog", "/missing.csv"])
         assert code == 2
@@ -327,6 +335,17 @@ class TestTrain:
         code, _, err = run(capsys, ["train", "--product", "Nokia 3310", *FAST])
         assert code == 2
         assert "Nokia 3310" in err
+
+    def test_rewards_whose_weekly_sum_overflows(self, tmp_path, capsys):
+        # at gamma 0 Edge's rewards and Q values are finite, though a week of
+        # its rewards sums to inf; train writes the table without summing them
+        cat = tmp_path / "edge.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\nEdge,-1.0,1e154,1.7978e154\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, ["train", "--catalog", str(cat), "--product", "Edge", "--gamma", "0", *FAST])
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(float(v)) for line in out.splitlines()[1:] for v in line.split(",")[1:])
 
 
 class TestCurve:
@@ -616,6 +635,23 @@ class TestJobs:
         code, err = self.run_both(capfd, ["compare", *FAST, "-o", str(target)])
         assert code == 2
         assert err.startswith("pricelab: error:") and str(target) in err
+
+    def test_one_job_needs_no_cpu_affinity(self, tmp_path, capsys, monkeypatch):
+        # os.sched_getaffinity is missing on macOS and Windows
+        code, want, err = run(capsys, ["compare", *FAST])
+        assert (code, err) == (0, "")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run(capsys, ["compare", *FAST]) == (0, want, "")
+        one = tmp_path / "one.csv"
+        one.write_text(self.HEADER + "A,-1.5,100.0,10.0\n")
+        assert run(capsys, ["compare", "--catalog", str(one), *FAST, "--jobs", "4"])[::2] == (0, "")
+
+    def test_more_jobs_without_cpu_affinity_exit_two(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code, out, err = run(capsys, ["compare", *FAST, "--jobs", "2"])
+        assert (code, out) == (2, "")
+        assert err == "pricelab: error: more than one job needs os.sched_getaffinity, which this platform lacks\n"
+        no_child_left()
 
     def test_forks_at_most_one_process_per_cpu_and_product(self, tmp_path, capsys, monkeypatch):
         forks = []

@@ -78,6 +78,13 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(master_seed=seed)
 
+    @pytest.mark.parametrize("field, value", [("grid_points", 2.5), ("master_seed", 0.5), ("grid_points", False)])
+    def test_integer_fields_reject_other_values(self, field, value):
+        # a 2.5-point grid would otherwise run on 3 points, and a 0.5 seed fail inside split_seed
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig(**{field: value})
+        assert str(excinfo.value) == f"{field} must be an integer, got {value!r}"
+
 
 class TestSeedSplitting:
     def test_matches_documented_function(self):

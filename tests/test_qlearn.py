@@ -76,6 +76,14 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [("episodes", 2.5), ("steps_per_episode", True), ("seed", 1.5)])
+    def test_integer_fields_reject_other_values(self, field, value):
+        # rejected where constructed, not later by numpy or an & on the seed
+        with pytest.raises(ValueError) as excinfo:
+            Hyperparams(**{field: value})
+        assert str(excinfo.value) == f"{field} must be an integer, got {value!r}"
+        assert getattr(Hyperparams(**{field: np.int64(3)}), field) == 3
+
 
 class TestEpsilonSchedule:
     def test_no_decay(self):
