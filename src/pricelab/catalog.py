@@ -58,7 +58,7 @@ class RejectReason(Enum):
     MALFORMED_FIELD = "MalformedField"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowOutcome:
     """Validation verdict for one data row (1-based row numbers)."""
 

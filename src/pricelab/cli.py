@@ -24,11 +24,11 @@ from pathlib import Path
 # perfbench/tracing.py times the one-product optimizers, default_price_grid,
 # run_experiment, render_report, export_revenue_curves and train as attributes
 # of this module, so they stay importable here; nothing here calls them:
-# optimize runs columns_by_day, prepare_products sets every product up in one
-# call, train runs train_lanes, and the reports are written from their block
-# functions (compare_report, optimize_blocks, revenue_curve_blocks)
+# optimize and compare run their products in chunks (optimize_columns,
+# compare_report), train runs prepare_products and train_lanes, and the
+# reports are written from their block functions (compare_report,
+# optimize_blocks, revenue_curve_blocks)
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
-from .baselines import columns_by_day
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, PriceGrid
@@ -40,7 +40,7 @@ from .experiment import (
     check_products,
     compare_report,
     optimize_blocks,
-    optimize_overflow,
+    optimize_columns,
     prepare_products,
     revenue_curve_blocks,
 )
@@ -145,6 +145,13 @@ def _load_catalog(args: argparse.Namespace):
     return specs
 
 
+def _config_and_catalog(args: argparse.Namespace):
+    """The run's configuration, then its catalog: an invalid configuration
+    exits before the catalog is read and its rejected rows are warned of."""
+    config = _build_config(args)
+    return config, _load_catalog(args)
+
+
 def _write_output(blocks: Iterable[str], path: str | None) -> None:
     """Write each text block as it comes.  The block functions run every
     check that can fail before they return, so a failed run writes no byte
@@ -175,15 +182,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    catalog = _load_catalog(args)
-    config = _build_config(args)
+    config, catalog = _config_and_catalog(args)
     _write_output(revenue_curve_blocks(catalog, config, args.samples), args.output)
     return 0
 
 
 def _cmd_train(args) -> int:
-    catalog = _load_catalog(args)
-    config = _build_config(args)
+    config, catalog = _config_and_catalog(args)
     matches = [i for i, s in enumerate(catalog) if s.name == args.product]
     if not matches:
         raise CliError(f"product not found in catalog: {args.product!r}")
@@ -204,13 +209,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    catalog = _load_catalog(args)
-    config = _build_config(args)
-    lanes, grids, unusable = prepare_products(catalog, config)
-    # the error names the first unusable product or an earlier one, so no later one is run
-    usable = slice(min(unusable, default=len(catalog)))
-    table = columns_by_day(lanes.take(usable), grids[usable], config.modulation)
-    check_products(catalog, {**unusable, **optimize_overflow(table)})
+    config, catalog = _config_and_catalog(args)
+    table = optimize_columns(catalog, config)
     _write_output(optimize_blocks([spec.name for spec in catalog], table, args.format), args.output)
     return 0
 
@@ -218,8 +218,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    catalog = _load_catalog(args)
-    config = _build_config(args)
+    config, catalog = _config_and_catalog(args)
     with compare_report(catalog, config, args.format, args.jobs) as blocks:
         _write_output(blocks, args.output)
     return 0

@@ -37,7 +37,7 @@ class DayType(IntEnum):
         return "Weekday" if self is DayType.WEEKDAY else "Weekend"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductSpec:
     """One product's market parameters.
 

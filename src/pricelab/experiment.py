@@ -9,22 +9,26 @@ block), or Markdown.
 Every product is set up by one path, shared with the CLI's ``train``,
 ``optimize`` and ``curve``: ``prepare_products`` builds a catalog's costed
 ``ProductLanes`` (which later stages read rows of through ``take``) and
-price grids once per run (``curve``: once per block, so that its grids stay
-block-sized), reporting each unusable product with its reason
+price grids once per chunk of ``_CHUNK`` products (``curve``: once per
+block), reporting each unusable product with its reason
 (``check_products`` makes the first one in catalog order, or an earlier
 product whose optimum or curve overflows, an error naming it), and
 ``ExperimentConfig.seeded`` gives a product its hyperparameters, with a
 seed split from the master seed and its catalog index by a frozen function
 (see ``pricelab.rng.split_seed``).  So everything is deterministic.
 
-``compare_columns`` runs a comparison as passes over the whole catalog:
-the setup (``qlearn.reward_lanes``), the baselines
-(``baselines.columns_by_day``), the training (``qlearn.train_lanes``,
-which picks the kernel) and the greedy evaluation
-(``qlearn.greedy_lanes``).  Its result is a ``Comparison`` of arrays, with
-no object per row; ``run_experiment``'s ``ComparisonRow`` list is a view
-of it.  Training raises nothing on the products it gets, so an exception
-from it propagates.
+``compare_columns`` and ``optimize_columns`` share one loop,
+``_run_chunks``, over contiguous chunks of ``_CHUNK`` products: each chunk
+runs the setup (``prepare_products``, ``qlearn.reward_lanes``), the
+baselines (``baselines.columns_by_day``), the training
+(``qlearn.train_lanes``, which picks the kernel for the chunk) and the
+greedy evaluation (``qlearn.greedy_lanes``), and writes its rows into
+per-product result arrays; ``optimize`` stops after the setup and the
+baselines.  So only those arrays grow with the catalog.  The result of
+``compare_columns`` is a ``Comparison`` of arrays, with no object per
+row; ``run_experiment``'s ``ComparisonRow`` list is a view of it.
+Training raises nothing on the products it gets, so an exception from it
+propagates.
 
 ``report_blocks`` (``compare``) and ``optimize_blocks`` (``optimize``)
 write all three formats from such arrays through one writer, ``_rows``:
@@ -218,10 +222,71 @@ class Comparison:
         return rows
 
 
+# products per chunk of the pipeline: setup, rewards, baselines, training and
+# greedy evaluation run on one chunk at a time, so their arrays and the
+# kernel's stay chunk-sized however large the catalog is.  Measured with
+# train_lanes on 100k products at 50 episodes, chunks of 2,048 and 4,096
+# products trained fastest (1,024: 30% slower; one call: 75% slower).
+_CHUNK = 2048
+
+
+def _zero_columns(count: int) -> Columns:
+    """A ``columns_by_day`` table of ``count`` products, all zeros (False)."""
+    shape = (count, len(DayType), len(Method))
+    return Columns(*(np.zeros(shape, dtype=dtype) for dtype in (np.float64,) * 3 + (bool,)))
+
+
+def _run_chunks(
+    catalog: list[ProductSpec], config: ExperimentConfig, start: int, table: Columns, rl: list[np.ndarray] | None
+) -> dict[int, str]:
+    """Run the pipeline over contiguous chunks of ``_CHUNK`` products and
+    return ``{index: reason}`` for every product that fails.
+
+    Each chunk is set up (``prepare_products``), its usable products'
+    optima are written into ``table`` (``_zero_columns``) and, when ``rl``
+    is given (``compare``), its rewards are built (``reward_lanes``), and
+    the products whose setup, rewards and optima are usable are trained
+    (``train_lanes``, which picks the kernel per chunk) and their greedy
+    price, demand and profit written into the three ``(n, 2)`` arrays of
+    ``rl``.  An unusable grid or cost is a product's first error, then
+    overflowing rewards, then an overflowing optimum.  ``catalog`` may be
+    the part of a larger catalog that begins at catalog index ``start``;
+    every product's seed comes from its catalog index.  Without ``rl``
+    (``optimize``) every error is fatal, so no chunk after the first one
+    with an error is run.
+    """
+    errors = {}
+    for lo in range(0, len(catalog), _CHUNK):
+        chunk = catalog[lo : lo + _CHUNK]
+        lanes, grids, failed = prepare_products(chunk, config)
+        if rl is not None:
+            rewards, overflow = reward_lanes(lanes, grids, config.modulation, config.hyperparams.gamma)
+            for index, reason in overflow.items():
+                failed.setdefault(index, reason)  # an unusable grid is the first error
+        usable = [index for index in range(len(chunk)) if index not in failed]
+        optima = columns_by_day(lanes.take(usable), grids[usable], config.modulation)
+        for row, reason in optimize_overflow(optima).items():
+            failed[usable[row]] = reason
+        errors.update((lo + index, reason) for index, reason in failed.items())
+        if rl is None and failed:
+            break
+        kept = [row for row, index in enumerate(usable) if index not in failed]
+        trained = [usable[row] for row in kept]
+        at = [lo + index for index in trained]
+        for out, column in zip(table, optima):
+            out[at] = column[kept]
+        if rl is not None:
+            seeds = [config.seed(start + index) for index in at]
+            values = train_lanes(rewards[trained], config.hyperparams, seeds)
+            for out, column in zip(rl, greedy_lanes(values, lanes.take(trained), grids[trained], config.modulation)):
+                out[at] = column
+    return errors
+
+
 def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start: int = 0) -> Comparison:
     """Train and compare every product, as arrays in catalog order.
 
-    Each phase is a pass over the whole catalog: set every product up
+    The products run through ``_run_chunks``, chunk by chunk: set up
     (cost policy, grid, seed, reward table), run the baselines, train, then
     read every greedy policy.  A product that fails setup, or whose
     baseline optimum overflows, gets error rows instead of aborting the
@@ -231,27 +296,9 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start:
     nothing on the products it gets, so any exception from it is a defect
     and propagates.
     """
-    lanes, grids, errors = prepare_products(catalog, config)
-    rewards, overflow = reward_lanes(lanes, grids, config.modulation, config.hyperparams.gamma)
-    for index, reason in overflow.items():
-        errors.setdefault(index, reason)  # an unusable grid is the first error
-    usable = [index for index in range(len(catalog)) if index not in errors]
-    table = columns_by_day(lanes.take(usable), grids[usable], config.modulation)
-    for row, reason in optimize_overflow(table).items():
-        errors[usable[row]] = reason
-    trained = [index for index in usable if index not in errors]
-    seeds = [config.seed(start + index) for index in trained]
-    values = train_lanes(rewards[trained], config.hyperparams, seeds)
-    greedy = greedy_lanes(values, lanes.take(trained), grids[trained], config.modulation)
-
-    def full(part):  # the trained products' rows, zeros for the others
-        out = np.zeros((len(catalog), *part.shape[1:]), dtype=part.dtype)
-        out[trained] = part
-        return out
-
-    kept = [row for row, index in enumerate(usable) if index not in errors]
-    price, d, profit = map(full, greedy)
-    baselines = Columns(*(full(a[kept]) for a in table))
+    price, d, profit = rl = [np.zeros((len(catalog), len(DayType))) for _ in range(3)]
+    baselines = _zero_columns(len(catalog))
+    errors = _run_chunks(catalog, config, start, baselines, rl)
     best = baselines.profit[..., 0]  # as max(analytic, grid, line): a later profit wins only if greater
     for method in range(1, len(Method)):
         best = np.where(baselines.profit[..., method] > best, baselines.profit[..., method], best)
@@ -259,6 +306,16 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start:
     with np.errstate(over="ignore"):
         ratio = np.divide(profit, best, out=np.zeros_like(profit), where=rated)
     return Comparison([spec.name for spec in catalog], price, d, profit, baselines, ratio, rated, errors)
+
+
+def optimize_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Columns:
+    """Every product's baseline optima (``optimize``), as one
+    ``columns_by_day`` table in catalog order, from ``_run_chunks`` without
+    training.  The first product in catalog order that cannot be set up or
+    whose optimum overflows is an error naming it."""
+    table = _zero_columns(len(catalog))
+    check_products(catalog, _run_chunks(catalog, config, 0, table, None))
+    return table
 
 
 def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:

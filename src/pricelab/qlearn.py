@@ -283,7 +283,8 @@ def _replay_log(
 
     The action of a greedy step is the state's greedy action before it: the
     last change logged at an earlier step, else 0.  Each episode's reward
-    is summed step by step from 0.0, as a scalar ``total += r`` does.
+    is summed step by step from 0.0, as a scalar ``total += r`` does, and
+    reads inf where that sum overflows.
     """
     n_states, n_actions = rewards.shape
     steps = len(days)
@@ -301,8 +302,9 @@ def _replay_log(
     visits = np.zeros((n_states, n_actions), dtype=np.int64)
     np.add.at(visits, (states, actions), 1)
     totals = np.zeros(len(ends))
-    for column in rewards[states, actions].reshape(-1, steps).T:
-        totals += column
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, silently, as a scalar sum is
+        for column in rewards[states, actions].reshape(-1, steps).T:
+            totals += column
     return totals, visits, policies
 
 

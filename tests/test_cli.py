@@ -201,6 +201,17 @@ class TestConfigFile:
         assert "alpha" in err
 
 
+@pytest.mark.parametrize("command", [["train", "--product", "Fine"], ["optimize"], ["curve"], ["compare"]],
+                         ids=["train", "optimize", "curve", "compare"])
+def test_invalid_configuration_exits_before_the_catalog_is_read(tmp_path, capfd, command):
+    # the rejected row would print a warning if the catalog were read first
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("product_name,price_elasticity,base_price,base_demand\nFine,-1.0,100.0,10.0\nFlat,0.5,100.0,10.0\n")
+    assert main([*command, "--catalog", str(dirty), "--alpha", "5"]) == 2
+    captured = capfd.readouterr()
+    assert (captured.out, captured.err) == ("", "pricelab: error: invalid configuration: alpha must be in (0, 1]\n")
+
+
 class TestCompare:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["compare", "--cost-policy", "zero", "--seed", "42", *FAST]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -48,6 +50,32 @@ class TestProductSpecValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ProductSpec(**base)
+
+
+class TestValueTypes:
+    """``ProductSpec`` and ``catalog.RowOutcome`` hold slots, not a
+    ``__dict__``; they still compare, hash, replace and pickle by value."""
+
+    @pytest.mark.parametrize("kind", ["spec", "outcome"])
+    def test_slots_keep_value_semantics(self, kind):
+        from pricelab.catalog import RejectReason, RowOutcome
+
+        if kind == "spec":
+            value, other = spec_of(-1.5, 100.0, 10.0, 20.0, name="A"), {"name": "B"}
+        else:
+            value, other = RowOutcome(3, False, RejectReason.MALFORMED_FIELD, "bad CSV", "A"), {"row_number": 4}
+        assert not hasattr(value, "__dict__")
+        copy = dataclasses.replace(value)
+        assert copy == value and copy is not value and hash(copy) == hash(value)
+        changed = dataclasses.replace(value, **other)
+        assert changed != value and len({value, copy, changed}) == 2
+        assert pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, next(iter(other)), 1)
+
+    def test_replace_still_validates(self):
+        with pytest.raises(ValueError, match="elasticity must be < 0"):
+            dataclasses.replace(spec_of(-1.5, 100.0, 10.0), elasticity=0.5)
 
 
 class TestDayTypes:

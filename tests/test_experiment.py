@@ -274,6 +274,118 @@ class TestCompareColumns:
             assert repr(row.rl_vs_best_profit_ratio) == repr(ratio)
 
 
+def chunked_catalog(bad_rows=True):
+    """148 products: with chunks of ``LOCKSTEP_MIN_PRODUCTS`` (64), the first
+    chunk holds an unusable grid, overflowing rewards and an overflowing
+    optimum and trains fewer than 64 products, the second trains 64 and the
+    third is short."""
+    catalog = [
+        ProductSpec(name=f"P{i}", base_demand=20.0 + 7 * i, base_price=30.0 + 11 * i,
+                    elasticity=-0.3 - 0.4 * (i % 9), unit_cost=0.3 * (i % 3) * (30.0 + 11 * i))
+        for i in range(148)
+    ]
+    if bad_rows:
+        catalog[5] = ProductSpec("Huge", 1.0, 1.7e308, -0.5)
+        catalog[6] = ProductSpec("Big", 1e307, 100.0, -0.5)
+        catalog[7] = ProductSpec("Edge", 1.7978e154, 1e154, -1.0)  # rewards finite at gamma 0, optimum not
+    return catalog
+
+
+class TestChunks:
+    """``compare_columns`` and ``optimize_columns`` run their products in
+    contiguous chunks of ``experiment._CHUNK``; no result may depend on
+    where the chunks end."""
+
+    SIZES = (1, 5, 64)
+
+    @pytest.mark.parametrize("kernel", ["lockstep", "scalar", "rule"])
+    def test_tables_bitwise_equal_across_chunk_sizes(self, kernel, monkeypatch):
+        import pricelab.experiment as experiment
+        from pricelab import _kernels, qlearn
+
+        if kernel != "rule":
+            monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1 if kernel == "lockstep" else 10**9)
+        config = quick_config(hyperparams=Hyperparams(episodes=60, gamma=0.0), modulation=DayModulation(0.8, 1.0))
+        catalog = chunked_catalog()
+        calls, lockstep = [], []
+        train_lanes, run_lockstep_kernel = experiment.train_lanes, _kernels.run_lockstep_kernel
+
+        def recording_train_lanes(rewards, hp, seeds):
+            values = train_lanes(rewards, hp, seeds)
+            calls.append((seeds, values))
+            return values
+
+        def recording_lockstep(rewards, *args):
+            lockstep.append(len(rewards))
+            return run_lockstep_kernel(rewards, *args)
+
+        monkeypatch.setattr(experiment, "train_lanes", recording_train_lanes)
+        monkeypatch.setattr(_kernels, "run_lockstep_kernel", recording_lockstep)
+        runs = {}
+        for size in (experiment._CHUNK, *self.SIZES):
+            monkeypatch.setattr(experiment, "_CHUNK", size)
+            calls.clear()
+            lockstep.clear()
+            result = compare_columns(catalog, config)
+            assert max(len(seeds) for seeds, _ in calls) <= size
+            seeds = [seed for part, _ in calls for seed in part]
+            runs[size] = result, seeds, np.concatenate([values for _, values in calls])
+            if kernel == "rule" and size == 64:
+                assert lockstep == [64]  # the second chunk; the others train product by product
+        whole, seeds, values = runs.pop(experiment._CHUNK)
+        assert seeds == [config.seed(i) for i in range(len(catalog)) if i not in (5, 6, 7)]
+        assert whole.errors == {5: "grid upper bound 2.0 * base_price overflows",
+                                6: "rewards overflow: max |reward| / (1 - gamma) is inf",
+                                7: "Analytic optimum overflows"}
+        for size, (result, chunk_seeds, chunk_values) in runs.items():
+            assert chunk_seeds == seeds and chunk_values.tobytes() == values.tobytes(), size
+            assert result.errors == whole.errors and result.names == whole.names, size
+            for got, want in zip(arrays(result), arrays(whole)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
+
+    def test_optimize_columns_equal_across_chunk_sizes(self, monkeypatch):
+        import pricelab.experiment as experiment
+
+        config = quick_config(modulation=DayModulation(1.0, 1.2))
+        catalog = chunked_catalog(bad_rows=False)
+        whole = experiment.optimize_columns(catalog, config)
+        assert whole.profit.shape == (len(catalog), 2, 3)
+        for size in self.SIZES:
+            monkeypatch.setattr(experiment, "_CHUNK", size)
+            table = experiment.optimize_columns(catalog, config)
+            for got, want in zip(table, whole):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
+        # the same optima compare reports next to the trained policies
+        for got, want in zip(compare_columns(catalog, replace_episodes(config, 1)).baselines, whole):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_optimize_names_the_first_failing_product_after_a_boundary(self, size, monkeypatch):
+        import pricelab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_CHUNK", size)
+        catalog = chunked_catalog(bad_rows=False)
+        # the first product of the second chunk overflows; an unusable grid follows in the same chunk
+        # (or the next) and another in the chunk after
+        catalog[size] = ProductSpec("Big", 1e307, 100.0, -0.5)
+        catalog[size + 1] = ProductSpec("Huge", 1.0, 1.7e308, -0.5)
+        catalog[2 * size + 2] = ProductSpec("Tiny", 10.0, 5e-324, -1.0)
+        with pytest.raises(ValueError, match=r"^product 'Big': GridSearch optimum overflows$"):
+            experiment.optimize_columns(catalog, quick_config())
+        result = compare_columns(catalog, quick_config(hyperparams=Hyperparams(episodes=5)))
+        assert result.errors == {size: "rewards overflow: max |reward| / (1 - gamma) is inf",
+                                 size + 1: "grid upper bound 2.0 * base_price overflows",
+                                 2 * size + 2: "prices must be > 0"}
+
+
+def arrays(result):
+    return (result.rl_price, result.rl_demand, result.rl_profit, *result.baselines, result.ratio, result.rated)
+
+
+def replace_episodes(config, episodes):
+    return dataclasses.replace(config, hyperparams=dataclasses.replace(config.hyperparams, episodes=episodes))
+
+
 class TestRenderReport:
     def test_csv_shape_and_formatting(self, result, rows):
         text = render_report(result, "csv")

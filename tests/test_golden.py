@@ -15,6 +15,8 @@ episode can end inside one.  Every ``compare`` digest with products to
 train is checked on both training paths.  Every ``optimize``, ``curve``
 and ``compare`` digest is also checked with the reports written in blocks
 of 1 and of 5 products, so that every catalog here is split into blocks.
+Every ``optimize`` and ``compare`` digest is checked again with the
+products run in chunks of 1, 5 and ``LOCKSTEP_MIN_PRODUCTS`` products.
 ``train`` (table and sidecar), ``validate`` and ``sample-catalog`` are
 pinned too.  A refactor of the baselines, grids, product setup, training
 kernels or renderers must leave every digest unchanged.
@@ -365,4 +367,59 @@ def test_optimize_escaped_names_digest_in_small_blocks(tmp_path, fmt, small_bloc
 
 @pytest.mark.parametrize("command", NO_ROWS_COMMANDS, ids=NO_ROWS_IDS)
 def test_no_rows_digest_in_small_blocks(tmp_path, command, small_block):
+    test_no_rows_digest(tmp_path, command)
+
+
+# --- the same digests with the products run in small chunks -------------------
+# With 5 products a chunk, the bad rows (catalog indices 3 to 5) fall on both
+# sides of a chunk boundary; with LOCKSTEP_MIN_PRODUCTS, the 300-row catalog
+# ends in a short chunk; with 1, every product is a chunk.  Each compare digest
+# is checked on both training paths, which then run chunk by chunk.
+
+
+@pytest.fixture(params=[1, 5, qlearn.LOCKSTEP_MIN_PRODUCTS], ids=["chunk-1", "chunk-5", "chunk-lockstep-min"])
+def small_chunk(request, monkeypatch):
+    monkeypatch.setattr(experiment, "_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("catalog, setting, fmt", list(OPTIMIZE_GOLDEN))
+def test_optimize_digest_in_small_chunks(tmp_path, catalogs, catalog, setting, fmt, small_chunk):
+    test_optimize_digest(tmp_path, catalogs, catalog, setting, fmt)
+
+
+@pytest.mark.parametrize("fmt", list(COMPARE_GOLDEN))
+def test_compare_digest_in_small_chunks(tmp_path, catalogs, fmt, small_chunk, kernel):
+    test_compare_digest(tmp_path, catalogs, fmt, kernel)
+    test_compare_markdown_digest(tmp_path, catalogs, kernel)
+    test_compare_floor_digest(tmp_path, catalogs, kernel)
+
+
+@pytest.mark.parametrize("steps", list(STEPS))
+def test_compare_long_decay_digest_in_small_chunks(tmp_path, steps, small_chunk, kernel):
+    test_compare_long_decay_digest(tmp_path, steps, kernel)
+
+
+def test_compare_sample_digest_in_small_chunks(tmp_path, small_chunk, kernel):
+    test_compare_sample_digest(tmp_path, kernel)
+
+
+@pytest.mark.parametrize(
+    "base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown"), ("forty", "json")]
+)
+def test_compare_bad_rows_digest_in_small_chunks(tmp_path, catalogs, base, fmt, small_chunk, kernel):
+    test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt, kernel)
+
+
+@pytest.mark.parametrize("rows", [14, 40])
+def test_compare_escaped_names_json_digest_in_small_chunks(tmp_path, rows, small_chunk, kernel):
+    test_compare_escaped_names_json_digest(tmp_path, rows, kernel)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_optimize_escaped_names_digest_in_small_chunks(tmp_path, fmt, small_chunk):
+    test_optimize_escaped_names_digest(tmp_path, fmt)
+
+
+@pytest.mark.parametrize("command", NO_ROWS_COMMANDS[:3] + NO_ROWS_COMMANDS[4:], ids=NO_ROWS_IDS[:3] + NO_ROWS_IDS[4:])
+def test_no_rows_digest_in_small_chunks(tmp_path, command, small_chunk):
     test_no_rows_digest(tmp_path, command)

@@ -432,6 +432,18 @@ class TestReplayParity:
         _, totals, _, _ = self.replay(spec, grid, DayModulation(), hp)
         assert trace.episode_rewards.tobytes() == totals.tobytes() == np.zeros(30).tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reward_totals_overflow_to_inf_without_a_warning(self):
+        # every reward is finite, so training at gamma 0 accepts the product,
+        # but a week of them sums past the float maximum, as a scalar sum does
+        spec = ProductSpec(name="Edge", base_demand=1.7978e154, base_price=1e154, elasticity=-1.0)
+        grid = default_price_grid(spec)
+        hp = small_hp(episodes=40, gamma=0.0)
+        _, trace = train(spec, grid, DayModulation(), hp)
+        _, totals, _, _ = self.replay(spec, grid, DayModulation(), hp)
+        assert np.isinf(totals).any()
+        assert trace.episode_rewards.tobytes() == totals.tobytes()
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_kernel_tie_breaks_match_public_ops(self, gamma, monkeypatch):
         # integer demands with repeated values: with alpha = 1 many updates
