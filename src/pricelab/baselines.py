@@ -15,7 +15,7 @@ positive and identically zero beyond the zero-demand price, so it is
 unimodal on any interval that starts below that point; the golden
 section's bracketing logic relies on that.
 
-``optimum_columns`` runs all three over a whole catalog at once, one
+``optimum_columns`` runs all three over many products at once, one
 float64 lane per product, and every lane equals the one-product scalar
 arithmetic bit for bit:
 

@@ -10,7 +10,8 @@ per-episode exponentially decaying epsilon held above a floor.
 Given identical inputs (including the seed carried by Hyperparams) a
 training run is bitwise deterministic.  ``reward_lanes``, ``train_lanes``
 (which picks the kernel) and ``greedy_lanes`` set up, train and evaluate
-a whole catalog at once, and ``reward_tables``, ``train`` and
+many products at once (``pricelab.experiment`` calls them on each chunk
+of a catalog), and ``reward_tables``, ``train`` and
 ``evaluate_greedy`` are their one-product calls.  Training raises nothing
 on rewards ``reward_lanes`` accepted; any exception from it propagates.
 """
