@@ -35,6 +35,7 @@ from .domain import DayModulation, PriceGrid
 from .experiment import export_revenue_curves, render_report, run_experiment  # noqa: F401
 from .experiment import (
     COST_POLICY_KINDS,
+    REPORT_FORMATS,
     CostPolicy,
     ExperimentConfig,
     check_products,
@@ -293,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="run the classical baselines only")
     _add_common(p)
     _add_config_flags(p)
-    p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("compare", help="train every product and compare against baselines")
     _add_common(p)
     _add_config_flags(p)
-    p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.add_argument(
         "--jobs",
         type=int,

@@ -30,21 +30,19 @@ row; ``run_experiment``'s ``ComparisonRow`` list is a view of it.
 Training raises nothing on the products it gets, so an exception from it
 propagates.
 
-``report_blocks`` (``compare``) and ``optimize_blocks`` (``optimize``)
-write all three formats from such arrays through one writer, ``_rows``:
-each row is one ``%`` of its format's row template, and an error row
-comes from its own template.  The JSON equals ``json.dumps(report,
-indent=2, allow_nan=False)`` byte for byte, including the error for the
-first non-finite value (``json.dumps`` uses its C encoder only without
-``indent``).  These and ``revenue_curve_blocks`` (``curve``) run every
-check that can fail first, then return the report as a lazy sequence of
-text blocks of ``_BLOCK`` products, so a writer holds one block at a time;
-``render_report``, ``render_optimize`` and ``export_revenue_curves`` are
-the blocks joined into one string.
-
-``compare_report`` (``compare``) gives ``report_blocks``' text for a
-whole catalog, compared and rendered in contiguous parts, one per
-process.
+``compare_report`` (``compare``) and ``optimize_blocks`` (``optimize``)
+write each of the ``REPORT_FORMATS`` from such arrays through one writer,
+``_rows``: each row is one ``%`` of its format's row template, and an
+error row comes from its own template.  The JSON equals
+``json.dumps(report, indent=2, allow_nan=False)`` byte for byte, including
+the error for the first non-finite value (``json.dumps`` uses its C
+encoder only without ``indent``).  These and ``revenue_curve_blocks``
+(``curve``) run every check that can fail first, an unknown format
+included, then return the report as a lazy sequence of text blocks of
+``_BLOCK`` products, so a writer holds one block at a time;
+``render_report`` and ``export_revenue_curves`` are the blocks joined into
+one string.  ``compare_report`` compares and renders a whole catalog in
+contiguous parts, one per process.
 """
 
 from __future__ import annotations
@@ -329,6 +327,7 @@ def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list
 # writer: a row is one % of its format's row template on a prefix (the
 # product cell and the row's slot cells) and the row's cells
 
+REPORT_FORMATS = ("csv", "json", "markdown")
 _BOOL = ("false", "true")  # CSV and JSON spelling of a clamped flag
 _DAGGER = ("", "†")  # Markdown marks a clamped price instead
 
@@ -380,6 +379,21 @@ _OPTIMIZE_JSON_ROW = '%s,\n    "price": %r,\n    "demand": %r,\n    "profit": %r
 def markdown_escape(text: str) -> str:
     """A Markdown table cell: a literal ``|`` would end the cell."""
     return text.replace("|", "\\|")
+
+
+def _text_cells(format: str, indent: str):
+    """A report format's name cells (in JSON, a row object's opening at
+    ``indent`` up to the name) and its escape of error reasons, each a
+    function of a list of texts; an unknown format is a ValueError."""
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
+    if format == "csv":
+        return csv_quoted, csv_quoted
+    if format == "markdown":
+        escape, prefix = markdown_escape, "| "
+    else:
+        escape, prefix = encode_basestring_ascii, f'{indent}{{\n{indent}  "product": '
+    return (lambda names: [prefix + escape(name) for name in names]), (lambda reasons: list(map(escape, reasons)))
 
 
 def _header(format: str, columns: list[str]) -> str:
@@ -494,8 +508,8 @@ class _Helper:
 def compare_report(
     catalog: list[ProductSpec], config: ExperimentConfig, format: str = "csv", jobs: int = 1
 ) -> Iterator[Iterator[str]]:
-    """``report_blocks(compare_columns(catalog, config), format, config)``,
-    the same text, computed in up to ``jobs`` processes.
+    """The blocks of ``render_report(compare_columns(catalog, config),
+    format, config)``, the same text, computed in up to ``jobs`` processes.
 
     The catalog is split into contiguous parts, one per process, capped at
     the usable CPUs and the product count.  Part 0 runs in this process and
@@ -508,7 +522,9 @@ def compare_report(
     stream part 0 as it renders, then each helper's text in turn.  Every
     helper is reaped when the context is left, on every path.
     """
-    # every part reads this schedule, and an episode count too large to hold fails here, before any fork
+    # an unknown format, and an episode count too large to hold for the schedule
+    # every part reads, fail here, before any fork or training
+    _text_cells(format, "")
     epsilon_schedule(config.hyperparams)
     parts = max(1, min(jobs, len(catalog)))
     if parts > 1:  # os.sched_getaffinity is missing on some platforms (macOS, Windows)
@@ -570,29 +586,20 @@ def _report_rows(result: Comparison, format: str):
     """The block function of ``result``'s report rows and the separator
     between blocks, after every check that can fail: the format, and in
     JSON every value's finiteness."""
-    if format not in ("csv", "json", "markdown"):
-        raise ValueError(f"unknown report format {format!r}")
+    cells, escape = _text_cells(format, "    ")
     rl = (result.rl_price, result.rl_demand, result.rl_profit)
     flags = _DAGGER if format == "markdown" else _BOOL
     ratio_format, blank = {"csv": ("%.6f", ""), "json": ("%r", "null"), "markdown": ("%.4f", "")}[format]
-    days = [day.label for day in _DAYS]
-    reasons = list(result.errors.values())
-    sep = ""
-    if format == "csv":
-        line, error = _CSV_ROW, _CSV_ERROR
-        cells, slots = csv_quoted, [f",{day}" for day in days]
-        errors = dict(zip(result.errors, csv_quoted(reasons)))
-    elif format == "markdown":
-        line, error = _MD_ROW, _MD_ERROR
-        cells, slots = lambda names: [f"| {markdown_escape(name)}" for name in names], [f" | {day}" for day in days]
-        errors = dict(zip(result.errors, map(markdown_escape, reasons)))
-    else:
+    errors = dict(zip(result.errors, escape(list(result.errors.values()))))
+    if format == "json":
         _check_json(*rl, *(a[..., method] for method in range(len(Method)) for a in result.baselines[:3]),
                     result.ratio)
-        line, error, sep = _JSON_ROW, _JSON_ERROR, ",\n"
-        cells = lambda names: [f'    {{\n      "product": {name}' for name in map(encode_basestring_ascii, names)]
-        slots = [f',\n      "day": "{day}"' for day in days]
-        errors = dict(zip(result.errors, map(encode_basestring_ascii, reasons)))
+    line, error, sep, slot = {
+        "csv": (_CSV_ROW, _CSV_ERROR, "", ",%s"),
+        "markdown": (_MD_ROW, _MD_ERROR, "", " | %s"),
+        "json": (_JSON_ROW, _JSON_ERROR, ",\n", ',\n      "day": "%s"'),
+    }[format]
+    slots = [slot % day.label for day in _DAYS]
 
     def block(start: int) -> str:
         part = slice(start, start + _BLOCK)
@@ -621,23 +628,17 @@ def _report_frame(format: str, config: ExperimentConfig | None, rows: bool, clam
     return (text[: -len("[]\n}")] + "[\n", "\n  ]\n}\n") if rows else (text + "\n", "")
 
 
-def report_blocks(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> Iterator[str]:
-    """``render_report``'s text as blocks of ``_BLOCK`` products, after
-    every check that can fail: the format, and in JSON every value's
-    finiteness."""
-    block, sep = _report_rows(result, format)
-    head, tail = _report_frame(format, config, bool(result.names), bool(result.baselines.clamped.any()))
-    return _document(head, len(result.names), block, sep, tail)
-
-
 def render_report(result: Comparison, format: str = "csv", config: ExperimentConfig | None = None) -> str:
     """Render a comparison; prices and demands at 1 decimal, profits at 2.
 
     JSON output carries full precision and, when a config is supplied,
     a provenance block describing the run.  Markdown footnotes clamped
-    baseline prices.  The text of ``report_blocks``, joined.
+    baseline prices.  Every check that can fail runs before any row is
+    formatted: the format, and in JSON every value's finiteness.
     """
-    return "".join(report_blocks(result, format, config))
+    block, sep = _report_rows(result, format)
+    head, tail = _report_frame(format, config, bool(result.names), bool(result.baselines.clamped.any()))
+    return "".join(_document(head, len(result.names), block, sep, tail))
 
 
 def optimize_overflow(table: Columns) -> dict[int, str]:
@@ -653,22 +654,22 @@ def optimize_overflow(table: Columns) -> dict[int, str]:
 
 
 def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[str]:
-    """``render_optimize``'s text as blocks of ``_BLOCK`` products, after
-    every check that can fail: in JSON, every value's finiteness."""
+    """The ``optimize`` report of a ``columns_by_day`` table as blocks of
+    ``_BLOCK`` products, one row per product, day and method; prices and
+    demands at 1 decimal and profits at 2, except in JSON, which carries
+    full precision.  Every check that can fail runs first: the format, and
+    in JSON every value's finiteness."""
+    cells, _ = _text_cells(format, "  ")
     sep, tail = "", ""
     if format == "json":
         _check_json(*table[:3])
         head, tail = ("[\n", "\n]\n") if names else ("[]\n", "")
         line, sep = _OPTIMIZE_JSON_ROW, ",\n"
-        cells = lambda names: [f'  {{\n    "product": {name}' for name in map(encode_basestring_ascii, names)]
         slots = [f',\n    "day": "{day}",\n    "method": "{method}"' for day, method in _OPTIMIZE_SLOTS]
     else:
-        if format == "markdown":
-            head, line, cell_sep = _header(format, _OPTIMIZE_HEADERS), _OPTIMIZE_MD_ROW, " | "
-            cells = lambda names: [f"| {markdown_escape(name)}" for name in names]
-        else:
-            head, line, cell_sep = _header("csv", _OPTIMIZE_COLUMNS), _OPTIMIZE_CSV_ROW, ","
-            cells = csv_quoted
+        markdown = format == "markdown"
+        head = _header(format, _OPTIMIZE_HEADERS if markdown else _OPTIMIZE_COLUMNS)
+        line, cell_sep = (_OPTIMIZE_MD_ROW, " | ") if markdown else (_OPTIMIZE_CSV_ROW, ",")
         slots = [f"{cell_sep}{day}{cell_sep}{method}" for day, method in _OPTIMIZE_SLOTS]
 
     def block(start: int) -> str:
@@ -678,14 +679,6 @@ def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[s
         return _rows(line, cells(names[part]), slots, columns, {}, "", sep)
 
     return _document(head, len(names), block, sep, tail)
-
-
-def render_optimize(names: list[str], table: Columns, format: str) -> str:
-    """The ``optimize`` report of a ``columns_by_day`` table, one row per
-    product, day and method; prices and demands at 1 decimal and profits at
-    2, except in JSON, which carries full precision.  The text of
-    ``optimize_blocks``, joined."""
-    return "".join(optimize_blocks(names, table, format))
 
 
 def _curves(specs: list[ProductSpec], sampled: ExperimentConfig) -> tuple:

@@ -11,9 +11,9 @@ Given identical inputs (including the seed carried by Hyperparams) a
 training run is bitwise deterministic.  ``reward_lanes``, ``train_lanes``
 (which picks the kernel) and ``greedy_lanes`` set up, train and evaluate
 many products at once (``pricelab.experiment`` calls them on each chunk
-of a catalog), and ``reward_tables``, ``train`` and
-``evaluate_greedy`` are their one-product calls.  Training raises nothing
-on rewards ``reward_lanes`` accepted; any exception from it propagates.
+of a catalog), and ``train`` and ``evaluate_greedy`` are one-product
+calls of them.  Training raises nothing on rewards ``reward_lanes``
+accepted; any exception from it propagates.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def calendar_day_types(steps: int) -> np.ndarray:
 
 def calendar_next_day_types(steps: int) -> np.ndarray:
     """Day-type state of each step's following calendar day."""
-    return np.array([0 if (t + 1) % 7 < 5 else 1 for t in range(steps)], dtype=np.int64)
+    return calendar_day_types(steps + 1)[1:]
 
 
 def reward_lanes(
@@ -233,15 +233,6 @@ def reward_lanes(
     return rewards, overflow
 
 
-def reward_tables(spec: ProductSpec, grid: PriceGrid, modulation: DayModulation, gamma: float) -> np.ndarray:
-    """One product's ``reward_lanes``: its reward per (day type, price); a
-    product whose rewards overflow is a ValueError."""
-    rewards, overflow = reward_lanes(ProductLanes.of([spec]), grid.as_array()[None], modulation, gamma)
-    if overflow:
-        raise ValueError(overflow[0])
-    return rewards[0]
-
-
 def _shared_kernel_args(hp: Hyperparams) -> tuple:
     """The kernel arguments every product trained under ``hp`` shares: the
     calendar, its next-day states, the epsilon schedule, alpha and gamma."""
@@ -259,7 +250,10 @@ def train(
 
     Returns the learned table and a per-episode trace.
     """
-    rewards = reward_tables(spec, grid, modulation, hp.gamma)
+    rewards, overflow = reward_lanes(ProductLanes.of([spec]), grid.as_array()[None], modulation, hp.gamma)
+    if overflow:
+        raise ValueError(overflow[0])
+    rewards = rewards[0]
     days, next_days, epsilons, alpha, gamma = _shared_kernel_args(hp)
     pieces = []
     values, log = _kernels.run_train_kernel(

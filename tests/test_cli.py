@@ -15,7 +15,7 @@ from pricelab.baselines import Columns, Method, Optimum
 from pricelab import cli, experiment
 from pricelab.cli import main
 from pricelab.domain import DayType
-from pricelab.experiment import check_products, optimize_overflow, render_optimize
+from pricelab.experiment import check_products, optimize_blocks, optimize_overflow
 from pricelab.qlearn import LOCKSTEP_MIN_PRODUCTS
 
 FAST = ["--episodes", "250"]
@@ -747,7 +747,7 @@ def oracle_optimize(names, table, fmt):
 def columnar_optimize(names, table, fmt):
     """What ``optimize`` does with a table: check it, then render it."""
     check_products([SimpleNamespace(name=name) for name in names], optimize_overflow(table))
-    return render_optimize(names, table, fmt)
+    return "".join(optimize_blocks(names, table, fmt))
 
 
 def rendered_or_error(render, names, table, fmt):
@@ -835,5 +835,5 @@ class TestOptimizeRendererMatchesOracle:
         for field, *index, value in cells:
             getattr(table, field)[tuple(index)] = value
         with pytest.raises(ValueError) as err:
-            render_optimize(names, table, "json")
+            "".join(optimize_blocks(names, table, "json"))
         assert str(err.value) == f"Out of range float values are not JSON compliant: {named}"

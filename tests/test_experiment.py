@@ -20,7 +20,9 @@ from pricelab.experiment import (
     CostPolicy,
     ExperimentConfig,
     compare_columns,
+    compare_report,
     export_revenue_curves,
+    optimize_blocks,
     prepare_products,
     render_report,
     run_experiment,
@@ -485,6 +487,25 @@ class TestRenderReport:
     def test_unknown_format_rejected(self, result):
         with pytest.raises(ValueError):
             render_report(result, "xml")
+
+    def test_every_writer_rejects_an_unknown_format_before_any_work(self, sample_specs, monkeypatch):
+        import os
+
+        import pricelab.experiment as experiment
+
+        message = "^unknown report format 'xml'$"
+        table = comparison(["x", "y"]).baselines
+        with pytest.raises(ValueError, match=message):
+            "".join(optimize_blocks(["x", "y"], table, "xml"))
+
+        def no_work(*args):
+            raise AssertionError("work began before the format was checked")
+
+        monkeypatch.setattr(os, "fork", no_work)
+        monkeypatch.setattr(experiment, "train_lanes", no_work)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=message), compare_report(sample_specs, quick_config(), "xml", jobs):
+                pass
 
 
 # --- report renderer oracle ---------------------------------------------------

@@ -16,7 +16,9 @@ train is checked on both training paths.  Every ``optimize``, ``curve``
 and ``compare`` digest is also checked with the reports written in blocks
 of 1 and of 5 products, so that every catalog here is split into blocks.
 Every ``optimize`` and ``compare`` digest is checked again with the
-products run in chunks of 1, 5 and ``LOCKSTEP_MIN_PRODUCTS`` products.
+products run in chunks of 1, 5 and ``LOCKSTEP_MIN_PRODUCTS`` products
+(``compare`` on the scalar path, and at ``LOCKSTEP_MIN_PRODUCTS`` also
+on the lockstep one).
 ``train`` (table and sidecar), ``validate`` and ``sample-catalog`` are
 pinned too.  A refactor of the baselines, grids, product setup, training
 kernels or renderers must leave every digest unchanged.
@@ -70,13 +72,17 @@ def catalogs(tmp_path_factory):
     return paths
 
 
-@pytest.fixture(params=["lockstep", "scalar"])
-def kernel(request, monkeypatch):
+def force_kernel(monkeypatch, path: str) -> str:
     """Train every catalog on one path: the lockstep kernel, or the scalar
     kernel product by product.  The digests must not depend on it, nor on
     where ``LOCKSTEP_MIN_PRODUCTS`` sits."""
-    monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1 if request.param == "lockstep" else 10**9)
-    return request.param
+    monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1 if path == "lockstep" else 10**9)
+    return path
+
+
+@pytest.fixture(params=["lockstep", "scalar"])
+def kernel(request, monkeypatch):
+    return force_kernel(monkeypatch, request.param)
 
 
 def run_to_file(tmp_path, catalog, argv) -> str:
@@ -373,13 +379,26 @@ def test_no_rows_digest_in_small_blocks(tmp_path, command, small_block):
 # --- the same digests with the products run in small chunks -------------------
 # With 5 products a chunk, the bad rows (catalog indices 3 to 5) fall on both
 # sides of a chunk boundary; with LOCKSTEP_MIN_PRODUCTS, the 300-row catalog
-# ends in a short chunk; with 1, every product is a chunk.  Each compare digest
-# is checked on both training paths, which then run chunk by chunk.
+# ends in a short chunk; with 1, every product is a chunk.  The compare digests
+# train chunk by chunk on the scalar path at every chunk size, and on the
+# forced lockstep path at LOCKSTEP_MIN_PRODUCTS only: the train_lanes rule
+# never runs lockstep on fewer products, and test_experiment.py's TestChunks
+# checks the lockstep tables at chunks of 1 and 5.
+CHUNKS = {"chunk-1": 1, "chunk-5": 5, "chunk-lockstep-min": qlearn.LOCKSTEP_MIN_PRODUCTS}
+CHUNK_PATHS = [("chunk-1", "scalar"), ("chunk-5", "scalar"), ("chunk-lockstep-min", "lockstep"),
+               ("chunk-lockstep-min", "scalar")]
 
 
-@pytest.fixture(params=[1, 5, qlearn.LOCKSTEP_MIN_PRODUCTS], ids=["chunk-1", "chunk-5", "chunk-lockstep-min"])
+@pytest.fixture(params=list(CHUNKS))
 def small_chunk(request, monkeypatch):
-    monkeypatch.setattr(experiment, "_CHUNK", request.param)
+    monkeypatch.setattr(experiment, "_CHUNK", CHUNKS[request.param])
+
+
+@pytest.fixture(params=CHUNK_PATHS, ids=[f"{chunk}-{path}" for chunk, path in CHUNK_PATHS])
+def small_chunk_kernel(request, monkeypatch):
+    chunk, path = request.param
+    monkeypatch.setattr(experiment, "_CHUNK", CHUNKS[chunk])
+    return force_kernel(monkeypatch, path)
 
 
 @pytest.mark.parametrize("catalog, setting, fmt", list(OPTIMIZE_GOLDEN))
@@ -388,31 +407,31 @@ def test_optimize_digest_in_small_chunks(tmp_path, catalogs, catalog, setting, f
 
 
 @pytest.mark.parametrize("fmt", list(COMPARE_GOLDEN))
-def test_compare_digest_in_small_chunks(tmp_path, catalogs, fmt, small_chunk, kernel):
-    test_compare_digest(tmp_path, catalogs, fmt, kernel)
-    test_compare_markdown_digest(tmp_path, catalogs, kernel)
-    test_compare_floor_digest(tmp_path, catalogs, kernel)
+def test_compare_digest_in_small_chunks(tmp_path, catalogs, fmt, small_chunk_kernel):
+    test_compare_digest(tmp_path, catalogs, fmt, small_chunk_kernel)
+    test_compare_markdown_digest(tmp_path, catalogs, small_chunk_kernel)
+    test_compare_floor_digest(tmp_path, catalogs, small_chunk_kernel)
 
 
 @pytest.mark.parametrize("steps", list(STEPS))
-def test_compare_long_decay_digest_in_small_chunks(tmp_path, steps, small_chunk, kernel):
-    test_compare_long_decay_digest(tmp_path, steps, kernel)
+def test_compare_long_decay_digest_in_small_chunks(tmp_path, steps, small_chunk_kernel):
+    test_compare_long_decay_digest(tmp_path, steps, small_chunk_kernel)
 
 
-def test_compare_sample_digest_in_small_chunks(tmp_path, small_chunk, kernel):
-    test_compare_sample_digest(tmp_path, kernel)
+def test_compare_sample_digest_in_small_chunks(tmp_path, small_chunk_kernel):
+    test_compare_sample_digest(tmp_path, small_chunk_kernel)
 
 
 @pytest.mark.parametrize(
     "base, fmt", [("sample", "csv"), ("forty", "csv"), ("sample", "markdown"), ("forty", "json")]
 )
-def test_compare_bad_rows_digest_in_small_chunks(tmp_path, catalogs, base, fmt, small_chunk, kernel):
-    test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt, kernel)
+def test_compare_bad_rows_digest_in_small_chunks(tmp_path, catalogs, base, fmt, small_chunk_kernel):
+    test_compare_bad_rows_digest(tmp_path, catalogs, base, fmt, small_chunk_kernel)
 
 
 @pytest.mark.parametrize("rows", [14, 40])
-def test_compare_escaped_names_json_digest_in_small_chunks(tmp_path, rows, small_chunk, kernel):
-    test_compare_escaped_names_json_digest(tmp_path, rows, kernel)
+def test_compare_escaped_names_json_digest_in_small_chunks(tmp_path, rows, small_chunk_kernel):
+    test_compare_escaped_names_json_digest(tmp_path, rows, small_chunk_kernel)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])

@@ -31,7 +31,6 @@ from pricelab.qlearn import (
     qtable_from_csv,
     qtable_to_csv,
     reward_lanes,
-    reward_tables,
     select_action,
     train,
     train_lanes,
@@ -242,10 +241,10 @@ class TestTrainContract:
     def test_q_bounds_invariant(self, monkeypatch):
         grid = default_price_grid(S24, 11)
         hp = small_hp(episodes=400)
-        rewards = reward_tables(S24, grid, DayModulation(), hp.gamma)
+        rewards, _ = reward_lanes(ProductLanes.of([S24]), grid.as_array()[None], DayModulation(), hp.gamma)
         scalar, _ = train(S24, grid, hp=hp)
         monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1)
-        [lockstep] = train_lanes(rewards[None], hp, [hp.seed])
+        [lockstep] = train_lanes(rewards, hp, [hp.seed])
         r_max = max(reward(S24, p, demand(S24, p)) for p in grid)
         for values in (scalar.values, lockstep):
             assert (values >= 0.0).all()
@@ -355,13 +354,12 @@ class TestLockstep:
         assert_train_lanes_paths(monkeypatch, np.empty((0, 2, 9)), hp, [], [])
 
     def test_rejects_overflowing_rewards(self):
-        big = ProductSpec(name="big", base_demand=1e307, base_price=100.0, elasticity=-0.5)
-        with pytest.raises(ValueError, match="overflow"):
-            train(big, default_price_grid(big, 5), hp=small_hp())
-        # finite rewards whose discounted bound overflows
-        near = ProductSpec(name="near", base_demand=1e306, base_price=100.0, elasticity=-0.5)
-        with pytest.raises(ValueError, match="overflow"):
-            reward_tables(near, default_price_grid(near, 5), DayModulation(), 0.9)
+        # inf rewards, finite rewards whose discounted bound overflows, and a NaN reward
+        for spec in OVERFLOWING:
+            grid = default_price_grid(spec, 9)
+            _, error = oracle_reward_tables(spec, list(grid), DayModulation(), 0.9)
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                train(spec, grid, hp=small_hp())
 
 
 class TestReplayParity:
@@ -450,7 +448,7 @@ class TestReplayParity:
         # write a value equal to the row's best, at a lower or higher index
         demand_table = np.array([[0.0, 5.0, 0.0, 5.0, 2.0, 5.0], [1.0, 3.0, 3.0, 0.0, 3.0, 1.0]])
         margins = np.ones(6)
-        monkeypatch.setattr(qlearn, "reward_tables", lambda *args: margins * demand_table)
+        monkeypatch.setattr(qlearn, "reward_lanes", lambda *args: ((margins * demand_table)[None], {}))
         grid = default_price_grid(S24, 6)  # only its size matters here
         days = calendar_day_types(7)
         nxt = calendar_next_day_types(7)
@@ -588,17 +586,6 @@ class TestRewardLanes:
                 errors[i] = error
         assert overflow == errors
         assert {"inf", "nan"} <= {message.rsplit(" ", 1)[1] for message in errors.values()}
-
-    def test_one_product_call(self):
-        modulation = DayModulation(1.0, 1.2)
-        for spec in random_specs(40, seed=3) + OVERFLOWING:
-            grid = default_price_grid(spec, 9)
-            want, error = oracle_reward_tables(spec, list(grid), modulation, 0.9)
-            if error is None:
-                assert same_bits(reward_tables(spec, grid, modulation, 0.9), want)
-            else:
-                with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-                    reward_tables(spec, grid, modulation, 0.9)
 
     def test_empty_catalog(self):
         rewards, overflow = reward_lanes(ProductLanes.of([]), grid_rows([], 5), DayModulation(), 0.9)
