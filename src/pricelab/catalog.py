@@ -10,8 +10,8 @@ with whatever validates.
 Rows are parsed line by line, so a malformed line (wrong column count,
 unparseable number) poisons only itself.  As in CSV, a line ends only
 at CR LF, CR or LF; other characters that ``str.splitlines`` breaks at,
-such as a form feed or U+2028, stay in their field.  Quoted fields
-spanning multiple lines are not supported.
+such as a form feed or U+2028, stay in their field.  No field spans
+lines: ``ProductSpec`` refuses a name that holds CR or LF.
 """
 
 from __future__ import annotations
@@ -100,6 +100,18 @@ def _parse_number(text: str, column: str) -> float:
     return value
 
 
+# ProductSpec's error for a row -> the row's reject reason and detail
+_SPEC_ERRORS = {
+    "elasticity must be < 0": (RejectReason.NON_NEGATIVE_ELASTICITY, "price_elasticity={elasticity}"),
+    "base_price must be > 0": (RejectReason.NON_POSITIVE_PRICE, "base_price={base_price}"),
+    "base_demand must be >= 0": (RejectReason.MALFORMED_FIELD, "base_demand={base_demand} is negative"),
+    "unit_cost must be >= 0": (RejectReason.MALFORMED_FIELD, "unit_cost={unit_cost} is negative"),
+    "unit_cost must be < base_price": (
+        RejectReason.COST_EXCEEDS_PRICE, "unit_cost={unit_cost} >= base_price={base_price}"
+    ),
+}
+
+
 def _validate_row(
     fields: list[str], has_cost: bool, seen_names: set[str]
 ) -> tuple[ProductSpec | None, RejectReason | None, str]:
@@ -118,26 +130,14 @@ def _validate_row(
     except ValueError as exc:
         return None, RejectReason.MALFORMED_FIELD, str(exc)
 
-    if elasticity >= 0:
-        return None, RejectReason.NON_NEGATIVE_ELASTICITY, f"price_elasticity={elasticity}"
-    if base_price <= 0:
-        return None, RejectReason.NON_POSITIVE_PRICE, f"base_price={base_price}"
-    if base_demand < 0:
-        return None, RejectReason.MALFORMED_FIELD, f"base_demand={base_demand} is negative"
-    if unit_cost < 0:
-        return None, RejectReason.MALFORMED_FIELD, f"unit_cost={unit_cost} is negative"
-    if unit_cost >= base_price:
-        return None, RejectReason.COST_EXCEEDS_PRICE, f"unit_cost={unit_cost} >= base_price={base_price}"
+    try:
+        spec = ProductSpec(name, base_demand, base_price, elasticity, unit_cost)
+    except ValueError as exc:
+        reason, detail = _SPEC_ERRORS[str(exc)]
+        values = dict(elasticity=elasticity, base_price=base_price, base_demand=base_demand, unit_cost=unit_cost)
+        return None, reason, detail.format(**values)
     if name in seen_names:
         return None, RejectReason.DUPLICATE_NAME, f"duplicate product_name {name!r}"
-
-    spec = ProductSpec(
-        name=name,
-        base_demand=base_demand,
-        base_price=base_price,
-        elasticity=elasticity,
-        unit_cost=unit_cost,
-    )
     return spec, None, ""
 
 

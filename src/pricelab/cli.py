@@ -48,13 +48,15 @@ from .experiment import (
 from .qlearn import train  # noqa: F401
 from .qlearn import Hyperparams, QTable, epsilon_schedule, hyperparams_to_json, qtable_to_csv, reward_lanes, train_lanes
 
+# in the order of their flags; each key's flag is --key with dashes, but --seed
 CONFIG_KEYS = {
+    "master_seed": int,
+    "episodes": int,
     "alpha": float,
     "gamma": float,
     "epsilon_start": float,
     "epsilon_min": float,
     "epsilon_decay": float,
-    "episodes": int,
     "steps_per_episode": int,
     "grid_points": int,
     "grid_span": list,
@@ -62,7 +64,6 @@ CONFIG_KEYS = {
     "weekend_multiplier": float,
     "cost_policy": str,
     "cost_fraction": float,
-    "master_seed": int,
 }
 
 
@@ -236,20 +237,15 @@ def _add_common(parser: argparse.ArgumentParser, *, catalog_required: bool = Fal
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file; flags override file values")
-    parser.add_argument("--seed", type=int, dest="master_seed", help="master seed (default 0)")
-    parser.add_argument("--episodes", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--epsilon-start", type=float, dest="epsilon_start")
-    parser.add_argument("--epsilon-min", type=float, dest="epsilon_min")
-    parser.add_argument("--epsilon-decay", type=float, dest="epsilon_decay")
-    parser.add_argument("--steps-per-episode", type=int, dest="steps_per_episode")
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--grid-span", type=float, nargs=2, metavar=("LO", "HI"), dest="grid_span")
-    parser.add_argument("--weekday-multiplier", type=float, dest="weekday_multiplier")
-    parser.add_argument("--weekend-multiplier", type=float, dest="weekend_multiplier")
-    parser.add_argument("--cost-policy", choices=COST_POLICY_KINDS, dest="cost_policy")
-    parser.add_argument("--cost-fraction", type=float, dest="cost_fraction")
+    for key, kind in CONFIG_KEYS.items():
+        if key == "master_seed":
+            parser.add_argument("--seed", type=kind, dest=key, help="master seed (default 0)")
+        elif key == "grid_span":
+            parser.add_argument("--grid-span", type=float, nargs=2, metavar=("LO", "HI"), dest=key)
+        elif key == "cost_policy":
+            parser.add_argument("--cost-policy", choices=COST_POLICY_KINDS, dest=key)
+        else:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:

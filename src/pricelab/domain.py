@@ -56,17 +56,22 @@ class ProductSpec:
     unit_cost: float = 0.0
 
     def __post_init__(self):
+        # the name must survive serialize_catalog -> parse_catalog, which
+        # strips each name and ends a row at CR or LF
         if not self.name:
             raise ValueError("product name must be non-empty")
-        for field_name in ("base_demand", "base_price", "elasticity", "unit_cost"):
+        if self.name != self.name.strip() or "\r" in self.name or "\n" in self.name:
+            raise ValueError("product name must not hold CR or LF or start or end with white space")
+        # the values in catalog column order, as validate reports them
+        for field_name in ("elasticity", "base_price", "base_demand", "unit_cost"):
             if not math.isfinite(getattr(self, field_name)):
                 raise ValueError(f"{field_name} must be finite")
+        if self.elasticity >= 0:
+            raise ValueError("elasticity must be < 0")
         if self.base_price <= 0:
             raise ValueError("base_price must be > 0")
         if self.base_demand < 0:
             raise ValueError("base_demand must be >= 0")
-        if self.elasticity >= 0:
-            raise ValueError("elasticity must be < 0")
         if self.unit_cost < 0:
             raise ValueError("unit_cost must be >= 0")
         if self.unit_cost >= self.base_price:
@@ -107,28 +112,6 @@ class PriceGrid:
         for lo, hi in zip(self.prices, self.prices[1:]):
             if hi <= lo:
                 raise ValueError("prices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.prices)
-
-    def __iter__(self):
-        return iter(self.prices)
-
-    def __getitem__(self, i: int) -> float:
-        return self.prices[i]
-
-    @property
-    def lo(self) -> float:
-        return self.prices[0]
-
-    @property
-    def hi(self) -> float:
-        return self.prices[-1]
-
-    @property
-    def step(self) -> float:
-        """Largest gap between consecutive prices."""
-        return max(b - a for a, b in zip(self.prices, self.prices[1:]))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.prices, dtype=np.float64)

@@ -94,10 +94,6 @@ class QTable:
 
     values: np.ndarray
 
-    @classmethod
-    def zeros(cls, state_count: int, action_count: int) -> "QTable":
-        return cls(np.zeros((state_count, action_count)))
-
     @property
     def state_count(self) -> int:
         return self.values.shape[0]
@@ -120,9 +116,6 @@ class TrainingTrace:
     episode_rewards: np.ndarray
     visit_counts: np.ndarray
     greedy_policies: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.epsilons)
 
 
 @dataclass(frozen=True)
@@ -362,19 +355,10 @@ def qtable_to_csv(q: QTable, grid: PriceGrid) -> str:
     """Serialize: header row of grid prices, one row per state label."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state"] + [repr(p) for p in grid])
+    writer.writerow(["state"] + [repr(p) for p in grid.prices])
     for s in range(q.state_count):
         writer.writerow([DayType(s).label] + [repr(float(v)) for v in q.values[s]])
     return buf.getvalue()
-
-
-def qtable_from_csv(text: str) -> tuple[list[str], list[float], np.ndarray]:
-    """Inverse of ``qtable_to_csv``: (state labels, grid prices, values)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    prices = [float(p) for p in rows[0][1:]]
-    labels = [r[0] for r in rows[1:]]
-    values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return labels, prices, values
 
 
 def hyperparams_to_json(hp: Hyperparams) -> str:

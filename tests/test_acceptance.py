@@ -104,12 +104,12 @@ def test_analytic_vs_brute_force():
                 unit_cost=cost_ratio * p0,
             )
             grid = default_price_grid(spec_costed, GRID_POINTS)
-            bounds = (grid.lo, grid.hi)
+            bounds = (grid.prices[0], grid.prices[-1])
             for mult in day_multipliers:
                 cases += 1
                 ana = analytic_optimum(spec_costed, bounds, mult)
                 gs = grid_search_optimum(spec_costed, grid, mult)
-                if abs(ana.price - gs.price) > grid.step:
+                if abs(ana.price - gs.price) > max(np.diff(grid.prices)):
                     grid_failures.append((name, cost_ratio, mult))
                 if not ana.clamped:
                     unclamped += 1
@@ -134,11 +134,11 @@ def test_fixed_point_residual(canonical_run):
     nxt = calendar_next_day_types(hp.steps_per_episode)
     for run in canonical_run["runs"]:
         spec, grid, q, trace = run["spec"], run["grid"], run["q"], run["trace"]
-        rewards = np.array([[reward(spec, p, demand(spec, p, 1.0)) for p in grid] for _ in range(2)])
+        rewards = np.array([[reward(spec, p, demand(spec, p, 1.0)) for p in grid.prices] for _ in range(2)])
         for t in range(hp.steps_per_episode):
             s, ns = int(days[t]), int(nxt[t])
             bootstrap = hp.gamma * q.values[ns].max()
-            for a in range(len(grid)):
+            for a in range(len(grid.prices)):
                 if trace.visit_counts[s, a] > 0:
                     worst = max(worst, abs(q.values[s, a] - (rewards[s, a] + bootstrap)))
     report("fixed-point-residual", worst <= 1e-3, f"max residual {worst:.3e} <= 1e-3")

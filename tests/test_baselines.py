@@ -85,15 +85,15 @@ class TestGridSearch:
         grid = default_price_grid(S24, 21)
         opt = grid_search_optimum(S24, grid)
         assert opt.method is Method.GRID_SEARCH
-        assert opt.price == grid[13]
+        assert opt.price == grid.prices[13]
         assert opt.price == pytest.approx(161.07, abs=1e-9)
         assert not opt.clamped
 
     def test_exhaustive_against_direct_scan(self, sample_specs):
         for spec in sample_specs:
             grid = default_price_grid(spec, 21)
-            profits = [profit_at(spec, p) for p in grid]
-            expected = grid[profits.index(max(profits))]
+            profits = [profit_at(spec, p) for p in grid.prices]
+            expected = grid.prices[profits.index(max(profits))]
             assert grid_search_optimum(spec, grid).price == expected
 
     def test_tie_breaks_to_lowest_price(self):
@@ -111,7 +111,7 @@ class TestGridSearch:
     def test_endpoint_maximizer_flagged_clamped(self):
         grid = default_price_grid(MU6290, 21)
         opt = grid_search_optimum(MU6290, grid)
-        assert opt.price == grid[20]
+        assert opt.price == grid.prices[20]
         assert opt.clamped
 
     def test_refinement_approaches_vertex(self):
@@ -120,7 +120,7 @@ class TestGridSearch:
         for points in (41, 81, 161):
             grid = default_price_grid(S24, points)
             err = abs(grid_search_optimum(S24, grid).price - target)
-            assert err <= grid.step
+            assert err <= max(np.diff(grid.prices))
             if last_err is not None:
                 assert err <= last_err + 1e-9
             last_err = err
@@ -156,16 +156,16 @@ class TestLineSearch:
                 costed = dataclasses.replace(spec, unit_cost=cost_ratio * spec.base_price)
                 grid = default_price_grid(costed, 21)
                 gs = grid_search_optimum(costed, grid)
-                ls = line_search_optimum(costed, (grid.lo, grid.hi))
+                ls = line_search_optimum(costed, (grid.prices[0], grid.prices[-1]))
                 # profit slope is linear in price on the unclipped stretch
                 d0, e, p0, c = costed.base_demand, costed.elasticity, costed.base_price, costed.unit_cost
                 a_coef = d0 * (1 - e)
                 b_coef = d0 * e / p0
                 slope_bound = max(
-                    abs(a_coef + 2 * b_coef * grid.lo - c * b_coef),
-                    abs(a_coef + 2 * b_coef * grid.hi - c * b_coef),
+                    abs(a_coef + 2 * b_coef * grid.prices[0] - c * b_coef),
+                    abs(a_coef + 2 * b_coef * grid.prices[-1] - c * b_coef),
                 )
-                assert ls.profit >= gs.profit - slope_bound * grid.step - 1e-9
+                assert ls.profit >= gs.profit - slope_bound * max(np.diff(grid.prices)) - 1e-9
 
 
 class TestCrossMethodInvariants:
@@ -173,7 +173,7 @@ class TestCrossMethodInvariants:
         for spec in sample_specs[:6]:
             costed = dataclasses.replace(spec, unit_cost=0.25 * spec.base_price)
             grid = default_price_grid(costed, 21)
-            bounds = (grid.lo, grid.hi)
+            bounds = (grid.prices[0], grid.prices[-1])
             for opt in (
                 analytic_optimum(costed, bounds, 1.2),
                 grid_search_optimum(costed, grid, 1.2),
@@ -186,7 +186,7 @@ class TestCrossMethodInvariants:
     def test_day_multiplier_price_invariance(self, sample_specs):
         for spec in sample_specs:
             grid = default_price_grid(spec, 21)
-            bounds = (grid.lo, grid.hi)
+            bounds = (grid.prices[0], grid.prices[-1])
             for mult in (1.0, 1.2):
                 assert analytic_optimum(spec, bounds, mult).price == analytic_optimum(spec, bounds, 1.0).price
                 assert grid_search_optimum(spec, grid, mult).price == grid_search_optimum(spec, grid, 1.0).price

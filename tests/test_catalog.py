@@ -9,6 +9,7 @@ from pricelab.catalog import (
     sample_catalog,
     serialize_catalog,
 )
+from pricelab.domain import ProductSpec
 
 HEADER = "product_name,price_elasticity,base_price,base_demand"
 
@@ -191,6 +192,13 @@ class TestRoundTrip:
         text = serialize_catalog(sample_catalog())
         assert "-0.5,109.2,80.0" in text
         assert "-8.4,2011.6,60.0" in text
+
+    def test_awkward_names_round_trip(self):
+        names = ["Comma, 1", 'Say "hi"', "Pipe | 2", "Form\x0cfeed", "Line\u2028break", "Tab\there", "Télé 💡"]
+        specs = [ProductSpec(name, 10.0 + i, 100.0, -1.0) for i, name in enumerate(names)]
+        again, report = parse_catalog(serialize_catalog(specs))
+        assert not report.rejections
+        assert again == specs
 
     def test_round_trip_with_costs(self):
         text = HEADER + ",unit_cost\nx,-2.25,400.5,12.0,99.75\n"

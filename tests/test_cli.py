@@ -130,6 +130,65 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
+# Every parser action as (option strings, dest, nargs, metavar, choices, default,
+# help, required, type).  The actions, not argparse's formatted help, which
+# changes between Python versions.
+HELP = (("-h", "--help"), "help", 0, None, None, "==SUPPRESS==", "show this help message and exit", False, None)
+OUTPUT = (("--output", "-o"), "output", None, None, None, None, "output path (default: standard output)", False, None)
+CATALOG = (("--catalog",), "catalog", None, None, None, None, "catalog CSV path (default: embedded sample catalog)",
+           False, None)
+CONFIG_ACTIONS = [
+    (("--config",), "config", None, None, None, None, "flat JSON config file; flags override file values", False, None),
+    (("--seed",), "master_seed", None, None, None, None, "master seed (default 0)", False, "int"),
+    *((("--" + key.replace("_", "-"),), key, None, None, None, None, None, False, kind)
+      for key, kind in [("episodes", "int"), ("alpha", "float"), ("gamma", "float"), ("epsilon_start", "float"),
+                        ("epsilon_min", "float"), ("epsilon_decay", "float"), ("steps_per_episode", "int"),
+                        ("grid_points", "int")]),
+    (("--grid-span",), "grid_span", 2, ("LO", "HI"), None, None, None, False, "float"),
+    (("--weekday-multiplier",), "weekday_multiplier", None, None, None, None, None, False, "float"),
+    (("--weekend-multiplier",), "weekend_multiplier", None, None, None, None, None, False, "float"),
+    (("--cost-policy",), "cost_policy", None, None, ["catalog", "zero", "fraction"], None, None, False, None),
+    (("--cost-fraction",), "cost_fraction", None, None, None, None, None, False, "float"),
+]
+FORMAT = (("--format",), "format", None, None, ["csv", "json", "markdown"], "csv", None, False, None)
+PARSER_ACTIONS = {
+    "pricelab": [
+        HELP,
+        ((), "command", "A...", None, ["sample-catalog", "validate", "curve", "train", "optimize", "compare"],
+         None, None, True, None),
+    ],
+    "sample-catalog": [HELP, OUTPUT],
+    "validate": [HELP, (("--catalog",), "catalog", None, None, None, None, "catalog CSV path", True, None), OUTPUT],
+    "curve": [
+        HELP, CATALOG, OUTPUT, *CONFIG_ACTIONS,
+        (("--samples",), "samples", None, None, None, 101, "samples per curve (default 101)", False, "int"),
+    ],
+    "train": [
+        HELP, CATALOG, OUTPUT, *CONFIG_ACTIONS,
+        (("--product",), "product", None, None, None, None, "exact product name from the catalog", True, None),
+    ],
+    "optimize": [HELP, CATALOG, OUTPUT, *CONFIG_ACTIONS, FORMAT],
+    "compare": [
+        HELP, CATALOG, OUTPUT, *CONFIG_ACTIONS, FORMAT,
+        (("--jobs",), "jobs", None, "N", None, 1,
+         "processes to compare in (default 1): the catalog is split into up to N contiguous parts, capped at the "
+         "usable CPUs and the product count; the report is the same at any N", False, "int"),
+    ],
+}
+
+
+def test_every_parser_action_is_pinned():
+    def record(action):
+        choices = None if action.choices is None else list(action.choices)
+        return (tuple(action.option_strings), action.dest, action.nargs, action.metavar, choices, action.default,
+                action.help, action.required, getattr(action.type, "__name__", None))
+
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if a.dest == "command"]
+    parsers = {"pricelab": parser, **subcommands.choices}
+    assert {name: [record(a) for a in p._actions] for name, p in parsers.items()} == PARSER_ACTIONS
+
+
 class TestConfigFile:
     def test_config_values_used(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -43,6 +43,11 @@ class TestProductSpecValidation:
             dict(base_price=float("nan")),
             dict(elasticity=float("-inf")),
             dict(name=""),
+            # names that would not survive serialize_catalog -> parse_catalog
+            dict(name="Two\nlines"),
+            dict(name="Cr\rx"),
+            dict(name=" padded "),
+            dict(name="   "),
         ],
     )
     def test_rejections(self, kwargs):
@@ -103,10 +108,8 @@ class TestDayTypes:
 class TestPriceGrid:
     def test_valid(self):
         g = PriceGrid((1.0, 2.0, 4.0))
-        assert len(g) == 3
-        assert g.lo == 1.0 and g.hi == 4.0
-        assert g.step == 2.0
-        assert list(g) == [1.0, 2.0, 4.0]
+        assert g.prices == (1.0, 2.0, 4.0)
+        assert g.as_array().tolist() == [1.0, 2.0, 4.0]
 
     @pytest.mark.parametrize("prices", [(1.0,), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)])
     def test_rejections(self, prices):
@@ -186,24 +189,24 @@ class TestDayMultiplierArgmaxInvariance:
         for spec in sample_specs[:5]:
             grid = default_price_grid(spec)
             for mult in (0.5, 1.0, 1.2, 3.0):
-                profits = [reward(spec, p, demand(spec, p, mult)) for p in grid]
-                base = [reward(spec, p, demand(spec, p, 1.0)) for p in grid]
+                profits = [reward(spec, p, demand(spec, p, mult)) for p in grid.prices]
+                base = [reward(spec, p, demand(spec, p, 1.0)) for p in grid.prices]
                 assert profits.index(max(profits)) == base.index(max(base))
 
 
 class TestDefaultPriceGrid:
     def test_two_points(self):
         grid = default_price_grid(spec_of(-1.0, 100.0, 10.0), 2)
-        assert list(grid) == [50.0, 200.0]
+        assert list(grid.prices) == [50.0, 200.0]
 
     def test_four_points(self):
         grid = default_price_grid(spec_of(-1.0, 100.0, 10.0), 4)
-        assert list(grid) == pytest.approx([50.0, 100.0, 150.0, 200.0])
+        assert list(grid.prices) == pytest.approx([50.0, 100.0, 150.0, 200.0])
 
     def test_default_21_point_step(self):
         grid = default_price_grid(spec_of(-0.5, 109.2, 80.0), 21)
-        assert len(grid) == 21
-        steps = [b - a for a, b in zip(grid, list(grid)[1:])]
+        assert len(grid.prices) == 21
+        steps = np.diff(grid.prices).tolist()
         assert steps == pytest.approx([8.19] * 20, abs=1e-9)
 
     def test_rejects_bad_args(self):

@@ -299,6 +299,8 @@ class TestChunks:
     where the chunks end."""
 
     SIZES = (1, 5, 64)
+    # test_golden.py's "uplift-cost" setting
+    UPLIFT_COST = dict(modulation=DayModulation(1.0, 1.2), cost_policy=CostPolicy("fraction", 0.4))
 
     @pytest.mark.parametrize("kernel", ["lockstep", "scalar", "rule"])
     def test_tables_bitwise_equal_across_chunk_sizes(self, kernel, monkeypatch):
@@ -307,8 +309,8 @@ class TestChunks:
 
         if kernel != "rule":
             monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1 if kernel == "lockstep" else 10**9)
-        config = quick_config(hyperparams=Hyperparams(episodes=60, gamma=0.0), modulation=DayModulation(0.8, 1.0))
         catalog = chunked_catalog()
+        default_size = experiment._CHUNK
         calls, lockstep = [], []
         train_lanes, run_lockstep_kernel = experiment.train_lanes, _kernels.run_lockstep_kernel
 
@@ -323,44 +325,52 @@ class TestChunks:
 
         monkeypatch.setattr(experiment, "train_lanes", recording_train_lanes)
         monkeypatch.setattr(_kernels, "run_lockstep_kernel", recording_lockstep)
-        runs = {}
-        for size in (experiment._CHUNK, *self.SIZES):
-            monkeypatch.setattr(experiment, "_CHUNK", size)
-            calls.clear()
-            lockstep.clear()
-            result = compare_columns(catalog, config)
-            assert max(len(seeds) for seeds, _ in calls) <= size
-            seeds = [seed for part, _ in calls for seed in part]
-            runs[size] = result, seeds, np.concatenate([values for _, values in calls])
-            if kernel == "rule" and size == 64:
-                assert lockstep == [64]  # the second chunk; the others train product by product
-        whole, seeds, values = runs.pop(experiment._CHUNK)
-        assert seeds == [config.seed(i) for i in range(len(catalog)) if i not in (5, 6, 7)]
-        assert whole.errors == {5: "grid upper bound 2.0 * base_price overflows",
-                                6: "rewards overflow: max |reward| / (1 - gamma) is inf",
-                                7: "Analytic optimum overflows"}
-        for size, (result, chunk_seeds, chunk_values) in runs.items():
-            assert chunk_seeds == seeds and chunk_values.tobytes() == values.tobytes(), size
-            assert result.errors == whole.errors and result.names == whole.names, size
-            for got, want in zip(arrays(result), arrays(whole)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
+        bad_rows = {5: "grid upper bound 2.0 * base_price overflows",
+                    6: "rewards overflow: max |reward| / (1 - gamma) is inf"}
+        settings = [  # (episodes, setting, errors): Edge's optimum overflows only at zero cost
+            (60, dict(modulation=DayModulation(0.8, 1.0)), {**bad_rows, 7: "Analytic optimum overflows"}),
+            (20, self.UPLIFT_COST, bad_rows),
+        ]
+        for episodes, setting, errors in settings:
+            config = quick_config(hyperparams=Hyperparams(episodes=episodes, gamma=0.0), **setting)
+            runs = {}
+            for size in (default_size, *self.SIZES):
+                monkeypatch.setattr(experiment, "_CHUNK", size)
+                calls.clear()
+                lockstep.clear()
+                result = compare_columns(catalog, config)
+                assert max(len(seeds) for seeds, _ in calls) <= size
+                seeds = [seed for part, _ in calls for seed in part]
+                runs[size] = result, seeds, np.concatenate([values for _, values in calls])
+                if kernel == "rule" and size == 64:
+                    assert lockstep == [64]  # the second chunk; the others train product by product
+            whole, seeds, values = runs.pop(default_size)
+            assert seeds == [config.seed(i) for i in range(len(catalog)) if i not in errors]
+            assert whole.errors == errors
+            for size, (result, chunk_seeds, chunk_values) in runs.items():
+                assert chunk_seeds == seeds and chunk_values.tobytes() == values.tobytes(), size
+                assert result.errors == whole.errors and result.names == whole.names, size
+                for got, want in zip(arrays(result), arrays(whole)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
 
     def test_optimize_columns_equal_across_chunk_sizes(self, monkeypatch):
         import pricelab.experiment as experiment
 
-        config = quick_config(modulation=DayModulation(1.0, 1.2))
         catalog = chunked_catalog(bad_rows=False)
-        whole = experiment.optimize_columns(catalog, config)
-        assert whole.profit.shape == (len(catalog), 2, 3)
-        for size in self.SIZES:
-            monkeypatch.setattr(experiment, "_CHUNK", size)
-            table = experiment.optimize_columns(catalog, config)
-            for got, want in zip(table, whole):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
-        # the same optima compare reports next to the trained policies
-        trained_once = quick_config(modulation=DayModulation(1.0, 1.2), hyperparams=Hyperparams(episodes=1))
-        for got, want in zip(compare_columns(catalog, trained_once).baselines, whole):
-            assert got.tobytes() == want.tobytes()
+        default_size = experiment._CHUNK
+        for setting in (dict(modulation=DayModulation(1.0, 1.2)), self.UPLIFT_COST):
+            monkeypatch.setattr(experiment, "_CHUNK", default_size)
+            whole = experiment.optimize_columns(catalog, quick_config(**setting))
+            assert whole.profit.shape == (len(catalog), 2, 3)
+            for size in self.SIZES:
+                monkeypatch.setattr(experiment, "_CHUNK", size)
+                table = experiment.optimize_columns(catalog, quick_config(**setting))
+                for got, want in zip(table, whole):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
+            # the same optima compare reports next to the trained policies
+            trained_once = quick_config(hyperparams=Hyperparams(episodes=1), **setting)
+            for got, want in zip(compare_columns(catalog, trained_once).baselines, whole):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size", [1, 5, 64])
     def test_optimize_names_the_first_failing_product_after_a_boundary(self, size, monkeypatch):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import re
@@ -28,7 +30,6 @@ from pricelab.qlearn import (
     evaluate_greedy,
     greedy_lanes,
     hyperparams_to_json,
-    qtable_from_csv,
     qtable_to_csv,
     reward_lanes,
     select_action,
@@ -157,7 +158,7 @@ class TestSelectAction:
 
 class TestUpdateQ:
     def test_zero_bootstrap(self):
-        q = QTable.zeros(2, 3)
+        q = QTable(np.zeros((2, 3)))
         hp = Hyperparams(alpha=0.1, gamma=0.9)
         assert update_q(q, 0, 1, 100.0, 1, hp) == pytest.approx(10.0, rel=1e-15)
 
@@ -180,7 +181,7 @@ class TestUpdateQ:
 
     def test_rejects_non_finite_reward(self):
         with pytest.raises(ValueError):
-            update_q(QTable.zeros(1, 2), 0, 0, float("nan"), 0, Hyperparams())
+            update_q(QTable(np.zeros((1, 2))), 0, 0, float("nan"), 0, Hyperparams())
 
 
 class TestCalendar:
@@ -224,7 +225,7 @@ class TestTrainContract:
         grid = default_price_grid(S24, 5)
         hp = small_hp(episodes=80)
         q, trace = train(S24, grid, hp=hp)
-        assert len(trace) == 80
+        assert len(trace.epsilons) == 80
         assert np.array_equal(trace.epsilons, epsilon_schedule(hp))
         assert trace.episode_rewards.shape == (80,)
         assert np.isfinite(trace.episode_rewards).all()
@@ -245,7 +246,7 @@ class TestTrainContract:
         scalar, _ = train(S24, grid, hp=hp)
         monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", 1)
         [lockstep] = train_lanes(rewards, hp, [hp.seed])
-        r_max = max(reward(S24, p, demand(S24, p)) for p in grid)
+        r_max = max(reward(S24, p, demand(S24, p)) for p in grid.prices)
         for values in (scalar.values, lockstep):
             assert (values >= 0.0).all()
             assert (values <= r_max / (1.0 - hp.gamma) * (1 + 1e-12)).all()
@@ -357,7 +358,7 @@ class TestLockstep:
         # inf rewards, finite rewards whose discounted bound overflows, and a NaN reward
         for spec in OVERFLOWING:
             grid = default_price_grid(spec, 9)
-            _, error = oracle_reward_tables(spec, list(grid), DayModulation(), 0.9)
+            _, error = oracle_reward_tables(spec, list(grid.prices), DayModulation(), 0.9)
             with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 train(spec, grid, hp=small_hp())
 
@@ -368,11 +369,11 @@ class TestReplayParity:
     def replay(self, spec, grid, modulation, hp):
         """Returns the table, per-episode reward totals, visit counts and
         per-episode greedy policies."""
-        q = QTable.zeros(2, len(grid))
+        q = QTable(np.zeros((2, len(grid.prices))))
         rng = XorShift64(hp.seed)
         days = calendar_day_types(hp.steps_per_episode)
         nxt = calendar_next_day_types(hp.steps_per_episode)
-        visits = np.zeros((2, len(grid)), dtype=np.int64)
+        visits = np.zeros((2, len(grid.prices)), dtype=np.int64)
         totals = []
         policies = []
         for episode in range(hp.episodes):
@@ -381,7 +382,7 @@ class TestReplayParity:
             for t in range(hp.steps_per_episode):
                 s = int(days[t])
                 a = select_action(q, s, eps, rng)
-                price = grid[a]
+                price = grid.prices[a]
                 r = reward(spec, price, demand(spec, price, modulation.multiplier(DayType(s))))
                 update_q(q, s, a, r, int(nxt[t]), hp)
                 visits[s, a] += 1
@@ -455,7 +456,7 @@ class TestReplayParity:
         for seed in range(20):
             hp = Hyperparams(alpha=1.0, gamma=gamma, epsilon_decay=0.9, episodes=300, seed=seed)
             values, trace = train(S24, grid, hp=hp)
-            q = QTable.zeros(2, 6)
+            q = QTable(np.zeros((2, 6)))
             rng = XorShift64(seed)
             visits = np.zeros((2, 6), dtype=np.int64)
             expected = []
@@ -474,20 +475,20 @@ class TestConvergence:
     def test_greedy_equals_grid_argmax_at_defaults(self):
         grid = default_price_grid(S24, 21)
         q, _ = train(S24, grid, hp=Hyperparams(seed=0))
-        profits = [reward(S24, p, demand(S24, p)) for p in grid]
+        profits = [reward(S24, p, demand(S24, p)) for p in grid.prices]
         oracle = profits.index(max(profits))
         assert q.argmax_action(0) == oracle
         assert q.argmax_action(1) == oracle
         # the 21-point grid's best price (vertex itself is off-grid)
-        assert grid[oracle] == pytest.approx(161.07, abs=1e-9)
+        assert grid.prices[oracle] == pytest.approx(161.07, abs=1e-9)
 
 
 class TestEvaluateGreedy:
     def test_all_zero_table_reports_first_price(self):
         grid = default_price_grid(S24, 5)
-        out = evaluate_greedy(QTable.zeros(2, 5), S24, grid)
+        out = evaluate_greedy(QTable(np.zeros((2, 5))), S24, grid)
         assert [o.day_type for o in out] == [DayType.WEEKDAY, DayType.WEEKEND]
-        assert all(o.price == grid[0] for o in out)
+        assert all(o.price == grid.prices[0] for o in out)
 
     def test_profit_recomputed_from_domain(self):
         grid = default_price_grid(S24, 5)
@@ -497,7 +498,7 @@ class TestEvaluateGreedy:
         mod = DayModulation(weekday=1.0, weekend=1.2)
         out = evaluate_greedy(QTable(values), S24, grid, mod)
         for o, expected_action in zip(out, (3, 2)):
-            price = grid[expected_action]
+            price = grid.prices[expected_action]
             d = demand(S24, price, mod.multiplier(o.day_type))
             assert o.price == price
             assert o.demand == d
@@ -634,18 +635,17 @@ class TestSerialization:
     def test_csv_round_trip(self):
         grid = default_price_grid(S24, 6)
         q, _ = train(S24, grid, hp=small_hp(episodes=30))
-        text = qtable_to_csv(q, grid)
-        labels, prices, values = qtable_from_csv(text)
-        assert labels == ["Weekday", "Weekend"]
-        assert prices == list(grid)
-        assert np.array_equal(values, q.values)
+        header, *rows = csv.reader(io.StringIO(qtable_to_csv(q, grid)))
+        assert header == ["state"] + [repr(p) for p in grid.prices]
+        assert [r[0] for r in rows] == ["Weekday", "Weekend"]
+        assert np.array_equal([[float(v) for v in r[1:]] for r in rows], q.values)
 
     def test_header_carries_grid_prices(self):
         grid = default_price_grid(S24, 4)
-        text = qtable_to_csv(QTable.zeros(2, 4), grid)
+        text = qtable_to_csv(QTable(np.zeros((2, 4))), grid)
         header = text.splitlines()[0]
         assert header.startswith("state,")
-        assert repr(grid[0]) in header and repr(grid[3]) in header
+        assert repr(grid.prices[0]) in header and repr(grid.prices[3]) in header
 
     def test_hyperparams_sidecar_round_trip(self):
         import json
