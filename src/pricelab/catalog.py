@@ -77,10 +77,6 @@ class ValidationReport:
     def rejections(self) -> list[RowOutcome]:
         return [o for o in self.outcomes if not o.accepted]
 
-    @property
-    def accepted_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.accepted)
-
 
 def sample_catalog() -> list[ProductSpec]:
     """The embedded 14-product sample, in table order, with zero cost."""

@@ -5,17 +5,18 @@ curve CSV), ``train`` (train one product, write its Q-table), ``optimize``
 (classical baselines only), ``compare`` (full RL-vs-baselines report),
 and ``sample-catalog`` (print the embedded catalog).
 
-Exit codes: 0 success, 1 validation rejections, 2 usage or input errors.
-Settings resolve as flags > config file > defaults; the config file is a
-flat JSON object using the field names listed in ``CONFIG_KEYS``.  All
-randomness derives from ``--seed`` (default 0); nothing reads the clock
-or OS entropy.
+Exit codes: 0 success, 1 validation rejections, 2 usage or input errors,
+141 when the reader closes standard output early.  Settings resolve as
+flags > config file > defaults; the config file is a flat JSON object
+using the field names listed in ``CONFIG_KEYS``.  All randomness derives
+from ``--seed`` (default 0); nothing reads the clock or OS entropy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import fields
@@ -68,7 +69,7 @@ CONFIG_KEYS = {
 
 
 class CliError(Exception):
-    """User-facing error mapped to exit code 2."""
+    """A user error (exit 2); its own type, so _build_config's ValueError handler passes it unwrapped."""
 
 
 def _read_config_file(path: str) -> dict:
@@ -133,25 +134,20 @@ def _parse_catalog_file(path: str):
     return parse_catalog(p.read_text(encoding="utf-8-sig"))
 
 
-def _load_catalog(args: argparse.Namespace):
-    path = getattr(args, "catalog", None)
-    if path is None:
-        return sample_catalog()
-    specs, report = _parse_catalog_file(path)
+def _config_and_catalog(args: argparse.Namespace):
+    """The run's configuration, then its catalog: an invalid configuration
+    exits before the catalog is read and its rejected rows are warned of."""
+    config = _build_config(args)
+    if args.catalog is None:
+        return config, sample_catalog()
+    specs, report = _parse_catalog_file(args.catalog)
     if report.rejections:
         print(
             f"pricelab: warning: {len(report.rejections)} catalog rows rejected; "
             f"proceeding with {len(specs)} (run `pricelab validate` for details)",
             file=sys.stderr,
         )
-    return specs
-
-
-def _config_and_catalog(args: argparse.Namespace):
-    """The run's configuration, then its catalog: an invalid configuration
-    exits before the catalog is read and its rejected rows are warned of."""
-    config = _build_config(args)
-    return config, _load_catalog(args)
+    return config, specs
 
 
 def _write_output(blocks: Iterable[str], path: str | None) -> None:
@@ -178,7 +174,7 @@ def _cmd_validate(args) -> int:
             lines.append(f"row {o.row_number}: accepted ({o.name})")
         else:
             lines.append(f"row {o.row_number}: rejected ({o.reason.value}): {o.detail}")
-    lines.append(f"accepted {report.accepted_count} of {len(report.outcomes)} rows")
+    lines.append(f"accepted {len(report.outcomes) - len(report.rejections)} of {len(report.outcomes)} rows")
     _write_output(["\n".join(lines) + "\n"], args.output)
     return 1 if report.rejections else 0
 
@@ -315,6 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed standard output early, as `pricelab curve | head` does
+        if sys.stdout is sys.__stdout__:  # so the interpreter's last flush of a real stdout cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # the status a shell reports for a filter that SIGPIPE killed
     except (CliError, ValueError, OSError) as exc:
         print(f"pricelab: error: {exc}", file=sys.stderr)
         return 2

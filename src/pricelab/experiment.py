@@ -183,9 +183,6 @@ class ComparisonRow:
     error: str | None = None
 
 
-_DAYS = (DayType.WEEKDAY, DayType.WEEKEND)
-
-
 @dataclass(frozen=True)
 class Comparison:
     """A whole comparison as arrays, one entry per product in catalog order.
@@ -212,9 +209,9 @@ class Comparison:
         rows = []
         for index, (name, *days) in enumerate(zip(self.names, *(a.tolist() for a in columns))):
             if index in self.errors:
-                rows += [ComparisonRow(name, day, error=self.errors[index]) for day in _DAYS]
+                rows += [ComparisonRow(name, day, error=self.errors[index]) for day in DayType]
                 continue
-            for day, price, d, profit, p3, d3, f3, k3, ratio, rated in zip(_DAYS, *days):
+            for day, price, d, profit, p3, d3, f3, k3, ratio, rated in zip(DayType, *days):
                 optima = map(Optimum, p3, d3, f3, Method, k3)
                 rows.append(ComparisonRow(name, day, price, d, profit, *optima, ratio if rated else None))
         return rows
@@ -297,9 +294,7 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start:
     price, d, profit = rl = [np.zeros((len(catalog), len(DayType))) for _ in range(3)]
     baselines = _zero_columns(len(catalog))
     errors = _run_chunks(catalog, config, start, baselines, rl)
-    best = baselines.profit[..., 0]  # as max(analytic, grid, line): a later profit wins only if greater
-    for method in range(1, len(Method)):
-        best = np.where(baselines.profit[..., method] > best, baselines.profit[..., method], best)
+    best = baselines.profit.max(axis=-1)
     rated = best > 0
     with np.errstate(over="ignore"):
         ratio = np.divide(profit, best, out=np.zeros_like(profit), where=rated)
@@ -599,7 +594,7 @@ def _report_rows(result: Comparison, format: str):
         "markdown": (_MD_ROW, _MD_ERROR, "", " | %s"),
         "json": (_JSON_ROW, _JSON_ERROR, ",\n", ',\n      "day": "%s"'),
     }[format]
-    slots = [slot % day.label for day in _DAYS]
+    slots = [slot % day.label for day in DayType]
 
     def block(start: int) -> str:
         part = slice(start, start + _BLOCK)
@@ -687,7 +682,7 @@ def _curves(specs: list[ProductSpec], sampled: ExperimentConfig) -> tuple:
     multipliers give equal curves)."""
     lanes, prices, errors = prepare_products(specs, sampled)
     curves = {}
-    for mult in {sampled.modulation.multiplier(day) for day in _DAYS}:
+    for mult in {sampled.modulation.multiplier(day) for day in DayType}:
         d = lanes.demand(prices, mult)
         with np.errstate(over="ignore", invalid="ignore"):
             revenue = prices * d
@@ -705,7 +700,7 @@ def revenue_curve_blocks(
     if samples_per_curve < 2:
         raise ValueError("samples_per_curve must be >= 2")
     sampled = replace(config, grid_points=samples_per_curve)
-    days = [(day.label, config.modulation.multiplier(day)) for day in _DAYS]
+    days = [(day.label, config.modulation.multiplier(day)) for day in DayType]
     for start in range(0, len(catalog), _BLOCK):
         specs = catalog[start : start + _BLOCK]
         _, errors, curves = _curves(specs, sampled)

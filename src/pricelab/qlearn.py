@@ -94,14 +94,6 @@ class QTable:
 
     values: np.ndarray
 
-    @property
-    def state_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def action_count(self) -> int:
-        return self.values.shape[1]
-
     def argmax_action(self, state_index: int) -> int:
         """Greedy action; ties break toward the lowest index."""
         return int(np.argmax(self.values[state_index]))
@@ -164,7 +156,7 @@ def select_action(q: QTable, state_index: int, epsilon: float, rng: XorShift64) 
     if not (0 <= epsilon <= 1):
         raise ValueError("epsilon must be in [0, 1]")
     if rng.uniform() < epsilon:
-        return rng.randbelow(q.action_count)
+        return rng.randbelow(q.values.shape[1])
     return q.argmax_action(state_index)
 
 
@@ -356,7 +348,7 @@ def qtable_to_csv(q: QTable, grid: PriceGrid) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["state"] + [repr(p) for p in grid.prices])
-    for s in range(q.state_count):
+    for s in range(len(q.values)):
         writer.writerow([DayType(s).label] + [repr(float(v)) for v in q.values[s]])
     return buf.getvalue()
 

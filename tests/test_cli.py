@@ -5,6 +5,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -258,6 +260,25 @@ class TestConfigFile:
         code, _, err = run(capsys, ["compare", "--config", str(cfg)])
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"alpha": true}', "invalid config value for 'alpha': expected a number, got True"),
+            ('{"episodes": 2.5}', "invalid config value for 'episodes': expected an integer, got 2.5"),
+            ('{"episodess": 200}', "unknown config key: 'episodess'"),
+            ("[1, 2]", "malformed config file {path}: expected a JSON object"),
+            (None, "config file not found: {path}"),
+        ],
+        ids=["alpha-bool", "episodes-fraction", "unknown-key", "json-array", "missing-file"],
+    )
+    def test_config_file_error_messages(self, tmp_path, capsys, text, message):
+        # a CliError is not wrapped again as "invalid configuration: ..."
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert (code, out, err) == (2, "", f"pricelab: error: {message.format(path=cfg)}\n")
 
 
 @pytest.mark.parametrize("command", [["train", "--product", "Fine"], ["optimize"], ["curve"], ["compare"]],
@@ -706,6 +727,17 @@ class TestJobs:
         assert code == 2
         assert err.startswith("pricelab: error:") and str(target) in err
 
+    def test_closed_reader_stops_quietly(self, capfd, monkeypatch, four_cpus):
+        class ClosedReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedReader())
+        assert main(["compare", *FAST, "--jobs", "2"]) == 141
+        monkeypatch.undo()
+        assert capfd.readouterr() == ("", "")
+        no_child_left()
+
     def test_one_job_needs_no_cpu_affinity(self, tmp_path, capsys, monkeypatch):
         # os.sched_getaffinity is missing on macOS and Windows
         code, want, err = run(capsys, ["compare", *FAST])
@@ -739,6 +771,23 @@ class TestJobs:
         assert code == 0
         assert len(forks) == min(len(os.sched_getaffinity(0)), 3) - 1
         no_child_left()
+
+
+@pytest.mark.parametrize("command", [["curve"], ["compare", "--episodes", "50", "--jobs", "2", "--format", "json"]],
+                         ids=["curve", "compare-jobs-2-json"])
+def test_closed_pipe_exits_141_quietly(tmp_path, command):
+    # 200 products give either command far more output than a pipe holds, so
+    # it is still writing when the reader closes the pipe
+    cat = tmp_path / "wide.csv"
+    cat.write_text(TestJobs.HEADER + "".join(f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0\n" for i in range(200)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "pricelab.cli", *command, "--catalog", str(cat)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()  # ends once every process holding stderr, helpers included, has exited
+        assert (proc.wait(), err) == (141, b"")
 
 
 @pytest.mark.parametrize(

@@ -401,8 +401,16 @@ def small_chunk_kernel(request, monkeypatch):
     return force_kernel(monkeypatch, path)
 
 
-@pytest.mark.parametrize("catalog, setting, fmt", list(OPTIMIZE_GOLDEN))
-def test_optimize_digest_in_small_chunks(tmp_path, catalogs, catalog, setting, fmt, small_chunk):
+# The 300-row catalog's optimize digests run at LOCKSTEP_MIN_PRODUCTS only (5
+# chunks): test_experiment.py's TestChunks compares its optimize_columns arrays
+# at chunks of 1 and 5 in both settings, and rendering reads nothing else.
+@pytest.mark.parametrize(
+    "chunk, catalog, setting, fmt",
+    [(chunk, *key) for chunk in CHUNKS for key in OPTIMIZE_GOLDEN
+     if key[0] != "synthetic" or chunk == "chunk-lockstep-min"],
+)
+def test_optimize_digest_in_small_chunks(tmp_path, monkeypatch, catalogs, chunk, catalog, setting, fmt):
+    monkeypatch.setattr(experiment, "_CHUNK", CHUNKS[chunk])
     test_optimize_digest(tmp_path, catalogs, catalog, setting, fmt)
 
 
