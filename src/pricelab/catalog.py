@@ -20,10 +20,13 @@ import csv
 import io
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .domain import ProductSpec
+import numpy as np
+
+from .domain import ProductLanes, ProductSpec
 
 HEADER = ("product_name", "price_elasticity", "base_price", "base_demand")
 COST_COLUMN = "unit_cost"
@@ -71,11 +74,17 @@ class RowOutcome:
 
 @dataclass
 class ValidationReport:
-    outcomes: list[RowOutcome] = field(default_factory=list)
+    """A parse's rejected rows, and its accepted rows' names (the catalog's own list)."""
+
+    rejections: list[RowOutcome] = field(default_factory=list)
+    accepted: list[str] = field(default_factory=list)
 
     @property
-    def rejections(self) -> list[RowOutcome]:
-        return [o for o in self.outcomes if not o.accepted]
+    def outcomes(self) -> list[RowOutcome]:
+        """Every row's outcome in row order; a row not rejected is the next accepted name."""
+        rejected, names = {o.row_number: o for o in self.rejections}, iter(self.accepted)
+        rows = range(1, len(self.rejections) + len(self.accepted) + 1)
+        return [rejected.get(row) or RowOutcome(row, True, name=next(names)) for row in rows]
 
 
 def sample_catalog() -> list[ProductSpec]:
@@ -137,19 +146,19 @@ def _validate_row(
     return spec, None, ""
 
 
-def parse_catalog(text: str) -> tuple[list[ProductSpec], ValidationReport]:
-    """Parse catalog CSV text into validated specs plus a per-row report.
-
-    Accepted rows keep their input order.  Raises ValueError only when the
-    header itself is missing or wrong; every data-row problem is reported,
-    not raised.
+def parse_catalog(text: str) -> tuple[ProductLanes, ValidationReport]:
+    """Parse catalog CSV text into the accepted rows' ``ProductLanes`` and a
+    report of the rejected rows.  Accepted rows keep their input order;
+    each row's ``ProductSpec`` checks it and is dropped once its values are
+    appended.  Raises ValueError only when the header itself is missing or
+    wrong; every data-row problem is reported, not raised.
     """
-    lines = [ln for ln in re.split(r"\r\n|\r|\n", text) if ln.strip()]
-    if not lines:
+    lines = (line for match in re.finditer(r"[^\r\n]+", text) if (line := match.group()).strip())
+    header = next(lines, None)
+    if header is None:
         raise ValueError("catalog is empty: header row required")
 
-    header = next(csv.reader([lines[0]]))
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in next(csv.reader([header]))]
     if tuple(header[:4]) != HEADER or len(header) > 5 or (len(header) == 5 and header[4] != COST_COLUMN):
         raise ValueError(
             f"bad catalog header {header!r}; expected "
@@ -157,26 +166,25 @@ def parse_catalog(text: str) -> tuple[list[ProductSpec], ValidationReport]:
         )
     has_cost = len(header) == 5
 
-    specs: list[ProductSpec] = []
-    report = ValidationReport()
+    names: list[str] = []
+    values = array("d")  # each accepted row's four values, in ProductLanes' field order
+    report = ValidationReport(accepted=names)
     seen: set[str] = set()
-    for row_number, line in enumerate(lines[1:], start=1):
+    for row_number, line in enumerate(lines, start=1):
         try:
             fields = next(csv.reader([line], strict=True))
         except (csv.Error, StopIteration) as exc:
-            report.outcomes.append(
-                RowOutcome(row_number, False, RejectReason.MALFORMED_FIELD, f"bad CSV: {exc}")
-            )
-            continue
-        spec, reason, detail = _validate_row(fields, has_cost, seen)
+            fields, spec, reason, detail = [], None, RejectReason.MALFORMED_FIELD, f"bad CSV: {exc}"
+        else:
+            spec, reason, detail = _validate_row(fields, has_cost, seen)
         if spec is None:
             name = fields[0].strip() if fields else None
-            report.outcomes.append(RowOutcome(row_number, False, reason, detail, name))
+            report.rejections.append(RowOutcome(row_number, False, reason, detail, name))
         else:
             seen.add(spec.name)
-            specs.append(spec)
-            report.outcomes.append(RowOutcome(row_number, True, name=spec.name))
-    return specs, report
+            names.append(spec.name)
+            values.extend((spec.base_demand, spec.base_price, spec.elasticity, spec.unit_cost))
+    return ProductLanes(*np.frombuffer(values).reshape(-1, 4).T[..., None], names), report
 
 
 def serialize_catalog(specs: list[ProductSpec]) -> str:

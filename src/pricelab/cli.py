@@ -32,19 +32,22 @@ from pathlib import Path
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import default_price_grid  # noqa: F401
-from .domain import DayModulation, PriceGrid
+from .domain import DayModulation, PriceGrid, ProductLanes
 from .experiment import export_revenue_curves, render_report, run_experiment  # noqa: F401
 from .experiment import (
     COST_POLICY_KINDS,
     REPORT_FORMATS,
     CostPolicy,
     ExperimentConfig,
+    _BLOCK,
     check_products,
+    check_samples,
     compare_report,
     optimize_blocks,
     optimize_columns,
     prepare_products,
     revenue_curve_blocks,
+    _document,
 )
 from .qlearn import train  # noqa: F401
 from .qlearn import Hyperparams, QTable, epsilon_schedule, hyperparams_to_json, qtable_to_csv, reward_lanes, train_lanes
@@ -139,15 +142,15 @@ def _config_and_catalog(args: argparse.Namespace):
     exits before the catalog is read and its rejected rows are warned of."""
     config = _build_config(args)
     if args.catalog is None:
-        return config, sample_catalog()
-    specs, report = _parse_catalog_file(args.catalog)
+        return config, ProductLanes.of(sample_catalog())
+    catalog, report = _parse_catalog_file(args.catalog)
     if report.rejections:
         print(
             f"pricelab: warning: {len(report.rejections)} catalog rows rejected; "
-            f"proceeding with {len(specs)} (run `pricelab validate` for details)",
+            f"proceeding with {len(catalog)} (run `pricelab validate` for details)",
             file=sys.stderr,
         )
-    return config, specs
+    return config, catalog
 
 
 def _write_output(blocks: Iterable[str], path: str | None) -> None:
@@ -167,19 +170,21 @@ def _cmd_sample_catalog(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _, report = _parse_catalog_file(args.catalog)
-    lines = []
-    for o in report.outcomes:
-        if o.accepted:
-            lines.append(f"row {o.row_number}: accepted ({o.name})")
-        else:
-            lines.append(f"row {o.row_number}: rejected ({o.reason.value}): {o.detail}")
-    lines.append(f"accepted {len(report.outcomes) - len(report.rejections)} of {len(report.outcomes)} rows")
-    _write_output(["\n".join(lines) + "\n"], args.output)
+    catalog, report = _parse_catalog_file(args.catalog)
+    outcomes = report.outcomes
+
+    def block(start: int) -> str:
+        return "".join(f"row {o.row_number}: accepted ({o.name})\n" if o.accepted else
+                       f"row {o.row_number}: rejected ({o.reason.value}): {o.detail}\n"
+                       for o in outcomes[start : start + _BLOCK])
+
+    summary = f"accepted {len(catalog)} of {len(outcomes)} rows\n"
+    _write_output(_document("", len(outcomes), block, "", summary), args.output)
     return 1 if report.rejections else 0
 
 
 def _cmd_curve(args) -> int:
+    check_samples(args.samples)  # before the catalog is read, as --jobs is
     config, catalog = _config_and_catalog(args)
     _write_output(revenue_curve_blocks(catalog, config, args.samples), args.output)
     return 0
@@ -187,16 +192,16 @@ def _cmd_curve(args) -> int:
 
 def _cmd_train(args) -> int:
     config, catalog = _config_and_catalog(args)
-    matches = [i for i, s in enumerate(catalog) if s.name == args.product]
-    if not matches:
+    if args.product not in catalog.names:
         raise CliError(f"product not found in catalog: {args.product!r}")
-    product = [catalog[matches[0]]]
+    index = catalog.names.index(args.product)
+    product = catalog.take([index])
     lanes, grids, unusable = prepare_products(product, config)
-    check_products(product, unusable)
-    hp = config.seeded(matches[0])
+    check_products(product.names, unusable)
+    hp = config.seeded(index)
     epsilon_schedule(hp)  # an episode count too large to hold is an error of its own, not of the product
     rewards, overflow = reward_lanes(lanes, grids, config.modulation, hp.gamma)
-    check_products(product, overflow)
+    check_products(product.names, overflow)
     values = train_lanes(rewards, hp, [hp.seed])
     _write_output([qtable_to_csv(QTable(values[0]), PriceGrid(tuple(grids[0].tolist())))], args.output)
     # the sidecar goes only next to a regular file (not /dev/null, a pipe, ...)
@@ -209,7 +214,7 @@ def _cmd_train(args) -> int:
 def _cmd_optimize(args) -> int:
     config, catalog = _config_and_catalog(args)
     table = optimize_columns(catalog, config)
-    _write_output(optimize_blocks([spec.name for spec in catalog], table, args.format), args.output)
+    _write_output(optimize_blocks(catalog.names, table, args.format), args.output)
     return 0
 
 

@@ -20,6 +20,7 @@ unusable row; ``default_price_grid`` is its one-product call.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -136,8 +137,8 @@ def reward(spec: ProductSpec, price: float, demand_value: float) -> float:
 
 @dataclass(frozen=True)
 class ProductLanes:
-    """Many products' model parameters as float64 columns of shape (n, 1),
-    which broadcast against ``(n, points)`` price arrays.
+    """Many products' names, and their model parameters as float64 columns
+    of shape (n, 1), which broadcast against ``(n, points)`` price arrays.
 
     ``demand`` and ``reward`` evaluate the scalar functions' IEEE
     operations in the same order, so every lane equals the scalar result
@@ -149,17 +150,26 @@ class ProductLanes:
     base_price: np.ndarray
     elasticity: np.ndarray
     unit_cost: np.ndarray
+    names: list[str]
 
     @classmethod
     def of(cls, specs: list[ProductSpec]) -> ProductLanes:
-        cols = np.array(
-            [(s.base_demand, s.base_price, s.elasticity, s.unit_cost) for s in specs], dtype=np.float64
-        ).reshape(-1, 4)
-        return cls(*(cols[:, k : k + 1] for k in range(4)))
+        values = [(s.base_demand, s.base_price, s.elasticity, s.unit_cost) for s in specs]
+        return cls(*np.array(values, dtype=np.float64).reshape(-1, 4).T[..., None], [s.name for s in specs])
 
     def take(self, rows) -> ProductLanes:
         """The lanes of ``rows`` (a slice or an index list), in that order."""
-        return ProductLanes(self.base_demand[rows], self.base_price[rows], self.elasticity[rows], self.unit_cost[rows])
+        names = self.names[rows] if isinstance(rows, slice) else [self.names[row] for row in rows]
+        columns = self.base_demand, self.base_price, self.elasticity, self.unit_cost
+        return ProductLanes(*(column[rows] for column in columns), names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self) -> Iterator[ProductSpec]:
+        """Each product as a ``ProductSpec``, built as it is reached."""
+        columns = self.base_demand, self.base_price, self.elasticity, self.unit_cost
+        return map(ProductSpec, self.names, *(column.ravel().tolist() for column in columns))
 
     def demand(self, prices: np.ndarray, multiplier: float = 1.0) -> np.ndarray:
         d0, p0 = self.base_demand, self.base_price

@@ -70,7 +70,7 @@ import numpy as np
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
 from .baselines import Columns, Method, Optimum, columns_by_day
 from .domain import default_price_grid  # noqa: F401
-from .domain import DayModulation, DayType, ProductLanes, ProductSpec, _uniform_grids
+from .domain import DayModulation, DayType, ProductLanes, _uniform_grids
 from .qlearn import evaluate_greedy, train  # noqa: F401
 from .qlearn import Hyperparams, epsilon_schedule, greedy_lanes, require_integers, reward_lanes, train_lanes
 from .rng import MASK64, split_seed
@@ -132,15 +132,15 @@ class ExperimentConfig:
 
 
 def prepare_products(
-    catalog: list[ProductSpec], config: ExperimentConfig
+    catalog: ProductLanes, config: ExperimentConfig
 ) -> tuple[ProductLanes, np.ndarray, dict[int, str]]:
     """Every product's costed lanes and price grid, from one build each.
 
-    Returns the catalog's ``ProductLanes`` under the cost policy, the
+    Returns the catalog's lanes under the cost policy, the
     ``(len(catalog), grid_points)`` grids, and ``{index: reason}`` for every
     product that cannot be used; its lanes and grid row are placeholders.
     """
-    lanes = config.cost_policy.apply(ProductLanes.of(catalog))
+    lanes = config.cost_policy.apply(catalog)
     grids, unusable = _uniform_grids(lanes.base_price, config.grid_points, *config.grid_span)
     # a cost fraction of a subnormal price can round up to the price
     for index in np.flatnonzero(lanes.unit_cost >= lanes.base_price).tolist():
@@ -148,12 +148,12 @@ def prepare_products(
     return lanes, grids, unusable
 
 
-def check_products(catalog: list[ProductSpec], errors: dict[int, str]) -> None:
+def check_products(names: list[str], errors: dict[int, str]) -> None:
     """Raise a ValueError naming the first product, in catalog order, in
     ``errors`` (``{index: reason}``), if there is one."""
     if errors:
         index = min(errors)
-        raise ValueError(f"product {catalog[index].name!r}: {errors[index]}")
+        raise ValueError(f"product {names[index]!r}: {errors[index]}")
 
 
 def csv_quoted(cells: list[str]) -> list[str]:
@@ -232,7 +232,7 @@ def _zero_columns(count: int) -> Columns:
 
 
 def _run_chunks(
-    catalog: list[ProductSpec], config: ExperimentConfig, start: int, table: Columns, rl: list[np.ndarray] | None
+    catalog: ProductLanes, config: ExperimentConfig, start: int, table: Columns, rl: list[np.ndarray] | None
 ) -> dict[int, str]:
     """Run the pipeline over contiguous chunks of ``_CHUNK`` products and
     return ``{index: reason}`` for every product that fails.
@@ -252,7 +252,7 @@ def _run_chunks(
     """
     errors = {}
     for lo in range(0, len(catalog), _CHUNK):
-        chunk = catalog[lo : lo + _CHUNK]
+        chunk = catalog.take(slice(lo, lo + _CHUNK))
         lanes, grids, failed = prepare_products(chunk, config)
         if rl is not None:
             rewards, overflow = reward_lanes(lanes, grids, config.modulation, config.hyperparams.gamma)
@@ -278,7 +278,7 @@ def _run_chunks(
     return errors
 
 
-def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start: int = 0) -> Comparison:
+def compare_columns(catalog: ProductLanes, config: ExperimentConfig, start: int = 0) -> Comparison:
     """Train and compare every product, as arrays in catalog order.
 
     The products run through ``_run_chunks``, chunk by chunk: set up
@@ -298,20 +298,20 @@ def compare_columns(catalog: list[ProductSpec], config: ExperimentConfig, start:
     rated = best > 0
     with np.errstate(over="ignore"):
         ratio = np.divide(profit, best, out=np.zeros_like(profit), where=rated)
-    return Comparison([spec.name for spec in catalog], price, d, profit, baselines, ratio, rated, errors)
+    return Comparison(catalog.names, price, d, profit, baselines, ratio, rated, errors)
 
 
-def optimize_columns(catalog: list[ProductSpec], config: ExperimentConfig) -> Columns:
+def optimize_columns(catalog: ProductLanes, config: ExperimentConfig) -> Columns:
     """Every product's baseline optima (``optimize``), as one
     ``columns_by_day`` table in catalog order, from ``_run_chunks`` without
     training.  The first product in catalog order that cannot be set up or
     whose optimum overflows is an error naming it."""
     table = _zero_columns(len(catalog))
-    check_products(catalog, _run_chunks(catalog, config, 0, table, None))
+    check_products(catalog.names, _run_chunks(catalog, config, 0, table, None))
     return table
 
 
-def run_experiment(catalog: list[ProductSpec], config: ExperimentConfig) -> list[ComparisonRow]:
+def run_experiment(catalog: ProductLanes, config: ExperimentConfig) -> list[ComparisonRow]:
     """Train and compare every product; rows come back in catalog order,
     as the view ``compare_columns(catalog, config).rows()``."""
     return compare_columns(catalog, config).rows()
@@ -415,7 +415,7 @@ def _document(head: str, count: int, block, sep: str, tail: str) -> Iterator[str
     yield tail
 
 
-def _report_part(catalog: list[ProductSpec], config: ExperimentConfig, format: str, start: int):
+def _report_part(catalog: ProductLanes, config: ExperimentConfig, format: str, start: int):
     """Compare the part of a catalog that begins at catalog index ``start``:
     its rows' block function, the separator between blocks, and whether it
     has a clamped optimum, after every check of its rows."""
@@ -433,7 +433,7 @@ class _Helper:
     each of its blocks follows a separator.
     """
 
-    def __init__(self, catalog: list[ProductSpec], config: ExperimentConfig, format: str, start: int):
+    def __init__(self, catalog: ProductLanes, config: ExperimentConfig, format: str, start: int):
         self.out = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
         self.status, write = os.pipe()
         try:
@@ -501,7 +501,7 @@ class _Helper:
 
 @contextlib.contextmanager
 def compare_report(
-    catalog: list[ProductSpec], config: ExperimentConfig, format: str = "csv", jobs: int = 1
+    catalog: ProductLanes, config: ExperimentConfig, format: str = "csv", jobs: int = 1
 ) -> Iterator[Iterator[str]]:
     """The blocks of ``render_report(compare_columns(catalog, config),
     format, config)``, the same text, computed in up to ``jobs`` processes.
@@ -530,8 +530,8 @@ def compare_report(
     helpers = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            helpers.append(_Helper(catalog[start:stop], config, format, start))
-        block, sep, clamped = _report_part(catalog[: bounds[1]], config, format, 0)
+            helpers.append(_Helper(catalog.take(slice(start, stop)), config, format, start))
+        block, sep, clamped = _report_part(catalog.take(slice(bounds[1])), config, format, 0)
         for helper in helpers:
             clamped |= helper.checked()
         head, tail = _report_frame(format, config, bool(catalog), clamped)
@@ -676,11 +676,11 @@ def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[s
     return _document(head, len(names), block, sep, tail)
 
 
-def _curves(specs: list[ProductSpec], sampled: ExperimentConfig) -> tuple:
-    """The sampled prices of ``specs``, their setup errors, and ``{multiplier:
-    (demand, revenue, profit)}`` for each distinct day multiplier (equal
-    multipliers give equal curves)."""
-    lanes, prices, errors = prepare_products(specs, sampled)
+def _curves(products: ProductLanes, sampled: ExperimentConfig) -> tuple:
+    """The sampled prices of ``products``, their setup errors, and
+    ``{multiplier: (demand, revenue, profit)}`` for each distinct day
+    multiplier (equal multipliers give equal curves)."""
+    lanes, prices, errors = prepare_products(products, sampled)
     curves = {}
     for mult in {sampled.modulation.multiplier(day) for day in DayType}:
         d = lanes.demand(prices, mult)
@@ -690,36 +690,41 @@ def _curves(specs: list[ProductSpec], sampled: ExperimentConfig) -> tuple:
     return prices, errors, curves
 
 
-def revenue_curve_blocks(
-    catalog: list[ProductSpec], config: ExperimentConfig, samples_per_curve: int = 101
-) -> Iterator[str]:
-    """``export_revenue_curves``'s text as blocks of ``_BLOCK`` products,
-    after every check that can fail: a first pass sets every product up and
-    tests its curve values, with nothing formatted, and the first product
-    that cannot be set up or whose curve overflows is an error naming it."""
+def check_samples(samples_per_curve: int) -> None:
+    """Raise a ValueError unless a revenue curve can take that many samples."""
     if samples_per_curve < 2:
         raise ValueError("samples_per_curve must be >= 2")
+
+
+def revenue_curve_blocks(
+    catalog: ProductLanes, config: ExperimentConfig, samples_per_curve: int = 101
+) -> Iterator[str]:
+    """``export_revenue_curves``'s text as blocks of ``_BLOCK`` products,
+    after every check that can fail: the samples, then a first pass that sets
+    every product up and tests its curve values, formatting nothing; the first
+    product that cannot be set up or whose curve overflows is an error naming it."""
+    check_samples(samples_per_curve)
     sampled = replace(config, grid_points=samples_per_curve)
     days = [(day.label, config.modulation.multiplier(day)) for day in DayType]
     for start in range(0, len(catalog), _BLOCK):
-        specs = catalog[start : start + _BLOCK]
-        _, errors, curves = _curves(specs, sampled)
-        finite = np.ones(len(specs), dtype=bool)
+        products = catalog.take(slice(start, start + _BLOCK))
+        _, errors, curves = _curves(products, sampled)
+        finite = np.ones(len(products), dtype=bool)
         for curve in curves.values():
             finite &= np.isfinite(np.hstack(curve)).all(axis=1)
         if not finite.all():  # an unusable product keeps its setup error
             errors.setdefault(int(finite.argmin()), "revenue curve overflows")
-        check_products(specs, errors)
+        check_products(products.names, errors)
 
     def block(start: int) -> str:
-        specs = catalog[start : start + _BLOCK]
-        prices, _, curves = _curves(specs, sampled)
+        products = catalog.take(slice(start, start + _BLOCK))
+        prices, _, curves = _curves(products, sampled)
         rows = {}
         for mult, (d, revenue, profit) in curves.items():
             columns = zip(prices.tolist(), d.tolist(), revenue.tolist(), profit.tolist())
             rows[mult] = [list(map("%r,%r,%r,%r".__mod__, zip(*product))) for product in columns]
         lines = []
-        for i, name in enumerate(csv_quoted([spec.name for spec in specs])):
+        for i, name in enumerate(csv_quoted(products.names)):
             for label, mult in days:
                 prefix = f"{name},{label},"
                 lines.append(prefix + ("\n" + prefix).join(rows[mult][i]) + "\n")
@@ -729,7 +734,7 @@ def revenue_curve_blocks(
 
 
 def export_revenue_curves(
-    catalog: list[ProductSpec], config: ExperimentConfig, samples_per_curve: int = 101
+    catalog: ProductLanes, config: ExperimentConfig, samples_per_curve: int = 101
 ) -> str:
     """Long-format CSV of (product, day, price, demand, revenue, profit).
 

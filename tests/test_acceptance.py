@@ -17,7 +17,7 @@ import pytest
 from pricelab.baselines import analytic_optimum, grid_search_optimum, line_search_optimum
 from pricelab.catalog import parse_catalog, sample_catalog, serialize_catalog
 from pricelab.cli import main
-from pricelab.domain import default_price_grid, demand, reward
+from pricelab.domain import ProductLanes, default_price_grid, demand, reward
 from pricelab.experiment import CostPolicy, ExperimentConfig, export_revenue_curves
 from pricelab.qlearn import Hyperparams, calendar_day_types, calendar_next_day_types, evaluate_greedy, train
 from pricelab.rng import XorShift64, split_seed
@@ -225,7 +225,7 @@ def test_revenue_curve_structure():
     sample step of the zero-cost vertex whenever the vertex is in-span."""
     samples = 101
     config = ExperimentConfig(cost_policy=CostPolicy("zero"))
-    text = export_revenue_curves(sample_catalog(), config, samples_per_curve=samples)
+    text = export_revenue_curves(ProductLanes.of(sample_catalog()), config, samples_per_curve=samples)
     lines = text.strip().splitlines()[1:]
     by_product: dict[str, list[tuple[float, float]]] = {}
     import csv as _csv

@@ -1,10 +1,15 @@
+import csv
+import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from pricelab.catalog import (
     RejectReason,
     RowOutcome,
+    _validate_row,
     parse_catalog,
     sample_catalog,
     serialize_catalog,
@@ -41,20 +46,21 @@ class TestParseCatalog:
         text = HEADER + '\nSamsung 24" HD,-0.5,109.2,80.0\n'
         specs, report = parse_catalog(text)
         assert len(specs) == 1
-        assert specs[0].name == 'Samsung 24" HD'
-        assert specs[0].elasticity == -0.5
-        assert specs[0].base_price == 109.2
-        assert specs[0].base_demand == 80.0
-        assert specs[0].unit_cost == 0.0
+        (spec,) = specs
+        assert spec.name == 'Samsung 24" HD'
+        assert spec.elasticity == -0.5
+        assert spec.base_price == 109.2
+        assert spec.base_demand == 80.0
+        assert spec.unit_cost == 0.0
         assert not report.rejections
 
     def test_missing_cost_column_means_zero(self):
         specs, _ = parse_catalog(HEADER + "\na,-1.0,10.0,5.0\n")
-        assert specs[0].unit_cost == 0.0
+        assert list(specs)[0].unit_cost == 0.0
 
     def test_cost_column_parsed(self):
         specs, _ = parse_catalog(HEADER + ",unit_cost\na,-1.0,10.0,5.0,2.5\n")
-        assert specs[0].unit_cost == 2.5
+        assert list(specs)[0].unit_cost == 2.5
 
     def test_rejects_non_negative_elasticity(self):
         _, report = parse_catalog(HEADER + "\na,0.4,10.0,5.0\n")
@@ -109,7 +115,7 @@ class TestParseCatalog:
 
     def test_empty_after_header(self):
         specs, report = parse_catalog(HEADER + "\n")
-        assert specs == []
+        assert list(specs) == []
         assert report.outcomes == []
 
     def test_missing_header_rejected(self):
@@ -125,7 +131,7 @@ class TestParseCatalog:
         assert [s.name for s in specs] == [f"A{char}B"]
         assert report.outcomes == [RowOutcome(1, True, name=f"A{char}B")]
         again, report = parse_catalog(serialize_catalog(specs))
-        assert again == specs
+        assert list(again) == list(specs)
         assert not report.rejections
 
     def test_one_outcome_per_row(self):
@@ -180,13 +186,116 @@ class TestParseCatalogFuzz:
         assert seen == reasons | {None}
 
 
+def oracle_parse(text: str) -> tuple[list[ProductSpec], list[RowOutcome]]:
+    """The per-row parse of a catalog with a valid header: one spec per
+    accepted row and one outcome per row, as ``parse_catalog`` kept them
+    before it returned columns."""
+    lines = [ln for ln in re.split(r"\r\n|\r|\n", text) if ln.strip()]
+    has_cost = len(next(csv.reader([lines[0]]))) == 5
+    specs, outcomes, seen = [], [], set()
+    for row_number, line in enumerate(lines[1:], start=1):
+        try:
+            fields = next(csv.reader([line], strict=True))
+        except (csv.Error, StopIteration) as exc:
+            outcomes.append(RowOutcome(row_number, False, RejectReason.MALFORMED_FIELD, f"bad CSV: {exc}"))
+            continue
+        spec, reason, detail = _validate_row(fields, has_cost, seen)
+        if spec is None:
+            name = fields[0].strip() if fields else None
+            outcomes.append(RowOutcome(row_number, False, reason, detail, name))
+        else:
+            seen.add(spec.name)
+            specs.append(spec)
+            outcomes.append(RowOutcome(row_number, True, name=spec.name))
+    return specs, outcomes
+
+
+def assert_parse_matches_oracle(text: str) -> None:
+    catalog, report = parse_catalog(text)
+    specs, outcomes = oracle_parse(text)
+    assert catalog.names == [spec.name for spec in specs]
+    for field in ("base_demand", "base_price", "elasticity", "unit_cost"):
+        column = getattr(catalog, field)
+        want = np.array([getattr(spec, field) for spec in specs], dtype=np.float64).reshape(-1, 1)
+        assert column.dtype == want.dtype and column.shape == want.shape, field
+        assert column.tobytes() == want.tobytes(), field  # bit for bit: -0.0 is not 0.0
+    assert report.rejections == [o for o in outcomes if not o.accepted]
+    assert report.outcomes == outcomes
+    assert list(catalog) == specs
+
+
+def dirty_catalog(seed: int, rows: int) -> str:
+    """Catalog CSV with costs in which about one row in ten breaks one rule,
+    as perfbench's dirty catalog does (every reject reason and every
+    malformed field), or is bad CSV, a blank line or a -0.0 cost; the
+    lines end in LF, CR LF or CR."""
+    rng = random.Random(seed)
+    lines, names = [HEADER + ",unit_cost"], []
+    for i in range(rows):
+        price = round(math.exp(rng.uniform(math.log(20.0), math.log(2500.0))), 2)
+        row = [f"TV {i:05d}", repr(-round(rng.uniform(0.2, 9.0), 2)), repr(price),
+               repr(round(rng.uniform(10.0, 160.0), 1)), repr(round(price * rng.uniform(0.0, 0.6), 2))]
+        kind = rng.randrange(120)
+        if kind == 0:
+            row[1] = rng.choice(["0", "-0.0", repr(round(rng.uniform(0.0, 3.0), 2))])
+        elif kind == 1:
+            row[2], row[4] = rng.choice(["0", "-0.0", repr(-round(rng.uniform(1.0, 500.0), 2))]), "0"
+        elif kind == 2:
+            row[4] = repr(round(price * rng.uniform(1.0, 2.0), 2))
+        elif kind == 3 and names:
+            row[0] = rng.choice(names)
+        elif kind == 4:
+            row[rng.randrange(1, 5)] = rng.choice(["n/a", "nan", "inf", "1e999", ""])
+        elif kind == 5:
+            row = row[: rng.randrange(1, 4)] if rng.random() < 0.5 else row + ["extra"]
+        elif kind == 6:
+            row[rng.choice([3, 4])] = repr(-round(rng.uniform(1.0, 50.0), 1))
+        elif kind == 7:
+            row[0] = rng.choice([" ", "", '"Q"x'])
+        elif kind == 8:
+            row[4] = "-0.0"
+        elif kind == 9:
+            lines.append(" ")
+        lines.append(",".join(row))
+        names.append(row[0])
+    return "".join(line + rng.choice(["\n"] * 8 + ["\r\n", "\r"]) for line in lines)
+
+
+class TestParseMatchesPerRowOracle:
+    """``parse_catalog`` holds the accepted rows as names and columns and
+    the rejected rows alone; it must give what the per-row parse gives."""
+
+    @pytest.mark.parametrize("header", [HEADER, HEADER + ",unit_cost"])
+    def test_fuzz_inputs(self, header):
+        # the inputs of TestParseCatalogFuzz
+        rng = random.Random(20240611)
+        for _ in range(300):
+            rows = [fuzz_row(rng, header.count(",") + 1) for _ in range(rng.randrange(1, 10))]
+            assert_parse_matches_oracle(header + "\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dirty_catalog(self, seed):
+        text = dirty_catalog(seed, 3000)
+        assert_parse_matches_oracle(text)
+        _, outcomes = oracle_parse(text)
+        reasons = {o.reason for o in outcomes}
+        assert reasons == set(RejectReason) | {None}
+        assert any(o.detail.startswith("bad CSV") for o in outcomes)
+
+    def test_sample_and_empty(self):
+        assert_parse_matches_oracle(serialize_catalog(sample_catalog()))
+        assert_parse_matches_oracle(HEADER + "\n")
+        catalog, report = parse_catalog(HEADER + "\n")
+        assert catalog.base_price.shape == (0, 1) and catalog.names == [] and report.outcomes == []
+
+
 class TestRoundTrip:
     def test_sample_round_trips_exactly(self):
         original = sample_catalog()
         text = serialize_catalog(original)
         reparsed, report = parse_catalog(text)
         assert not report.rejections
-        assert reparsed == original
+        assert list(reparsed) == original
 
     def test_printed_decimals_preserved(self):
         text = serialize_catalog(sample_catalog())
@@ -198,11 +307,11 @@ class TestRoundTrip:
         specs = [ProductSpec(name, 10.0 + i, 100.0, -1.0) for i, name in enumerate(names)]
         again, report = parse_catalog(serialize_catalog(specs))
         assert not report.rejections
-        assert again == specs
+        assert list(again) == list(specs)
 
     def test_round_trip_with_costs(self):
         text = HEADER + ",unit_cost\nx,-2.25,400.5,12.0,99.75\n"
         specs, _ = parse_catalog(text)
         again, report = parse_catalog(serialize_catalog(specs))
         assert not report.rejections
-        assert again == specs
+        assert list(again) == list(specs)

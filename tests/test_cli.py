@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,6 +344,13 @@ class TestCompare:
         cat.write_text("product_name,price_elasticity,base_price,base_demand\nTV,-1.0,99.0,10.0\nBad,0.5,99.0,10.0\n")
         code, out, err = run(capsys, ["compare", "--jobs", "0", "--catalog", str(cat), *FAST])
         assert (code, out, err) == (2, "", "pricelab: error: --jobs must be >= 1\n")
+
+    def test_bad_samples_exits_two(self, tmp_path, capsys):
+        # checked before the catalog is read, as --jobs is, so its rejected row draws no warning
+        cat = tmp_path / "cat.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\nTV,-1.0,99.0,10.0\nBad,0.5,99.0,10.0\n")
+        code, out, err = run(capsys, ["curve", "--samples", "1", "--catalog", str(cat)])
+        assert (code, out, err) == (2, "", "pricelab: error: samples_per_curve must be >= 2\n")
 
     def test_overflowing_product_becomes_error_row(self, tmp_path, capsys):
         header = "product_name,price_elasticity,base_price,base_demand\n"
@@ -854,7 +860,7 @@ def oracle_optimize(names, table, fmt):
 
 def columnar_optimize(names, table, fmt):
     """What ``optimize`` does with a table: check it, then render it."""
-    check_products([SimpleNamespace(name=name) for name in names], optimize_overflow(table))
+    check_products(names, optimize_overflow(table))
     return "".join(optimize_blocks(names, table, fmt))
 
 

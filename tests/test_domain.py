@@ -10,6 +10,7 @@ from pricelab.domain import (
     DayModulation,
     DayType,
     PriceGrid,
+    ProductLanes,
     ProductSpec,
     _uniform_grids,
     default_price_grid,
@@ -257,9 +258,9 @@ class TestPriceGrids:
     def test_names_the_first_bad_product(self, p0, reason):
         specs = [spec_of(-1.0, 100.0, 10.0, name="ok"), spec_of(-1.0, p0, 10.0, name="bad"),
                  spec_of(-1.0, 1.7e308, 10.0, name="later")]
-        _, _, unusable = prepare_products(specs, ExperimentConfig())
+        _, _, unusable = prepare_products(ProductLanes.of(specs), ExperimentConfig())
         with pytest.raises(ValueError) as excinfo:
-            check_products(specs, unusable)
+            check_products([spec.name for spec in specs], unusable)
         assert str(excinfo.value) == f"product 'bad': {reason}"
         with pytest.raises(ValueError) as excinfo:
             default_price_grid(specs[1], 21)

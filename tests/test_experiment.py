@@ -102,7 +102,7 @@ class TestSeedSplitting:
 class TestPrepareProducts:
     def test_costs_and_grids_in_one_call(self, sample_specs):
         config = quick_config(cost_policy=CostPolicy("fraction", 0.4), grid_points=11, grid_span=(0.4, 2.5))
-        lanes, grids, unusable = prepare_products(sample_specs, config)
+        lanes, grids, unusable = prepare_products(ProductLanes.of(sample_specs), config)
         assert unusable == {}
         columns = np.hstack([lanes.base_demand, lanes.base_price, lanes.elasticity, lanes.unit_cost])
         assert columns.tolist() == [[s.base_demand, s.base_price, s.elasticity, 0.4 * s.base_price] for s in sample_specs]
@@ -111,24 +111,25 @@ class TestPrepareProducts:
 
     def test_reports_every_unusable_product(self):
         catalog = [S24, ProductSpec("Huge", 1.0, 1.7e308, -0.5), S24, ProductSpec("Tiny", 10.0, 5e-324, -1.0)]
-        _, _, unusable = prepare_products(catalog, quick_config())
+        _, _, unusable = prepare_products(ProductLanes.of(catalog), quick_config())
         assert unusable == {1: "grid upper bound 2.0 * base_price overflows", 3: "prices must be > 0"}
         # a cost fraction of a subnormal price can round up to the price itself
         sub = ProductSpec("Sub", 10.0, 1e-320, -1.0)
-        _, _, unusable = prepare_products([sub], quick_config(grid_points=2, cost_policy=CostPolicy("fraction", 0.99999)))
+        config = quick_config(grid_points=2, cost_policy=CostPolicy("fraction", 0.99999))
+        _, _, unusable = prepare_products(ProductLanes.of([sub]), config)
         assert unusable == {0: "unit_cost must be < base_price"}
 
     def test_every_unusable_product_becomes_error_rows(self):
         catalog = [S24, ProductSpec("Huge", 1.0, 1.7e308, -0.5), ProductSpec("Tiny", 10.0, 5e-324, -1.0)]
-        rows = run_experiment(catalog, quick_config())
+        rows = run_experiment(ProductLanes.of(catalog), quick_config())
         assert [(r.product_name, r.error) for r in rows[2:]] == [
             ("Huge", "grid upper bound 2.0 * base_price overflows")] * 2 + [("Tiny", "prices must be > 0")] * 2
-        assert rows[:2] == run_experiment([S24], quick_config())
+        assert rows[:2] == run_experiment(ProductLanes.of([S24]), quick_config())
 
 
 class TestRunExperiment:
     def test_cardinality_and_order(self, sample_specs):
-        rows = run_experiment(sample_specs, quick_config())
+        rows = run_experiment(ProductLanes.of(sample_specs), quick_config())
         assert len(rows) == 28
         assert [r.product_name for r in rows[:4]] == [
             sample_specs[0].name,
@@ -140,7 +141,8 @@ class TestRunExperiment:
 
     def test_deterministic(self, sample_specs):
         config = quick_config()
-        assert run_experiment(sample_specs[:3], config) == run_experiment(sample_specs[:3], config)
+        catalog = ProductLanes.of(sample_specs[:3])
+        assert run_experiment(catalog, config) == run_experiment(catalog, config)
 
     @pytest.mark.parametrize(
         "config",
@@ -171,9 +173,9 @@ class TestRunExperiment:
 
         with monkeypatch.context() as m:
             m.setattr(_kernels, "run_train_kernel", no_scalar_training)
-            lockstep = run_experiment(catalog, config)
+            lockstep = run_experiment(ProductLanes.of(catalog), config)
         monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", len(catalog) + 1)
-        assert lockstep == run_experiment(catalog, config)
+        assert lockstep == run_experiment(ProductLanes.of(catalog), config)
         assert [r.error is not None for r in lockstep].count(True) == 2
         assert "rewards overflow" in lockstep[10].error
 
@@ -184,7 +186,7 @@ class TestRunExperiment:
         config = quick_config()
         for threshold in (0, 10**9):
             monkeypatch.setattr(qlearn, "LOCKSTEP_MIN_PRODUCTS", threshold)
-            result = compare_columns([], config)
+            result = compare_columns(ProductLanes.of([]), config)
             assert result.names == [] and result.rl_price.shape == (0, 2) and result.errors == {}
             assert result.rows() == []
             for fmt in ("csv", "json", "markdown"):
@@ -199,18 +201,18 @@ class TestRunExperiment:
 
         monkeypatch.setattr(_kernels, "run_train_kernel", broken_train)
         with pytest.raises(RuntimeError, match="boom"):
-            run_experiment(sample_specs[:2], quick_config())
+            run_experiment(ProductLanes.of(sample_specs[:2]), quick_config())
 
     def test_rl_matches_grid_search_at_full_defaults(self, sample_specs):
         config = ExperimentConfig(cost_policy=CostPolicy("zero"))
-        rows = run_experiment(sample_specs[:2], config)
+        rows = run_experiment(ProductLanes.of(sample_specs[:2]), config)
         for row in rows:
             assert row.rl_price == row.grid_search.price
             assert row.rl_profit >= 0.999 * row.grid_search.profit
             assert row.rl_vs_best_profit_ratio <= 1.0 + 1e-12
 
     def test_ratio_well_defined_for_positive_profits(self):
-        rows = run_experiment([S24], quick_config())
+        rows = run_experiment(ProductLanes.of([S24]), quick_config())
         assert all(r.rl_vs_best_profit_ratio is not None for r in rows)
         assert all(0 < r.rl_vs_best_profit_ratio <= 1.0 + 1e-12 for r in rows)
 
@@ -218,7 +220,7 @@ class TestRunExperiment:
 @pytest.fixture(scope="module")
 def result(sample_specs):
     # MU6290 (index 4) clamps at the default span; include it
-    return compare_columns([sample_specs[0], sample_specs[4]], quick_config())
+    return compare_columns(ProductLanes.of([sample_specs[0], sample_specs[4]]), quick_config())
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +246,8 @@ def comparison(names, errors=(), **values):
 class TestCompareColumns:
     def test_rows_are_a_view(self, sample_specs):
         catalog = [*sample_specs[:3], ProductSpec("Huge", 1.0, 1.7e308, -0.5)]
-        result = compare_columns(catalog, quick_config())
-        assert result.rows() == run_experiment(catalog, quick_config())
+        result = compare_columns(ProductLanes.of(catalog), quick_config())
+        assert result.rows() == run_experiment(ProductLanes.of(catalog), quick_config())
         assert result.names == [spec.name for spec in catalog]
         assert result.errors == {3: "grid upper bound 2.0 * base_price overflows"}
         assert result.rl_price.shape == result.ratio.shape == result.rated.shape == (4, 2)
@@ -268,7 +270,7 @@ class TestCompareColumns:
             return table
 
         monkeypatch.setattr(experiment, "columns_by_day", crafted)
-        rows = run_experiment(sample_specs[:3], quick_config())
+        rows = run_experiment(ProductLanes.of(sample_specs[:3]), quick_config())
         for row, want in zip(rows, profits, strict=True):
             best = max(want)
             assert (row.analytic.profit, row.grid_search.profit, row.line_search.profit) == want
@@ -338,7 +340,7 @@ class TestChunks:
                 monkeypatch.setattr(experiment, "_CHUNK", size)
                 calls.clear()
                 lockstep.clear()
-                result = compare_columns(catalog, config)
+                result = compare_columns(ProductLanes.of(catalog), config)
                 assert max(len(seeds) for seeds, _ in calls) <= size
                 seeds = [seed for part, _ in calls for seed in part]
                 runs[size] = result, seeds, np.concatenate([values for _, values in calls])
@@ -360,16 +362,16 @@ class TestChunks:
         default_size = experiment._CHUNK
         for setting in (dict(modulation=DayModulation(1.0, 1.2)), self.UPLIFT_COST):
             monkeypatch.setattr(experiment, "_CHUNK", default_size)
-            whole = experiment.optimize_columns(catalog, quick_config(**setting))
+            whole = experiment.optimize_columns(ProductLanes.of(catalog), quick_config(**setting))
             assert whole.profit.shape == (len(catalog), 2, 3)
             for size in self.SIZES:
                 monkeypatch.setattr(experiment, "_CHUNK", size)
-                table = experiment.optimize_columns(catalog, quick_config(**setting))
+                table = experiment.optimize_columns(ProductLanes.of(catalog), quick_config(**setting))
                 for got, want in zip(table, whole):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
             # the same optima compare reports next to the trained policies
             trained_once = quick_config(hyperparams=Hyperparams(episodes=1), **setting)
-            for got, want in zip(compare_columns(catalog, trained_once).baselines, whole):
+            for got, want in zip(compare_columns(ProductLanes.of(catalog), trained_once).baselines, whole):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size", [1, 5, 64])
@@ -384,8 +386,8 @@ class TestChunks:
         catalog[size + 1] = ProductSpec("Huge", 1.0, 1.7e308, -0.5)
         catalog[2 * size + 2] = ProductSpec("Tiny", 10.0, 5e-324, -1.0)
         with pytest.raises(ValueError, match=r"^product 'Big': GridSearch optimum overflows$"):
-            experiment.optimize_columns(catalog, quick_config())
-        result = compare_columns(catalog, quick_config(hyperparams=Hyperparams(episodes=5)))
+            experiment.optimize_columns(ProductLanes.of(catalog), quick_config())
+        result = compare_columns(ProductLanes.of(catalog), quick_config(hyperparams=Hyperparams(episodes=5)))
         assert result.errors == {size: "rewards overflow: max |reward| / (1 - gamma) is inf",
                                  size + 1: "grid upper bound 2.0 * base_price overflows",
                                  2 * size + 2: "prices must be > 0"}
@@ -513,8 +515,9 @@ class TestRenderReport:
 
         monkeypatch.setattr(os, "fork", no_work)
         monkeypatch.setattr(experiment, "train_lanes", no_work)
+        catalog = ProductLanes.of(sample_specs)
         for jobs in (1, 2):
-            with pytest.raises(ValueError, match=message), compare_report(sample_specs, quick_config(), "xml", jobs):
+            with pytest.raises(ValueError, match=message), compare_report(catalog, quick_config(), "xml", jobs):
                 pass
 
 
@@ -735,18 +738,18 @@ class TestReportMatchesOracle:
 
 class TestExportRevenueCurves:
     def test_cardinality(self):
-        text = export_revenue_curves([S24], quick_config(), samples_per_curve=2)
+        text = export_revenue_curves(ProductLanes.of([S24]), quick_config(), samples_per_curve=2)
         lines = text.strip().splitlines()
         assert lines[0] == "product,day,price,demand,revenue,profit"
         assert len(lines) == 1 + 4  # 1 product x 2 days x 2 samples
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
-            export_revenue_curves([S24], quick_config(), samples_per_curve=1)
+            export_revenue_curves(ProductLanes.of([S24]), quick_config(), samples_per_curve=1)
 
     def test_weekend_scales_weekday_revenue(self):
         config = quick_config(modulation=DayModulation(weekday=1.0, weekend=1.2))
-        text = export_revenue_curves([S24], config, samples_per_curve=11)
+        text = export_revenue_curves(ProductLanes.of([S24]), config, samples_per_curve=11)
         rows = list(csv.DictReader(io.StringIO(text)))
         weekday = [r for r in rows if r["day"] == "Weekday"]
         weekend = [r for r in rows if r["day"] == "Weekend"]
@@ -756,7 +759,7 @@ class TestExportRevenueCurves:
 
     def test_max_revenue_near_vertex(self, sample_specs):
         config = quick_config()
-        text = export_revenue_curves(sample_specs, config, samples_per_curve=101)
+        text = export_revenue_curves(ProductLanes.of(sample_specs), config, samples_per_curve=101)
         rows = list(csv.DictReader(io.StringIO(text)))
         for spec in sample_specs:
             vertex = spec.base_price * (spec.elasticity - 1) / (2 * spec.elasticity)
@@ -771,7 +774,7 @@ class TestExportRevenueCurves:
 
     def test_profit_column_uses_cost_policy(self):
         config = quick_config(cost_policy=CostPolicy("fraction", 0.3))
-        text = export_revenue_curves([S24], config, samples_per_curve=3)
+        text = export_revenue_curves(ProductLanes.of([S24]), config, samples_per_curve=3)
         rows = list(csv.DictReader(io.StringIO(text)))
         c = 0.3 * S24.base_price
         for r in rows:
