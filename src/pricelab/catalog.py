@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import re
-from array import array
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -167,7 +167,7 @@ def parse_catalog(text: str) -> tuple[ProductLanes, ValidationReport]:
     has_cost = len(header) == 5
 
     names: list[str] = []
-    values = array("d")  # each accepted row's four values, in ProductLanes' field order
+    values = bytearray()  # each accepted row's four float64 values, in ProductLanes' field order
     report = ValidationReport(accepted=names)
     seen: set[str] = set()
     for row_number, line in enumerate(lines, start=1):
@@ -183,7 +183,7 @@ def parse_catalog(text: str) -> tuple[ProductLanes, ValidationReport]:
         else:
             seen.add(spec.name)
             names.append(spec.name)
-            values.extend((spec.base_demand, spec.base_price, spec.elasticity, spec.unit_cost))
+            values += struct.pack("=4d", spec.base_demand, spec.base_price, spec.elasticity, spec.unit_cost)
     return ProductLanes(*np.frombuffer(values).reshape(-1, 4).T[..., None], names), report
 
 
