@@ -184,7 +184,8 @@ def parse_catalog(text: str) -> tuple[ProductLanes, ValidationReport]:
             seen.add(spec.name)
             names.append(spec.name)
             values += struct.pack("=4d", spec.base_demand, spec.base_price, spec.elasticity, spec.unit_cost)
-    return ProductLanes(*np.frombuffer(values).reshape(-1, 4).T[..., None], names), report
+    cols = np.frombuffer(values).reshape(-1, 4)  # (n, 1) column views, as ProductLanes.of makes them
+    return ProductLanes(*(cols[:, k : k + 1] for k in range(4)), names), report
 
 
 def serialize_catalog(specs: list[ProductSpec]) -> str:

@@ -154,8 +154,10 @@ class ProductLanes:
 
     @classmethod
     def of(cls, specs: list[ProductSpec]) -> ProductLanes:
-        values = [(s.base_demand, s.base_price, s.elasticity, s.unit_cost) for s in specs]
-        return cls(*np.array(values, dtype=np.float64).reshape(-1, 4).T[..., None], [s.name for s in specs])
+        cols = np.array(
+            [(s.base_demand, s.base_price, s.elasticity, s.unit_cost) for s in specs], dtype=np.float64
+        ).reshape(-1, 4)
+        return cls(*(cols[:, k : k + 1] for k in range(4)), [s.name for s in specs])
 
     def take(self, rows) -> ProductLanes:
         """The lanes of ``rows`` (a slice or an index list), in that order."""
