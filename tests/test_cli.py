@@ -345,13 +345,6 @@ class TestCompare:
         code, out, err = run(capsys, ["compare", "--jobs", "0", "--catalog", str(cat), *FAST])
         assert (code, out, err) == (2, "", "pricelab: error: --jobs must be >= 1\n")
 
-    def test_bad_samples_exits_two(self, tmp_path, capsys):
-        # checked before the catalog is read, as --jobs is, so its rejected row draws no warning
-        cat = tmp_path / "cat.csv"
-        cat.write_text("product_name,price_elasticity,base_price,base_demand\nTV,-1.0,99.0,10.0\nBad,0.5,99.0,10.0\n")
-        code, out, err = run(capsys, ["curve", "--samples", "1", "--catalog", str(cat)])
-        assert (code, out, err) == (2, "", "pricelab: error: samples_per_curve must be >= 2\n")
-
     def test_overflowing_product_becomes_error_row(self, tmp_path, capsys):
         header = "product_name,price_elasticity,base_price,base_demand\n"
         fine = tmp_path / "fine.csv"
@@ -454,6 +447,13 @@ class TestCurve:
         assert len(lines) == 1 + 14 * 2 * 5
         code2, out2, _ = run(capsys, ["curve", "--samples", "5"])
         assert out2 == out
+
+    def test_bad_samples_exits_two(self, tmp_path, capsys):
+        # checked before the catalog is read, as --jobs is, so its rejected row draws no warning
+        cat = tmp_path / "cat.csv"
+        cat.write_text("product_name,price_elasticity,base_price,base_demand\nTV,-1.0,99.0,10.0\nBad,0.5,99.0,10.0\n")
+        code, out, err = run(capsys, ["curve", "--samples", "1", "--catalog", str(cat)])
+        assert (code, out, err) == (2, "", "pricelab: error: samples_per_curve must be >= 2\n")
 
 
 class TestOptimize:
