@@ -15,6 +15,7 @@ from ``--seed`` (default 0); nothing reads the clock or OS entropy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -25,10 +26,9 @@ from pathlib import Path
 # perfbench/tracing.py times the one-product optimizers, default_price_grid,
 # run_experiment, render_report, export_revenue_curves and train as attributes
 # of this module, so they stay importable here; nothing here calls them:
-# optimize and compare run their products in chunks (optimize_columns,
-# compare_report), train runs prepare_products and train_lanes, and the
-# reports are written from their block functions (compare_report,
-# optimize_blocks, revenue_curve_blocks)
+# compare, optimize and curve run their products in parts (compare_report,
+# optimize_report, revenue_curve_blocks) and write them block by block, and
+# train runs prepare_products and train_lanes
 from .baselines import analytic_optimum, grid_search_optimum, line_search_optimum  # noqa: F401
 from .catalog import parse_catalog, sample_catalog, serialize_catalog
 from .domain import default_price_grid  # noqa: F401
@@ -43,8 +43,7 @@ from .experiment import (
     check_products,
     check_samples,
     compare_report,
-    optimize_blocks,
-    optimize_columns,
+    optimize_report,
     prepare_products,
     revenue_curve_blocks,
     _document,
@@ -171,22 +170,24 @@ def _cmd_sample_catalog(args) -> int:
 
 def _cmd_validate(args) -> int:
     catalog, report = _parse_catalog_file(args.catalog)
-    outcomes = report.outcomes
+    rejected = {o.row_number: o for o in report.rejections}
+    names = iter(catalog.names)  # a row not rejected is the next accepted name
+    rows = len(catalog) + len(rejected)
+    lines = (f"row {row}: rejected ({o.reason.value}): {o.detail}\n" if (o := rejected.get(row)) else
+             f"row {row}: accepted ({next(names)})\n" for row in range(1, rows + 1))
 
-    def block(start: int) -> str:
-        return "".join(f"row {o.row_number}: accepted ({o.name})\n" if o.accepted else
-                       f"row {o.row_number}: rejected ({o.reason.value}): {o.detail}\n"
-                       for o in outcomes[start : start + _BLOCK])
+    def block(start: int) -> str:  # _document asks for the blocks in turn
+        return "".join(itertools.islice(lines, _BLOCK))
 
-    summary = f"accepted {len(catalog)} of {len(outcomes)} rows\n"
-    _write_output(_document("", len(outcomes), block, "", summary), args.output)
+    _write_output(_document("", rows, block, "", f"accepted {len(catalog)} of {rows} rows\n"), args.output)
     return 1 if report.rejections else 0
 
 
 def _cmd_curve(args) -> int:
     check_samples(args.samples)  # before the catalog is read, as --jobs is
     config, catalog = _config_and_catalog(args)
-    _write_output(revenue_curve_blocks(catalog, config, args.samples), args.output)
+    with revenue_curve_blocks(catalog, config, args.samples) as blocks:
+        _write_output(blocks, args.output)
     return 0
 
 
@@ -213,8 +214,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config, catalog = _config_and_catalog(args)
-    table = optimize_columns(catalog, config)
-    _write_output(optimize_blocks(catalog.names, table, args.format), args.output)
+    with optimize_report(catalog, config, args.format) as blocks:
+        _write_output(blocks, args.output)
     return 0
 
 

@@ -30,19 +30,21 @@ row; ``run_experiment``'s ``ComparisonRow`` list is a view of it.
 Training raises nothing on the products it gets, so an exception from it
 propagates.
 
-``compare_report`` (``compare``) and ``optimize_blocks`` (``optimize``)
+``compare_report`` (``compare``) and ``optimize_report`` (``optimize``)
 write each of the ``REPORT_FORMATS`` from such arrays through one writer,
 ``_rows``: each row is one ``%`` of its format's row template, and an
 error row comes from its own template.  The JSON equals
 ``json.dumps(report, indent=2, allow_nan=False)`` byte for byte, including
 the error for the first non-finite value (``json.dumps`` uses its C
 encoder only without ``indent``).  These and ``revenue_curve_blocks``
-(``curve``) run every check that can fail first, an unknown format
-included, then return the report as a lazy sequence of text blocks of
-``_BLOCK`` products, so a writer holds one block at a time;
-``render_report`` and ``export_revenue_curves`` are the blocks joined into
-one string.  ``compare_report`` compares and renders a whole catalog in
-contiguous parts, one per process.
+(``curve``) run a whole catalog through one part runner, ``_run_parts``:
+contiguous parts, one per process (``compare``: up to ``--jobs``;
+``optimize`` and ``curve``: one per usable CPU, at most one per block).
+Each part runs every check that can fail first, an unknown format
+included, then the report is a lazy sequence of text blocks of ``_BLOCK``
+products, so a writer holds one block at a time; ``render_report`` and
+``export_revenue_curves`` are the blocks joined into one string, and
+``optimize_blocks`` gives the blocks of one table in this process.
 """
 
 from __future__ import annotations
@@ -425,15 +427,15 @@ def _report_part(catalog: ProductLanes, config: ExperimentConfig, format: str, s
 
 
 class _Helper:
-    """A forked process that runs ``_report_part`` on one part of a catalog.
+    """A forked process that runs a part function on one part of a catalog.
 
-    It sends the part's clamped flag, or the exception of a failed check,
-    through a pipe as soon as its checks end, then renders its rows into
-    an unlinked temporary file and exits.  Its part is never the first, so
+    It sends the part's status, or the exception of a failed check, through
+    a pipe as soon as its checks end, then renders its rows into an
+    unlinked temporary file and exits.  Its part is never the first, so
     each of its blocks follows a separator.
     """
 
-    def __init__(self, catalog: ProductLanes, config: ExperimentConfig, format: str, start: int):
+    def __init__(self, part, products: ProductLanes, start: int):
         self.out = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
         self.status, write = os.pipe()
         try:
@@ -447,27 +449,27 @@ class _Helper:
             code = 1
             try:  # the helper leaves only through os._exit, so it flushes none of the parent's buffers
                 try:
-                    block, sep, status = _report_part(catalog, config, format, start)
+                    block, sep, status = part(products, start)
                 except Exception as exc:
                     status = exc
                 with open(write, "wb") as pipe:
                     pipe.write(pickle.dumps(status))
                 if not isinstance(status, Exception):
-                    self.out.writelines(_document(sep, len(catalog), block, sep, ""))
+                    self.out.writelines(_document(sep, len(products), block, sep, ""))
                     self.out.flush()
                     code = 0
             finally:
                 os._exit(code)
         os.close(write)  # so the pipe ends when the helper closes it, and no later helper holds it
 
-    def checked(self) -> bool:
-        """Whether the part has a clamped optimum, once its checks have
-        passed; a failed check raises its error here."""
+    def checked(self):
+        """The part's status, once its checks have passed; a failed check
+        raises its error here."""
         with open(self.status, "rb") as pipe:
             self.status = None
             data = pipe.read()
         if not data:
-            raise ChildProcessError(f"a compare helper process exited with status {self._wait()}")
+            raise ChildProcessError(f"a report helper process exited with status {self._wait()}")
         status = pickle.loads(data)
         if isinstance(status, Exception):
             raise status
@@ -477,7 +479,7 @@ class _Helper:
         """The part's rendered text, in chunks, once the helper has exited."""
         code = self._wait()
         if code:
-            raise ChildProcessError(f"a compare helper process exited with status {code}")
+            raise ChildProcessError(f"a report helper process exited with status {code}")
         self.out.seek(0)
         yield from iter(lambda: self.out.read(1 << 16), "")
 
@@ -500,41 +502,29 @@ class _Helper:
 
 
 @contextlib.contextmanager
-def compare_report(
-    catalog: ProductLanes, config: ExperimentConfig, format: str = "csv", jobs: int = 1
-) -> Iterator[Iterator[str]]:
-    """The blocks of ``render_report(compare_columns(catalog, config),
-    format, config)``, the same text, computed in up to ``jobs`` processes.
+def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Iterator[str]]:
+    """The blocks of a report of ``catalog`` computed in ``parts`` contiguous
+    parts, one per process.
 
-    The catalog is split into contiguous parts, one per process, capped at
-    the usable CPUs and the product count.  Part 0 runs in this process and
-    each other part in a forked ``_Helper``; every part compares its
-    products with the seeds of their catalog indices and the kernel the
-    ``train_lanes`` rule picks for it, so every table is the same bits at
-    any ``jobs``.  The context is entered once every part has passed its
-    checks, so a failed run writes nothing; otherwise the error of the
-    first failing part in catalog order is raised.  The blocks it yields
-    stream part 0 as it renders, then each helper's text in turn.  Every
-    helper is reaped when the context is left, on every path.
+    ``part(products, start)`` sets up, checks and computes the products that
+    begin at catalog index ``start``, and returns their rows' block function,
+    the separator between blocks and a status; ``frame(statuses)`` gives the
+    report's head and tail from every part's status in catalog order.  Part 0
+    runs in this process and each other part in a forked ``_Helper``.  The
+    context is entered once every part has passed its checks, so a failed run
+    writes nothing; otherwise the error of the first failing part in catalog
+    order is raised.  The blocks it yields stream part 0 as it renders, then
+    each helper's text in turn.  Every helper is reaped when the context is
+    left, on every path.
     """
-    # an unknown format, and an episode count too large to hold for the schedule
-    # every part reads, fail here, before any fork or training
-    _text_cells(format, "")
-    epsilon_schedule(config.hyperparams)
-    parts = max(1, min(jobs, len(catalog)))
-    if parts > 1:  # os.sched_getaffinity is missing on some platforms (macOS, Windows)
-        if not hasattr(os, "sched_getaffinity"):
-            raise ValueError("more than one job needs os.sched_getaffinity, which this platform lacks")
-        parts = min(parts, len(os.sched_getaffinity(0)))
     bounds = [-(-len(catalog) * k // parts) for k in range(parts + 1)]
     helpers = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            helpers.append(_Helper(catalog.take(slice(start, stop)), config, format, start))
-        block, sep, clamped = _report_part(catalog.take(slice(bounds[1])), config, format, 0)
-        for helper in helpers:
-            clamped |= helper.checked()
-        head, tail = _report_frame(format, config, bool(catalog), clamped)
+            helpers.append(_Helper(part, catalog.take(slice(start, stop)), start))
+        # one part reads the catalog itself: a slice would copy its names
+        block, sep, status = part(catalog if parts == 1 else catalog.take(slice(bounds[1])), 0)
+        head, tail = frame([status, *(helper.checked() for helper in helpers)])
 
         def blocks() -> Iterator[str]:
             yield from _document(head, bounds[1], block, sep, "")
@@ -546,6 +536,39 @@ def compare_report(
     finally:
         for helper in helpers:
             helper.close()
+
+
+def _cpu_parts(catalog: ProductLanes) -> int:
+    """The parts ``curve`` and ``optimize`` run in: one per usable CPU (one
+    where os.sched_getaffinity is missing, as on macOS and Windows), and at
+    most one per block of ``_BLOCK`` products."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, -(-len(catalog) // _BLOCK)))
+
+
+def compare_report(
+    catalog: ProductLanes, config: ExperimentConfig, format: str = "csv", jobs: int = 1
+) -> contextlib.AbstractContextManager[Iterator[str]]:
+    """A context manager giving the blocks of ``render_report(compare_columns(catalog,
+    config), format, config)``, the same text, computed in up to ``jobs`` processes.
+
+    The catalog is split into contiguous parts (``_run_parts``), one per
+    process, capped at the usable CPUs and the product count.  Every part
+    compares its products with the seeds of their catalog indices and the
+    kernel the ``train_lanes`` rule picks for it, so every table is the same
+    bits at any ``jobs``.
+    """
+    # an unknown format, and an episode count too large to hold for the schedule
+    # every part reads, fail here, before any fork or training
+    _text_cells(format, "")
+    epsilon_schedule(config.hyperparams)
+    parts = max(1, min(jobs, len(catalog)))
+    if parts > 1:  # os.sched_getaffinity is missing on some platforms (macOS, Windows)
+        if not hasattr(os, "sched_getaffinity"):
+            raise ValueError("more than one job needs os.sched_getaffinity, which this platform lacks")
+        parts = min(parts, len(os.sched_getaffinity(0)))
+    return _run_parts(catalog, parts, lambda products, start: _report_part(products, config, format, start),
+                      lambda clamped: _report_frame(format, config, bool(catalog), any(clamped)))
 
 
 def _rows(line: str, names: list[str], slots: list[str], columns, errors: dict[int, str], error: str, sep="",
@@ -648,24 +671,18 @@ def optimize_overflow(table: Columns) -> dict[int, str]:
     }
 
 
-def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[str]:
-    """The ``optimize`` report of a ``columns_by_day`` table as blocks of
-    ``_BLOCK`` products, one row per product, day and method; prices and
-    demands at 1 decimal and profits at 2, except in JSON, which carries
-    full precision.  Every check that can fail runs first: the format, and
-    in JSON every value's finiteness."""
+def _optimize_rows(names: list[str], table: Columns, format: str):
+    """The block function of the ``optimize`` rows of a ``columns_by_day``
+    table and the separator between blocks, after every check that can
+    fail: the format, and in JSON every value's finiteness."""
     cells, _ = _text_cells(format, "  ")
-    sep, tail = "", ""
     if format == "json":
         _check_json(*table[:3])
-        head, tail = ("[\n", "\n]\n") if names else ("[]\n", "")
         line, sep = _OPTIMIZE_JSON_ROW, ",\n"
         slots = [f',\n    "day": "{day}",\n    "method": "{method}"' for day, method in _OPTIMIZE_SLOTS]
     else:
-        markdown = format == "markdown"
-        head = _header(format, _OPTIMIZE_HEADERS if markdown else _OPTIMIZE_COLUMNS)
-        line, cell_sep = (_OPTIMIZE_MD_ROW, " | ") if markdown else (_OPTIMIZE_CSV_ROW, ",")
-        slots = [f"{cell_sep}{day}{cell_sep}{method}" for day, method in _OPTIMIZE_SLOTS]
+        line, cell_sep = (_OPTIMIZE_MD_ROW, " | ") if format == "markdown" else (_OPTIMIZE_CSV_ROW, ",")
+        sep, slots = "", [f"{cell_sep}{day}{cell_sep}{method}" for day, method in _OPTIMIZE_SLOTS]
 
     def block(start: int) -> str:
         part = slice(start, start + _BLOCK)
@@ -673,7 +690,40 @@ def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[s
         columns.append(list(map(_BOOL.__getitem__, table.clamped[part].ravel().tolist())))
         return _rows(line, cells(names[part]), slots, columns, {}, "", sep)
 
+    return block, sep
+
+
+def _optimize_frame(format: str, rows: bool) -> tuple[str, str]:
+    """The head and the tail of an ``optimize`` report that has ``rows`` or none."""
+    if format == "json":
+        return ("[\n", "\n]\n") if rows else ("[]\n", "")
+    return _header(format, _OPTIMIZE_HEADERS if format == "markdown" else _OPTIMIZE_COLUMNS), ""
+
+
+def optimize_blocks(names: list[str], table: Columns, format: str) -> Iterator[str]:
+    """The ``optimize`` report of a ``columns_by_day`` table as blocks of
+    ``_BLOCK`` products, one row per product, day and method; prices and
+    demands at 1 decimal and profits at 2, except in JSON, which carries
+    full precision.  Every check that can fail runs first: the format, and
+    in JSON every value's finiteness."""
+    block, sep = _optimize_rows(names, table, format)
+    head, tail = _optimize_frame(format, bool(names))
     return _document(head, len(names), block, sep, tail)
+
+
+def optimize_report(
+    catalog: ProductLanes, config: ExperimentConfig, format: str = "csv"
+) -> contextlib.AbstractContextManager[Iterator[str]]:
+    """A context manager giving the blocks of ``optimize_blocks(catalog.names,
+    optimize_columns(catalog, config), format)``, the same text, computed in
+    ``_run_parts`` across the usable CPUs; the first product in catalog order
+    that cannot be set up or whose optimum overflows is an error naming it."""
+    _text_cells(format, "")  # an unknown format fails before any fork
+
+    def part(products: ProductLanes, start: int):
+        return (*_optimize_rows(products.names, optimize_columns(products, config), format), None)
+
+    return _run_parts(catalog, _cpu_parts(catalog), part, lambda statuses: _optimize_frame(format, bool(catalog)))
 
 
 def _curves(products: ProductLanes, sampled: ExperimentConfig) -> tuple:
@@ -696,16 +746,12 @@ def check_samples(samples_per_curve: int) -> None:
         raise ValueError("samples_per_curve must be >= 2")
 
 
-def revenue_curve_blocks(
-    catalog: ProductLanes, config: ExperimentConfig, samples_per_curve: int = 101
-) -> Iterator[str]:
-    """``export_revenue_curves``'s text as blocks of ``_BLOCK`` products,
-    after every check that can fail: the samples, then a first pass that sets
-    every product up and tests its curve values, formatting nothing; the first
-    product that cannot be set up or whose curve overflows is an error naming it."""
-    check_samples(samples_per_curve)
-    sampled = replace(config, grid_points=samples_per_curve)
-    days = [(day.label, config.modulation.multiplier(day)) for day in DayType]
+def _curve_part(catalog: ProductLanes, sampled: ExperimentConfig):
+    """The block function of ``catalog``'s revenue-curve rows, after a first
+    pass that sets every product up and tests its curve values, formatting
+    nothing; the first product that cannot be set up or whose curve
+    overflows is an error naming it."""
+    days = [(day.label, sampled.modulation.multiplier(day)) for day in DayType]
     for start in range(0, len(catalog), _BLOCK):
         products = catalog.take(slice(start, start + _BLOCK))
         _, errors, curves = _curves(products, sampled)
@@ -730,7 +776,20 @@ def revenue_curve_blocks(
                 lines.append(prefix + ("\n" + prefix).join(rows[mult][i]) + "\n")
         return "".join(lines)
 
-    return _document("product,day,price,demand,revenue,profit\n", len(catalog), block, "", "")
+    return block, "", None
+
+
+def revenue_curve_blocks(
+    catalog: ProductLanes, config: ExperimentConfig, samples_per_curve: int = 101
+) -> contextlib.AbstractContextManager[Iterator[str]]:
+    """A context manager giving ``export_revenue_curves``'s text as blocks of
+    ``_BLOCK`` products, computed in ``_run_parts`` across the usable CPUs,
+    after every check that can fail: the samples, then each part's
+    ``_curve_part`` pass."""
+    check_samples(samples_per_curve)
+    sampled = replace(config, grid_points=samples_per_curve)
+    return _run_parts(catalog, _cpu_parts(catalog), lambda products, start: _curve_part(products, sampled),
+                      lambda statuses: ("product,day,price,demand,revenue,profit\n", ""))
 
 
 def export_revenue_curves(
@@ -745,4 +804,5 @@ def export_revenue_curves(
     or whose curve overflows, is an error naming it.  The text of
     ``revenue_curve_blocks``, joined.
     """
-    return "".join(revenue_curve_blocks(catalog, config, samples_per_curve))
+    with revenue_curve_blocks(catalog, config, samples_per_curve) as blocks:
+        return "".join(blocks)

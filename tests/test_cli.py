@@ -633,11 +633,44 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def usable_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` CPUs, or delete it
+    (``None``), as on macOS and Windows."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """A list that gains an entry each time ``os.fork`` is called."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+# {label: (more argv, usable CPUs)}: compare at --jobs 1 and 2 on four CPUs
+JOBS_1_2 = {jobs: (["--jobs", str(jobs)], 4) for jobs in (1, 2)}
+# curve and optimize, which take no --jobs, on one CPU and on four
+CPUS_1_4 = {cpus: ([], cpus) for cpus in (1, 4)}
+
+
 class TestJobs:
     """``compare --jobs N`` splits the catalog into up to N contiguous parts,
-    one per process, capped at the usable CPUs and the product count."""
+    one per process, capped at the usable CPUs and the product count;
+    ``curve`` and ``optimize`` split it into one part per usable CPU, capped
+    at its blocks of ``_BLOCK`` products.  All three go through one part
+    runner."""
 
     HEADER = "product_name,price_elasticity,base_price,base_demand\n"
+    BIG = "Big,-0.5,100.0,1e307\n"  # its optimum and its curve overflow
+    HUGE = "Huge,-0.5,1.7e308,1.0\n"  # its grid is unusable
 
     def parts_catalog(self, tmp_path):
         # 2L + 1 products, L = LOCKSTEP_MIN_PRODUCTS: at --jobs 2 the parts
@@ -654,25 +687,66 @@ class TestJobs:
         cat.write_text(self.HEADER + "".join(rows), encoding="utf-8")
         return cat
 
+    def blocks_catalog(self, tmp_path, count, rows=None):
+        """``count`` products, with ``rows`` ({index: row}) in place of plain
+        ones; the 7th product's name needs quotes in CSV, escapes in JSON and
+        one in Markdown."""
+        lines = [f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0\n" for i in range(count)]
+        lines[7] = '"Say ""hé"", |7",-0.8,50.0,20.0\n'
+        for index, row in (rows or {}).items():
+            lines[index] = row
+        cat = tmp_path / f"blocks-{count}.csv"
+        cat.write_text(self.HEADER + "".join(lines), encoding="utf-8")
+        return cat
+
     @pytest.fixture
     def four_cpus(self, monkeypatch):  # so that 2 and 3 parts run on any machine
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        usable_cpus(monkeypatch, 4)
 
-    def reports(self, capsys, cat, jobs):
-        outputs = {}
-        for fmt in ("csv", "json", "markdown"):
-            for n in jobs:
-                code, outputs[fmt, n], err = run(capsys, ["compare", "--catalog", str(cat), "--episodes", "30",
-                                                          "--format", fmt, "--jobs", str(n)])
-                assert (code, err) == (0, "")
-            assert {outputs[fmt, n] for n in jobs} == {outputs[fmt, jobs[0]]}, fmt
+    def reports(self, capsys, monkeypatch, argv, runs, formats=experiment.REPORT_FORMATS):
+        """``argv``'s report in each format (``None``: no ``--format``) under
+        each of ``runs`` ({label: (more argv, usable CPUs)}), the same bytes
+        under every run, and how many processes each run forked."""
+        forks = count_forks(monkeypatch)
+        outputs, forked = {}, {}
+        for label, (more, cpus) in runs.items():
+            with monkeypatch.context() as patch:
+                usable_cpus(patch, cpus)
+                for fmt in formats:
+                    forks.clear()
+                    code, outputs[fmt, label], err = run(capsys, [*argv, *more, *(["--format", fmt] if fmt else [])])
+                    assert (code, err) == (0, ""), (fmt, label)
+                    forked[fmt, label] = len(forks)
+        for fmt in formats:
+            assert {outputs[fmt, label] for label in runs} == {outputs[fmt, next(iter(runs))]}, fmt
         no_child_left()
-        return outputs
+        return outputs, forked
 
-    def test_same_report_at_any_jobs(self, tmp_path, capsys, four_cpus):
-        outputs = self.reports(capsys, self.parts_catalog(tmp_path), [1, 2, 3])
+    def compare_reports(self, capsys, monkeypatch, cat, jobs):
+        argv = ["compare", "--catalog", str(cat), "--episodes", "30"]
+        return self.reports(capsys, monkeypatch, argv, {n: (["--jobs", str(n)], 4) for n in jobs})[0]
+
+    def test_same_report_at_any_jobs(self, tmp_path, capsys, monkeypatch):
+        outputs = self.compare_reports(capsys, monkeypatch, self.parts_catalog(tmp_path), [1, 2, 3])
         assert outputs["markdown", 1].endswith("\n† optimum clamped to the search interval boundary.\n")
         assert json.loads(outputs["json", 1])["rows"][40]["product"] == 'Say "hé", |20'
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("command", ["curve", "optimize"])
+    def test_curve_and_optimize_same_at_any_cpu_count(self, tmp_path, capsys, monkeypatch, command, blocks):
+        # one part per usable CPU, capped at the blocks: one block, or 2 * _BLOCK + 3
+        # products in three blocks; no os.sched_getaffinity counts as one CPU
+        count = experiment._BLOCK if blocks == 1 else 2 * experiment._BLOCK + 3
+        argv = [command, "--catalog", str(self.blocks_catalog(tmp_path, count))]
+        argv, formats = (argv + ["--samples", "5"], [None]) if command == "curve" else (argv, experiment.REPORT_FORMATS)
+        runs = {cpus: ([], cpus) for cpus in (1, 2, 4, None)}
+        outputs, forked = self.reports(capsys, monkeypatch, argv, runs, formats)
+        assert forked == {(fmt, cpus): min(cpus or 1, blocks) - 1 for fmt in formats for cpus in runs}
+        lines = outputs[formats[0], 1].splitlines()  # CSV: a header, then each product's rows
+        per_product = 2 * 5 if command == "curve" else 6
+        assert len(lines) == 1 + count * per_product
+        assert lines[1 + 7 * per_product].startswith('"Say ""hé"", |7",Weekday,')
+        assert lines[-1].startswith(f"P{count - 1},Weekend,")
 
     def test_same_report_to_a_file(self, tmp_path, capsys, four_cpus):
         argv = ["compare", "--catalog", str(self.parts_catalog(tmp_path)), "--episodes", "30", "--format", "json"]
@@ -682,34 +756,64 @@ class TestJobs:
             assert main([*argv, "--jobs", jobs, "-o", str(out)]) == 0
             assert out.read_text(encoding="utf-8") == printed
 
-    def test_more_jobs_than_products(self, tmp_path, capsys, four_cpus):
+    def test_more_jobs_than_products(self, tmp_path, capsys, monkeypatch):
         cat = tmp_path / "three.csv"  # only the last part has a clamped optimum
         cat.write_text(self.HEADER + "A,-1.5,100.0,10.0\nB,-2.0,10.0,5.0\nC,-0.2,50.0,20.0\n")
-        outputs = self.reports(capsys, cat, [1, 8])
+        outputs = self.compare_reports(capsys, monkeypatch, cat, [1, 8])
         assert outputs["markdown", 1].endswith("\n† optimum clamped to the search interval boundary.\n")
 
-    def test_header_only_catalog(self, tmp_path, capsys, four_cpus):
+    def test_header_only_catalog(self, tmp_path, capsys, monkeypatch):
         cat = tmp_path / "empty.csv"
         cat.write_text(self.HEADER)
-        outputs = self.reports(capsys, cat, [1, 2])
+        outputs = self.compare_reports(capsys, monkeypatch, cat, [1, 2])
         assert json.loads(outputs["json", 1])["rows"] == []
+        for command, formats in (("curve", [None]), ("optimize", experiment.REPORT_FORMATS)):
+            outputs, forked = self.reports(capsys, monkeypatch, [command, "--catalog", str(cat)], CPUS_1_4, formats)
+            assert set(forked.values()) == {0}
+        assert outputs["json", 1] == "[]\n"
 
-    def run_both(self, capfd, argv):
-        """Exit code and stderr at --jobs 1 and --jobs 2; neither writes to stdout."""
+    def run_both(self, capfd, monkeypatch, argv, runs=JOBS_1_2):
+        """Exit code and stderr of ``argv`` under each of ``runs`` ({label:
+        (more argv, usable CPUs)}), the same under every run; none writes to
+        stdout or leaves a process behind."""
         results = []
-        for jobs in ("1", "2"):
-            results.append(main([*argv, "--jobs", jobs]))
+        for more, cpus in runs.values():
+            with monkeypatch.context() as patch:
+                usable_cpus(patch, cpus)
+                code = main([*argv, *more])
             captured = capfd.readouterr()
             assert captured.out == ""
-            results.append(captured.err)
+            results.append([code, captured.err])
             no_child_left()
-        assert results[:2] == results[2:]
-        return results[:2]
+        assert results == [results[0]] * len(results)
+        return results[0]
 
-    def test_normal_run_leaves_no_process(self, capfd, four_cpus):
-        assert self.run_both(capfd, ["compare", *FAST, "-o", os.devnull]) == [0, ""]
+    def test_normal_run_leaves_no_process(self, tmp_path, capfd, monkeypatch):
+        assert self.run_both(capfd, monkeypatch, ["compare", *FAST, "-o", os.devnull]) == [0, ""]
+        cat = str(self.blocks_catalog(tmp_path, 2 * experiment._BLOCK + 3))
+        for argv in (["curve", "--samples", "5"], ["optimize", "--format", "json"]):
+            assert self.run_both(capfd, monkeypatch, [*argv, "--catalog", cat, "-o", os.devnull], CPUS_1_4) == [0, ""]
 
-    def test_failed_check_in_a_helper_writes_nothing(self, tmp_path, capfd, monkeypatch, four_cpus):
+    @pytest.mark.parametrize("first", ["Big", "Huge"])
+    @pytest.mark.parametrize("command", ["curve", "optimize"])
+    def test_failed_check_in_a_later_part_writes_nothing(self, tmp_path, capfd, monkeypatch, command, first):
+        # on four CPUs the parts begin at products 0, 87 and 173; the first of
+        # Big and Huge is in part 1 and the other in part 2, and the error is
+        # the first one's, as on one CPU
+        n = 2 * experiment._BLOCK + 3
+        rows = {100: self.BIG, 200: self.HUGE} if first == "Big" else {100: self.HUGE, 200: self.BIG}
+        out = tmp_path / "out.txt"
+        argv = [command, "--catalog", str(self.blocks_catalog(tmp_path, n, rows)), "-o", str(out)]
+        message = {
+            "Huge": "product 'Huge': grid upper bound 2.0 * base_price overflows",
+            "Big": f"product 'Big': {'revenue curve' if command == 'curve' else 'GridSearch optimum'} overflows",
+        }[first]
+        for fmt in ([None] if command == "curve" else experiment.REPORT_FORMATS):
+            more = ["--format", fmt] if fmt else []
+            assert self.run_both(capfd, monkeypatch, argv + more, CPUS_1_4) == [2, f"pricelab: error: {message}\n"]
+            assert not out.exists()
+
+    def test_failed_check_in_a_helper_writes_nothing(self, tmp_path, capfd, monkeypatch):
         original = experiment.compare_columns
         cat = self.parts_catalog(tmp_path)
         n = 2 * LOCKSTEP_MIN_PRODUCTS + 1
@@ -724,25 +828,29 @@ class TestJobs:
         out = tmp_path / "out.json"
         argv = ["compare", "--catalog", str(cat), "--episodes", "30", "--format", "json", "-o", str(out)]
         message = "pricelab: error: Out of range float values are not JSON compliant: inf\n"
-        assert self.run_both(capfd, argv) == [2, message]
+        assert self.run_both(capfd, monkeypatch, argv) == [2, message]
         assert not out.exists()
 
-    def test_output_that_cannot_be_opened(self, tmp_path, capfd, four_cpus):
+    def test_output_that_cannot_be_opened(self, tmp_path, capfd, monkeypatch):
         target = tmp_path / "missing" / "out.csv"
-        code, err = self.run_both(capfd, ["compare", *FAST, "-o", str(target)])
+        code, err = self.run_both(capfd, monkeypatch, ["compare", *FAST, "-o", str(target)])
         assert code == 2
         assert err.startswith("pricelab: error:") and str(target) in err
 
-    def test_closed_reader_stops_quietly(self, capfd, monkeypatch, four_cpus):
+    def test_closed_reader_stops_quietly(self, tmp_path, capfd, monkeypatch, four_cpus):
         class ClosedReader(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(sys, "stdout", ClosedReader())
-        assert main(["compare", *FAST, "--jobs", "2"]) == 141
-        monkeypatch.undo()
-        assert capfd.readouterr() == ("", "")
-        no_child_left()
+        cat = str(self.blocks_catalog(tmp_path, 2 * experiment._BLOCK + 3))
+        forks = count_forks(monkeypatch)
+        for argv in (["compare", *FAST, "--jobs", "2"], ["curve", "--catalog", cat], ["optimize", "--catalog", cat]):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", ClosedReader())
+                assert main(argv) == 141
+            assert capfd.readouterr() == ("", "")
+            no_child_left()
+        assert len(forks) == 1 + 2 + 2
 
     def test_one_job_needs_no_cpu_affinity(self, tmp_path, capsys, monkeypatch):
         # os.sched_getaffinity is missing on macOS and Windows
@@ -763,19 +871,19 @@ class TestJobs:
         no_child_left()
 
     def test_forks_at_most_one_process_per_cpu_and_product(self, tmp_path, capsys, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
+        # compare at a huge --jobs on three products; curve and optimize on three
+        # blocks and on one
+        forks = count_forks(monkeypatch)
         cat = tmp_path / "three.csv"
         cat.write_text(self.HEADER + "A,-1.5,100.0,10.0\nB,-0.2,50.0,20.0\nC,-2.0,10.0,5.0\n")
         code, _, _ = run(capsys, ["compare", "--catalog", str(cat), *FAST, "--jobs", "1000000"])
         assert code == 0
         assert len(forks) == min(len(os.sched_getaffinity(0)), 3) - 1
+        for count, blocks in ((2 * experiment._BLOCK + 3, 3), (experiment._BLOCK, 1)):
+            for command in ("curve", "optimize"):
+                forks.clear()
+                assert main([command, "--catalog", str(self.blocks_catalog(tmp_path, count)), "-o", os.devnull]) == 0
+                assert len(forks) == min(len(os.sched_getaffinity(0)), blocks) - 1
         no_child_left()
 
 
