@@ -52,13 +52,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import math
 import os
-import pickle
-import tempfile
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, replace
@@ -73,6 +72,7 @@ from .baselines import analytic_optimum, grid_search_optimum, line_search_optimu
 from .baselines import Columns, Method, Optimum, columns_by_day
 from .domain import default_price_grid  # noqa: F401
 from .domain import DayModulation, DayType, ProductLanes, _uniform_grids
+from ._parts import Helper
 from .qlearn import evaluate_greedy, train  # noqa: F401
 from .qlearn import Hyperparams, epsilon_schedule, greedy_lanes, require_integers, reward_lanes, train_lanes
 from .rng import MASK64, split_seed
@@ -426,81 +426,6 @@ def _report_part(catalog: ProductLanes, config: ExperimentConfig, format: str, s
     return block, sep, bool(result.baselines.clamped.any())
 
 
-class _Helper:
-    """A forked process that runs a part function on one part of a catalog.
-
-    It sends the part's status, or the exception of a failed check, through
-    a pipe as soon as its checks end, then renders its rows into an
-    unlinked temporary file and exits.  Its part is never the first, so
-    each of its blocks follows a separator.
-    """
-
-    def __init__(self, part, products: ProductLanes, start: int):
-        self.out = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-        self.status, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (self.status, write):
-                os.close(fd)
-            self.out.close()
-            raise
-        if self.pid == 0:
-            code = 1
-            try:  # the helper leaves only through os._exit, so it flushes none of the parent's buffers
-                try:
-                    block, sep, status = part(products, start)
-                except Exception as exc:
-                    status = exc
-                with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps(status))
-                if not isinstance(status, Exception):
-                    self.out.writelines(_document(sep, len(products), block, sep, ""))
-                    self.out.flush()
-                    code = 0
-            finally:
-                os._exit(code)
-        os.close(write)  # so the pipe ends when the helper closes it, and no later helper holds it
-
-    def checked(self):
-        """The part's status, once its checks have passed; a failed check
-        raises its error here."""
-        with open(self.status, "rb") as pipe:
-            self.status = None
-            data = pipe.read()
-        if not data:
-            raise ChildProcessError(f"a report helper process exited with status {self._wait()}")
-        status = pickle.loads(data)
-        if isinstance(status, Exception):
-            raise status
-        return status
-
-    def text(self) -> Iterator[str]:
-        """The part's rendered text, in chunks, once the helper has exited."""
-        code = self._wait()
-        if code:
-            raise ChildProcessError(f"a report helper process exited with status {code}")
-        self.out.seek(0)
-        yield from iter(lambda: self.out.read(1 << 16), "")
-
-    def _wait(self) -> int:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
-
-    def close(self) -> None:
-        """Stop the helper if it still runs (its text is not wanted), reap
-        it, and release its pipe and file."""
-        if self.pid is not None:
-            import signal  # imported where it is used, so importing pricelab loads no module numpy does not
-
-            os.kill(self.pid, signal.SIGKILL)
-            self._wait()
-        if self.status is not None:
-            os.close(self.status)
-        self.out.close()
-
-
 @contextlib.contextmanager
 def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Iterator[str]]:
     """The blocks of a report of ``catalog`` computed in ``parts`` contiguous
@@ -510,7 +435,7 @@ def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Itera
     begin at catalog index ``start``, and returns their rows' block function,
     the separator between blocks and a status; ``frame(statuses)`` gives the
     report's head and tail from every part's status in catalog order.  Part 0
-    runs in this process and each other part in a forked ``_Helper``.  The
+    runs in this process and each other part in a forked ``Helper``.  The
     context is entered once every part has passed its checks, so a failed run
     writes nothing; otherwise the error of the first failing part in catalog
     order is raised.  The blocks it yields stream part 0 as it renders, then
@@ -519,9 +444,14 @@ def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Itera
     """
     bounds = [-(-len(catalog) * k // parts) for k in range(parts + 1)]
     helpers = []
+
+    def run(products: ProductLanes, start: int):  # a helper's part is never the first: each block follows a separator
+        block, sep, status = part(products, start)
+        return status, _document(sep, len(products), block, sep, "")
+
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            helpers.append(_Helper(part, catalog.take(slice(start, stop)), start))
+            helpers.append(Helper(functools.partial(run, catalog.take(slice(start, stop)), start)))
         # one part reads the catalog itself: a slice would copy its names
         block, sep, status = part(catalog if parts == 1 else catalog.take(slice(bounds[1])), 0)
         head, tail = frame([status, *(helper.checked() for helper in helpers)])
@@ -747,10 +677,10 @@ def check_samples(samples_per_curve: int) -> None:
 
 
 def _curve_part(catalog: ProductLanes, sampled: ExperimentConfig):
-    """The block function of ``catalog``'s revenue-curve rows, after a first
-    pass that sets every product up and tests its curve values, formatting
-    nothing; the first product that cannot be set up or whose curve
-    overflows is an error naming it."""
+    """The block function of ``catalog``'s revenue-curve rows, the separator
+    between blocks and no status, after a first pass that sets every product
+    up and tests its curve values, formatting nothing; the first product that
+    cannot be set up or whose curve overflows is an error naming it."""
     days = [(day.label, sampled.modulation.multiplier(day)) for day in DayType]
     for start in range(0, len(catalog), _BLOCK):
         products = catalog.take(slice(start, start + _BLOCK))
