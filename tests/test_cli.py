@@ -655,8 +655,12 @@ def count_forks(monkeypatch):
     return forks
 
 
-# {label: (more argv, usable CPUs)}: compare at --jobs 1 and 2 on four CPUs
-JOBS_1_2 = {jobs: (["--jobs", str(jobs)], 4) for jobs in (1, 2)}
+def jobs_on_four_cpus(*jobs):
+    """Runs of ``compare`` at each ``--jobs`` value on four CPUs, as
+    ``{label: (more argv, usable CPUs)}``."""
+    return {n: (["--jobs", str(n)], 4) for n in jobs}
+
+
 # curve and optimize, which take no --jobs, on one CPU and on four
 CPUS_1_4 = {cpus: ([], cpus) for cpus in (1, 4)}
 
@@ -724,7 +728,7 @@ class TestJobs:
 
     def compare_reports(self, capsys, monkeypatch, cat, jobs):
         argv = ["compare", "--catalog", str(cat), "--episodes", "30"]
-        return self.reports(capsys, monkeypatch, argv, {n: (["--jobs", str(n)], 4) for n in jobs})[0]
+        return self.reports(capsys, monkeypatch, argv, jobs_on_four_cpus(*jobs))[0]
 
     def test_same_report_at_any_jobs(self, tmp_path, capsys, monkeypatch):
         outputs = self.compare_reports(capsys, monkeypatch, self.parts_catalog(tmp_path), [1, 2, 3])
@@ -772,7 +776,7 @@ class TestJobs:
             assert set(forked.values()) == {0}
         assert outputs["json", 1] == "[]\n"
 
-    def run_both(self, capfd, monkeypatch, argv, runs=JOBS_1_2):
+    def run_both(self, capfd, monkeypatch, argv, runs=jobs_on_four_cpus(1, 2)):
         """Exit code and stderr of ``argv`` under each of ``runs`` ({label:
         (more argv, usable CPUs)}), the same under every run; none writes to
         stdout or leaves a process behind."""
