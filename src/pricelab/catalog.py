@@ -7,26 +7,26 @@ rejected individually with a reason code; they never abort the file,
 because real catalog feeds are dirty and the harness should proceed
 with whatever validates.
 
-Rows are parsed line by line, so a malformed line (wrong column count,
-unparseable number) poisons only itself.  As in CSV, a line ends only
-at CR LF, CR or LF; other characters that ``str.splitlines`` breaks at,
-such as a form feed or U+2028, stay in their field.  No field spans
-lines: ``ProductSpec`` refuses a name that holds CR or LF.
+Rows are read in blocks of lines and checked a column at a time; a
+malformed line (wrong column count, unparseable number) poisons only
+itself.  As in CSV, a line ends only at CR LF, CR or LF; other
+characters that ``str.splitlines`` breaks at, such as a form feed or
+U+2028, stay in their field.  No field spans lines: ``ProductSpec``
+refuses a name that holds CR or LF.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-import math
+import itertools
 import re
-import struct
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .domain import ProductLanes, ProductSpec
+from .domain import PRODUCT_RULES, ProductLanes, ProductSpec, RejectReason
 
 HEADER = ("product_name", "price_elasticity", "base_price", "base_demand")
 COST_COLUMN = "unit_cost"
@@ -51,14 +51,6 @@ SAMPLE_ROWS: tuple[tuple[str, float, float, float], ...] = (
     ('VIZIO 39" FHD', -1.8, 249.8, 59.0),
     ('VIZIO 70" 4K XHDR', -6.5, 1300.0, 36.0),
 )
-
-
-class RejectReason(Enum):
-    NON_NEGATIVE_ELASTICITY = "NonNegativeElasticity"
-    NON_POSITIVE_PRICE = "NonPositivePrice"
-    COST_EXCEEDS_PRICE = "CostExceedsPrice"
-    DUPLICATE_NAME = "DuplicateName"
-    MALFORMED_FIELD = "MalformedField"
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,65 +87,73 @@ def sample_catalog() -> list[ProductSpec]:
     ]
 
 
-def _parse_number(text: str, column: str) -> float:
+# catalog lines read and checked at a time, so the parse holds one block's fields, never every row's
+_BLOCK_LINES = 256
+
+
+def _records(lines: list[str]) -> list[list[str] | str]:
+    """Each line's CSV fields, or why it is not one record, from one strict
+    reader until a quoted field runs past its line (``line_num`` jumps):
+    that line is read alone, which fails, and a fresh reader goes on."""
+    with contextlib.suppress(csv.Error):  # most blocks: one record per line, read in one call
+        if len(records := list(csv.reader(lines, strict=True))) == len(lines):
+            return records
+    records, start, reader = [], 0, csv.reader(lines, strict=True)
+    while len(records) < len(lines):
+        try:
+            record = next(reader)
+        except csv.Error as exc:
+            record = f"bad CSV: {exc}"
+        if start + reader.line_num > len(records) + 1:
+            record, start = _records(lines[len(records) : len(records) + 1])[0], len(records) + 1
+            reader = csv.reader(itertools.islice(lines, start, None), strict=True)
+        records.append(record)
+    return records
+
+
+def _number(text: str) -> float | None:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise ValueError(f"{column}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{column}: not finite: {text!r}")
-    return value
+        return None  # nan in a float64 column
 
 
-# ProductSpec's error for a row -> the row's reject reason and detail
-_SPEC_ERRORS = {
-    "elasticity must be < 0": (RejectReason.NON_NEGATIVE_ELASTICITY, "price_elasticity={elasticity}"),
-    "base_price must be > 0": (RejectReason.NON_POSITIVE_PRICE, "base_price={base_price}"),
-    "base_demand must be >= 0": (RejectReason.MALFORMED_FIELD, "base_demand={base_demand} is negative"),
-    "unit_cost must be >= 0": (RejectReason.MALFORMED_FIELD, "unit_cost={unit_cost} is negative"),
-    "unit_cost must be < base_price": (
-        RejectReason.COST_EXCEEDS_PRICE, "unit_cost={unit_cost} >= base_price={base_price}"
-    ),
-}
-
-
-def _validate_row(
-    fields: list[str], has_cost: bool, seen_names: set[str]
-) -> tuple[ProductSpec | None, RejectReason | None, str]:
-    expected = 5 if has_cost else 4
-    if len(fields) != expected:
-        return None, RejectReason.MALFORMED_FIELD, f"expected {expected} fields, got {len(fields)}"
-
-    name = fields[0].strip()
-    if not name:
-        return None, RejectReason.MALFORMED_FIELD, "empty product_name"
-    try:
-        elasticity = _parse_number(fields[1], "price_elasticity")
-        base_price = _parse_number(fields[2], "base_price")
-        base_demand = _parse_number(fields[3], "base_demand")
-        unit_cost = _parse_number(fields[4], COST_COLUMN) if has_cost else 0.0
-    except ValueError as exc:
-        return None, RejectReason.MALFORMED_FIELD, str(exc)
-
-    try:
-        spec = ProductSpec(name, base_demand, base_price, elasticity, unit_cost)
-    except ValueError as exc:
-        reason, detail = _SPEC_ERRORS[str(exc)]
-        values = dict(elasticity=elasticity, base_price=base_price, base_demand=base_demand, unit_cost=unit_cost)
-        return None, reason, detail.format(**values)
-    if name in seen_names:
-        return None, RejectReason.DUPLICATE_NAME, f"duplicate product_name {name!r}"
-    return spec, None, ""
+def _rejection(row: int, check: int, record: list[str] | str, width: int, values: list[float]) -> RowOutcome:
+    """The outcome of catalog row ``row``, whose first failed check is
+    ``check`` (numbered as in parse_catalog), from its record and its
+    numbers in ProductLanes' field order."""
+    reason, name = RejectReason.MALFORMED_FIELD, None if isinstance(record, str) else record[0].strip()
+    if check == 0:
+        detail = record if name is None else f"expected {width} fields, got {len(record)}"
+    elif check == 1:
+        detail = "empty product_name"
+    elif check < 6:
+        kind = "not a number" if _number(record[check - 1]) is None else "not finite"
+        detail = f"{(*HEADER, COST_COLUMN)[check - 1]}: {kind}: {record[check - 1]!r}"
+    elif check < 6 + len(PRODUCT_RULES):
+        _, _, reason, detail = PRODUCT_RULES[check - 6]
+        detail = detail.format(**dict(zip(("base_demand", "base_price", "elasticity", "unit_cost"), values)))
+    else:
+        reason, detail = RejectReason.DUPLICATE_NAME, f"duplicate product_name {name!r}"
+    return RowOutcome(row, False, reason, detail, name)
 
 
 def parse_catalog(text: str) -> tuple[ProductLanes, ValidationReport]:
     """Parse catalog CSV text into the accepted rows' ``ProductLanes`` and a
-    report of the rejected rows.  Accepted rows keep their input order;
-    each row's ``ProductSpec`` checks it and is dropped once its values are
-    appended.  Raises ValueError only when the header itself is missing or
-    wrong; every data-row problem is reported, not raised.
+    report of the rejected rows.  Accepted rows keep their input order.
+    Raises ValueError only when the header itself is missing or wrong; every
+    data-row problem is reported, not raised.
+
+    The rows are checked a block of lines at a time, a column at a time.  A
+    row's checks are: one record of the header's width (check 0), a name
+    (1), four finite numbers (2-5), then ``PRODUCT_RULES`` (6-10); the first
+    it fails is the argmax of the stacked masks.  A row that passes them all
+    is accepted unless its name was accepted before (11).  Only rejected
+    rows, and that first-seen check, take a step of their own.
     """
-    lines = (line for match in re.finditer(r"[^\r\n]+", text) if (line := match.group()).strip())
+    # the non-blank lines: pieces of about 8K characters that end before a line break, split at LF once CRs are LFs
+    pieces = (m.group().replace("\r\n", "\n").replace("\r", "\n") for m in re.finditer(r"(?s).{1,8192}[^\r\n]*", text))
+    lines = filter(str.strip, itertools.chain.from_iterable(piece.split("\n") for piece in pieces))
     header = next(lines, None)
     if header is None:
         raise ValueError("catalog is empty: header row required")
@@ -164,27 +164,41 @@ def parse_catalog(text: str) -> tuple[ProductLanes, ValidationReport]:
             f"bad catalog header {header!r}; expected "
             f"{','.join(HEADER)}[,{COST_COLUMN}]"
         )
-    has_cost = len(header) == 5
+    width = len(header)
+    filler = ["", "0", "0", "0", "0"][:width]  # the fields checked of a row that check 0 rejects
 
     names: list[str] = []
-    values = bytearray()  # each accepted row's four float64 values, in ProductLanes' field order
+    values = np.empty((text.count("\n") + text.count("\r"), 4))  # a row per line break at most
     report = ValidationReport(accepted=names)
     seen: set[str] = set()
-    for row_number, line in enumerate(lines, start=1):
-        try:
-            fields = next(csv.reader([line], strict=True))
-        except (csv.Error, StopIteration) as exc:
-            fields, spec, reason, detail = [], None, RejectReason.MALFORMED_FIELD, f"bad CSV: {exc}"
-        else:
-            spec, reason, detail = _validate_row(fields, has_cost, seen)
-        if spec is None:
-            name = fields[0].strip() if fields else None
-            report.rejections.append(RowOutcome(row_number, False, reason, detail, name))
-        else:
-            seen.add(spec.name)
-            names.append(spec.name)
-            values += struct.pack("=4d", spec.base_demand, spec.base_price, spec.elasticity, spec.unit_cost)
-    cols = np.frombuffer(values).reshape(-1, 4)  # (n, 1) column views, as ProductLanes.of makes them
+    while records := _records(list(itertools.islice(lines, _BLOCK_LINES))):
+        row = len(names) + len(report.rejections) + 1  # the block's first
+        # a record of another width, or the message of a line that is none ("bad CSV: ..." is longer than 5)
+        broken = np.array(list(map(len, records))) != width
+        fields = [filler if bad else r for r, bad in zip(records, broken.tolist())] if broken.any() else records
+        columns = list(zip(*fields))
+        block_names = list(map(str.strip, columns[0]))
+        numbers = np.zeros((len(records), 4))  # in file order; without a cost column every cost is 0.0
+        for k, column in enumerate(columns[1:]):
+            try:
+                numbers[:, k] = list(map(float, column))
+            except ValueError:  # only this column is converted cell by cell
+                numbers[:, k] = list(map(_number, column))
+        block_values = numbers[:, [2, 1, 0, 3]]
+        lanes = ProductLanes(*block_values.T, block_names)
+        failed = np.column_stack([broken, [not name for name in block_names], ~np.isfinite(numbers)]
+                                 + [fails(lanes) for _, fails, _, _ in PRODUCT_RULES])
+        first, keep = failed.argmax(axis=1), ~failed.any(axis=1)
+        for i in np.flatnonzero(keep).tolist():  # a name goes to the first row accepted with it
+            if block_names[i] in seen:
+                keep[i], first[i] = False, failed.shape[1]
+            seen.add(block_names[i])
+        for i in np.flatnonzero(~keep).tolist():
+            report.rejections.append(_rejection(row + i, int(first[i]), records[i], width, block_values[i].tolist()))
+        accepted = block_values[keep]
+        values[len(names) : len(names) + len(accepted)] = accepted
+        names += itertools.compress(block_names, keep.tolist())
+    cols = values[: len(names)]  # (n, 1) column views, as ProductLanes.of makes them
     return ProductLanes(*(cols[:, k : k + 1] for k in range(4)), names), report
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import IntEnum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -36,6 +36,31 @@ class DayType(IntEnum):
     @property
     def label(self) -> str:
         return "Weekday" if self is DayType.WEEKDAY else "Weekend"
+
+
+class RejectReason(Enum):
+    NON_NEGATIVE_ELASTICITY = "NonNegativeElasticity"
+    NON_POSITIVE_PRICE = "NonPositivePrice"
+    COST_EXCEEDS_PRICE = "CostExceedsPrice"
+    DUPLICATE_NAME = "DuplicateName"
+    MALFORMED_FIELD = "MalformedField"
+
+
+# ProductSpec's value rules in the order they are checked, as (rule, fails, reason, detail).  ``fails`` takes a
+# ProductSpec, or ProductLanes lane by lane, and is true where the rule is broken: ProductSpec raises ``rule``, and
+# parse_catalog rejects the row for ``reason``, with ``detail`` formatted from the row's values
+PRODUCT_RULES = (
+    ("elasticity must be < 0", lambda s: s.elasticity >= 0,
+     RejectReason.NON_NEGATIVE_ELASTICITY, "price_elasticity={elasticity}"),
+    ("base_price must be > 0", lambda s: s.base_price <= 0,
+     RejectReason.NON_POSITIVE_PRICE, "base_price={base_price}"),
+    ("base_demand must be >= 0", lambda s: s.base_demand < 0,
+     RejectReason.MALFORMED_FIELD, "base_demand={base_demand} is negative"),
+    ("unit_cost must be >= 0", lambda s: s.unit_cost < 0,
+     RejectReason.MALFORMED_FIELD, "unit_cost={unit_cost} is negative"),
+    ("unit_cost must be < base_price", lambda s: s.unit_cost >= s.base_price,
+     RejectReason.COST_EXCEEDS_PRICE, "unit_cost={unit_cost} >= base_price={base_price}"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,16 +92,9 @@ class ProductSpec:
         for field_name in ("elasticity", "base_price", "base_demand", "unit_cost"):
             if not math.isfinite(getattr(self, field_name)):
                 raise ValueError(f"{field_name} must be finite")
-        if self.elasticity >= 0:
-            raise ValueError("elasticity must be < 0")
-        if self.base_price <= 0:
-            raise ValueError("base_price must be > 0")
-        if self.base_demand < 0:
-            raise ValueError("base_demand must be >= 0")
-        if self.unit_cost < 0:
-            raise ValueError("unit_cost must be >= 0")
-        if self.unit_cost >= self.base_price:
-            raise ValueError("unit_cost must be < base_price")
+        for rule, fails, _, _ in PRODUCT_RULES:
+            if fails(self):
+                raise ValueError(rule)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from pricelab.catalog import (
+    _BLOCK_LINES,
     RejectReason,
     RowOutcome,
-    _validate_row,
     parse_catalog,
     sample_catalog,
     serialize_catalog,
 )
-from pricelab.domain import ProductSpec
+from pricelab.domain import PRODUCT_RULES, ProductSpec
 
 HEADER = "product_name,price_elasticity,base_price,base_demand"
 
@@ -186,6 +186,41 @@ class TestParseCatalogFuzz:
         assert seen == reasons | {None}
 
 
+def oracle_row(fields: list[str], has_cost: bool, seen: set[str]):
+    """One row's check as ``parse_catalog`` made it before it read columns:
+    ``(spec, None, "")`` or ``(None, reason, detail)``.  The value rules are
+    written out here in their order, apart from ``domain.PRODUCT_RULES``."""
+    expected = 5 if has_cost else 4
+    if len(fields) != expected:
+        return None, RejectReason.MALFORMED_FIELD, f"expected {expected} fields, got {len(fields)}"
+    name = fields[0].strip()
+    if not name:
+        return None, RejectReason.MALFORMED_FIELD, "empty product_name"
+    values = []
+    for text, column in zip(fields[1:], ["price_elasticity", "base_price", "base_demand", "unit_cost"]):
+        try:
+            value = float(text)
+        except ValueError:
+            return None, RejectReason.MALFORMED_FIELD, f"{column}: not a number: {text!r}"
+        if not math.isfinite(value):
+            return None, RejectReason.MALFORMED_FIELD, f"{column}: not finite: {text!r}"
+        values.append(value)
+    e, p, d, c = values if has_cost else values + [0.0]
+    if e >= 0:
+        return None, RejectReason.NON_NEGATIVE_ELASTICITY, f"price_elasticity={e}"
+    if p <= 0:
+        return None, RejectReason.NON_POSITIVE_PRICE, f"base_price={p}"
+    if d < 0:
+        return None, RejectReason.MALFORMED_FIELD, f"base_demand={d} is negative"
+    if c < 0:
+        return None, RejectReason.MALFORMED_FIELD, f"unit_cost={c} is negative"
+    if c >= p:
+        return None, RejectReason.COST_EXCEEDS_PRICE, f"unit_cost={c} >= base_price={p}"
+    if name in seen:
+        return None, RejectReason.DUPLICATE_NAME, f"duplicate product_name {name!r}"
+    return ProductSpec(name, d, p, e, c), None, ""
+
+
 def oracle_parse(text: str) -> tuple[list[ProductSpec], list[RowOutcome]]:
     """The per-row parse of a catalog with a valid header: one spec per
     accepted row and one outcome per row, as ``parse_catalog`` kept them
@@ -199,7 +234,7 @@ def oracle_parse(text: str) -> tuple[list[ProductSpec], list[RowOutcome]]:
         except (csv.Error, StopIteration) as exc:
             outcomes.append(RowOutcome(row_number, False, RejectReason.MALFORMED_FIELD, f"bad CSV: {exc}"))
             continue
-        spec, reason, detail = _validate_row(fields, has_cost, seen)
+        spec, reason, detail = oracle_row(fields, has_cost, seen)
         if spec is None:
             name = fields[0].strip() if fields else None
             outcomes.append(RowOutcome(row_number, False, reason, detail, name))
@@ -282,11 +317,119 @@ class TestParseMatchesPerRowOracle:
         assert reasons == set(RejectReason) | {None}
         assert any(o.detail.startswith("bad CSV") for o in outcomes)
 
+    @pytest.mark.parametrize("text", [HEADER, HEADER + ",unit_cost\r\n \r\n", HEADER + "\r\r"],
+                             ids=["no-line-end", "cost-crlf-blank", "cr"])
+    def test_header_only(self, text):
+        assert_parse_matches_oracle(text)
+        catalog, report = parse_catalog(text)
+        assert catalog.base_price.shape == (0, 1) and catalog.names == [] and report.outcomes == []
+
     def test_sample_and_empty(self):
         assert_parse_matches_oracle(serialize_catalog(sample_catalog()))
         assert_parse_matches_oracle(HEADER + "\n")
         catalog, report = parse_catalog(HEADER + "\n")
         assert catalog.base_price.shape == (0, 1) and catalog.names == [] and report.outcomes == []
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_rows_around_one_block(self, extra):
+        # a rejected row, a quoted field that runs past its line and one open
+        # at the block's last line, and duplicates of earlier rows, last of all
+        # in the next block's first row
+        rows = [f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0" for i in range(_BLOCK_LINES + extra)]
+        special = ["Neg,-1.0,-5.0,1.0", '"Q,-1.0,10.0,5.0', 'R",-1.0,10.0,5.0', "P1,-2.0,20.0,5.0",
+                   '"S,-1.0,10.0,5.0', "P2,-3.0,30.0,5.0"]
+        for offset, line in zip(range(-5, 1), special):
+            if _BLOCK_LINES + offset < len(rows):
+                rows[_BLOCK_LINES + offset] = line
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        assert_parse_matches_oracle(text)
+        catalog, report = parse_catalog(text)
+        want = {_BLOCK_LINES - 4: "base_price=-5.0", _BLOCK_LINES - 3: "bad CSV: unexpected end of data",
+                _BLOCK_LINES - 1: "duplicate product_name 'P1'", _BLOCK_LINES: "bad CSV: unexpected end of data",
+                _BLOCK_LINES + 1: "duplicate product_name 'P2'"}
+        assert [(o.row_number, o.detail) for o in report.rejections] == [
+            (row, detail) for row, detail in want.items() if row <= len(rows)]
+        assert len(catalog) == len(rows) - len(report.rejections) and 'R"' in catalog.names
+
+    def test_quoted_field_past_its_line_mid_block(self):
+        # the quoted field ends on the next line: the first line is bad CSV
+        # read alone, and the next is read afresh, as a product named B"
+        text = HEADER + "\nP0,-1.0,10.0,5.0\n" + '"A\nB",-1,10,5\n' + "P1,-1.0,10.0,5.0\n"
+        assert_parse_matches_oracle(text)
+        catalog, report = parse_catalog(text)
+        assert catalog.names == ["P0", 'B"', "P1"]
+        bad_csv = RowOutcome(2, False, RejectReason.MALFORMED_FIELD, "bad CSV: unexpected end of data")
+        assert report.rejections == [bad_csv]
+
+    @pytest.mark.parametrize("cell", ["n/a", "", "1e", "-1_0", " 5 ", "nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4], ids=HEADER.split(",")[1:] + ["unit_cost"])
+    def test_one_cell_in_a_column(self, column, cell):
+        # one odd cell among good rows: float() rejects the first three and
+        # takes the next two as -10.0 and 5.0; the rest are not finite.  Only
+        # that cell's row may differ from its neighbours
+        rows = [["P0", "-1.5", "100.0", "10.0", "5.0"], ["P1", "-1.5", "100.0", "10.0", "5.0"],
+                ["P2", "-2.5", "200.0", "20.0", "5.0"]]
+        rows[1][column] = cell
+        text = HEADER + ",unit_cost\n" + "\n".join(map(",".join, rows)) + "\n"
+        assert_parse_matches_oracle(text)
+        catalog, report = parse_catalog(text)
+        assert {"P0", "P2"} <= set(catalog.names) and {o.row_number for o in report.rejections} <= {2}
+
+    def test_duplicate_of_a_rejected_row(self):
+        # a name goes to the first row accepted with it, not the first row
+        text = HEADER + "\nA,1.0,10.0,5.0\nA,-1.0,10.0,5.0\nA,-2.0,20.0,5.0\n"
+        assert_parse_matches_oracle(text)
+        catalog, report = parse_catalog(text)
+        assert catalog.elasticity.ravel().tolist() == [-1.0]
+        assert [(o.row_number, o.reason) for o in report.rejections] == [
+            (1, RejectReason.NON_NEGATIVE_ELASTICITY), (3, RejectReason.DUPLICATE_NAME)]
+
+    @pytest.mark.parametrize("end", ["\r", "\n", "\r\n", None], ids=["cr", "lf", "crlf", "mixed"])
+    def test_line_ends(self, end):
+        # past a block, and across the pieces of about 8K characters the text is cut into
+        rng = random.Random(7)
+        lines = [HEADER] + [f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0" for i in range(3000)]
+        text = "".join(line + (end or rng.choice(["\r", "\n", "\r\n"])) for line in lines)
+        assert len(text) > 4 * 8192
+        assert_parse_matches_oracle(text)
+        assert len(parse_catalog(text)[0]) == len(lines) - 1
+
+
+# a value per field that breaks a rule of ProductSpec (two for the cost),
+# next to values that break none
+GOOD_VALUES = {"elasticity": -1.5, "base_price": 100.0, "base_demand": 10.0, "unit_cost": 5.0}
+BAD_VALUES = [("elasticity", 0.5), ("base_price", -5.0), ("base_demand", -3.0), ("unit_cost", -2.0),
+              ("unit_cost", 150.0)]
+FAILING = [[bad] for bad in BAD_VALUES] + [
+    [a, b] for i, a in enumerate(BAD_VALUES) for b in BAD_VALUES[i + 1 :] if a[0] != b[0]]
+
+
+class TestOneRuleTable:
+    """``ProductSpec`` and ``parse_catalog`` evaluate one table of rules,
+    ``PRODUCT_RULES``: on scalars and on columns they must name the same
+    first failing rule, with its reason and detail, and in the order the
+    per-row oracle writes out."""
+
+    @staticmethod
+    def rule_named(values: dict) -> str:
+        with pytest.raises(ValueError) as exc:
+            ProductSpec("P", **values)
+        rule = str(exc.value)
+        [(reason, detail)] = [(reason, detail) for name, _, reason, detail in PRODUCT_RULES if name == rule]
+        cells = [repr(values[k]) for k in ("elasticity", "base_price", "base_demand", "unit_cost")]
+        _, report = parse_catalog(f"{HEADER},unit_cost\nP,{','.join(cells)}\n")
+        assert report.rejections == [RowOutcome(1, False, reason, detail.format(**values), "P")]
+        assert oracle_row(["P", *cells], True, set())[1:] == (reason, detail.format(**values))
+        return rule
+
+    @pytest.mark.parametrize("failing", FAILING, ids=lambda f: "+".join(f"{k}={v}" for k, v in f))
+    def test_first_failing_rule(self, failing):
+        self.rule_named({**GOOD_VALUES, **dict(failing)})
+
+    @pytest.mark.parametrize("rule", [rule for rule, *_ in PRODUCT_RULES])
+    def test_every_rule_is_reached(self, rule):
+        assert rule in {self.rule_named({**GOOD_VALUES, **dict(failing)}) for failing in FAILING}
+        ProductSpec("P", **GOOD_VALUES)  # and the good values pass every rule
 
 
 class TestRoundTrip:

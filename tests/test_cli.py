@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -898,14 +899,46 @@ def test_closed_pipe_exits_141_quietly(tmp_path, command):
     # it is still writing when the reader closes the pipe
     cat = tmp_path / "wide.csv"
     cat.write_text(TestJobs.HEADER + "".join(f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0\n" for i in range(200)))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "pricelab.cli", *command, "--catalog", str(cat)]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
         assert proc.stdout.read(10)
         proc.stdout.close()
         err = proc.stderr.read()  # ends once every process holding stderr, helpers included, has exited
         assert (proc.wait(), err) == (141, b"")
+
+
+def cli_env() -> dict:
+    """The environment of a ``python -m pricelab.cli`` process that imports
+    this pricelab, with standard output block-buffered, as a user's is."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("command, status", [(["compare", "--episodes", "50", "--format", "json"], 0),
+                                             (["curve"], 0), (["validate"], 1)], ids=["compare", "curve", "validate"])
+def test_piped_output_equals_the_output_file(tmp_path, command, status):
+    # python -m pricelab.cli leaves through os._exit, without the interpreter's
+    # last flush: main flushes standard output before it returns, so a pipe
+    # gets every byte.  The catalog is larger than a parse block and has a
+    # rejected row, so validate exits 1
+    cat = tmp_path / "cat.csv"
+    cat.write_text(TestJobs.HEADER + "".join(f"P{i},-1.{i % 9 + 1},{100 + i}.0,{10 + i}.0\n" for i in range(600))
+                   + "Bad,0.5,10.0,5.0\n")
+    argv = [sys.executable, "-m", "pricelab.cli", *command, "--catalog", str(cat)]
+    piped = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    written = subprocess.run([*argv, "-o", str(tmp_path / "out")], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=cli_env())
+    assert (piped.returncode, written.returncode, written.stdout) == (status, status, b"")
+    assert piped.stdout == (tmp_path / "out").read_bytes() and len(piped.stdout) > io.DEFAULT_BUFFER_SIZE
+    assert piped.stderr == written.stderr
+
+
+def test_console_script_is_the_hard_exit():
+    # the pricelab command runs main through run(), which ends with os._exit;
+    # pointing the script elsewhere changes how every command exits
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert re.search(r'^pricelab = "pricelab\.cli:run"$', pyproject.read_text(encoding="utf-8"), re.M)
 
 
 @pytest.mark.parametrize(
