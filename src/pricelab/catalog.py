@@ -92,22 +92,18 @@ _BLOCK_LINES = 256
 
 
 def _records(lines: list[str]) -> list[list[str] | str]:
-    """Each line's CSV fields, or why it is not one record, from one strict
-    reader until a quoted field runs past its line (``line_num`` jumps):
-    that line is read alone, which fails, and a fresh reader goes on."""
+    """Each line's CSV fields, or why it is not one record: from one strict
+    reader, unless the block's lines are not one record each (a quoted field
+    runs past its line), when each line is read alone by a strict reader."""
     with contextlib.suppress(csv.Error):  # most blocks: one record per line, read in one call
         if len(records := list(csv.reader(lines, strict=True))) == len(lines):
             return records
-    records, start, reader = [], 0, csv.reader(lines, strict=True)
-    while len(records) < len(lines):
+    records = []
+    for line in lines:
         try:
-            record = next(reader)
+            records.append(next(csv.reader([line], strict=True)))
         except csv.Error as exc:
-            record = f"bad CSV: {exc}"
-        if start + reader.line_num > len(records) + 1:
-            record, start = _records(lines[len(records) : len(records) + 1])[0], len(records) + 1
-            reader = csv.reader(itertools.islice(lines, start, None), strict=True)
-        records.append(record)
+            records.append(f"bad CSV: {exc}")
     return records
 
 

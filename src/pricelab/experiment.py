@@ -38,8 +38,9 @@ error row comes from its own template.  The JSON equals
 the error for the first non-finite value (``json.dumps`` uses its C
 encoder only without ``indent``).  These and ``revenue_curve_blocks``
 (``curve``) run a whole catalog through one part runner, ``_run_parts``:
-contiguous parts, one per process (``compare``: up to ``--jobs``;
-``optimize`` and ``curve``: one per usable CPU, at most one per block).
+contiguous parts, one per process and one per usable CPU, capped at
+``--jobs`` and the product count (``compare``) or at the blocks
+(``optimize`` and ``curve``).
 Each part runs every check that can fail first, an unknown format
 included, then the report is a lazy sequence of text blocks of ``_BLOCK``
 products, so a writer holds one block at a time; ``render_report`` and
@@ -417,19 +418,12 @@ def _document(head: str, count: int, block, sep: str, tail: str) -> Iterator[str
     yield tail
 
 
-def _report_part(catalog: ProductLanes, config: ExperimentConfig, format: str, start: int):
-    """Compare the part of a catalog that begins at catalog index ``start``:
-    its rows' block function, the separator between blocks, and whether it
-    has a clamped optimum, after every check of its rows."""
-    result = compare_columns(catalog, config, start)
-    block, sep = _report_rows(result, format)
-    return block, sep, bool(result.baselines.clamped.any())
-
-
 @contextlib.contextmanager
-def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Iterator[str]]:
-    """The blocks of a report of ``catalog`` computed in ``parts`` contiguous
-    parts, one per process.
+def _run_parts(catalog: ProductLanes, most: int, per: int, part, frame) -> Iterator[Iterator[str]]:
+    """The blocks of a report of ``catalog`` computed in contiguous parts, one
+    per process: one per usable CPU (one where os.sched_getaffinity is
+    missing, as on macOS and Windows), at most ``most``, and at most one per
+    ``per`` products.
 
     ``part(products, start)`` sets up, checks and computes the products that
     begin at catalog index ``start``, and returns their rows' block function,
@@ -442,6 +436,8 @@ def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Itera
     each helper's text in turn.  Every helper is reaped when the context is
     left, on every path.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, most, -(-len(catalog) // per)))
     bounds = [-(-len(catalog) * k // parts) for k in range(parts + 1)]
     helpers = []
 
@@ -468,14 +464,6 @@ def _run_parts(catalog: ProductLanes, parts: int, part, frame) -> Iterator[Itera
             helper.close()
 
 
-def _cpu_parts(catalog: ProductLanes) -> int:
-    """The parts ``curve`` and ``optimize`` run in: one per usable CPU (one
-    where os.sched_getaffinity is missing, as on macOS and Windows), and at
-    most one per block of ``_BLOCK`` products."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, -(-len(catalog) // _BLOCK)))
-
-
 def compare_report(
     catalog: ProductLanes, config: ExperimentConfig, format: str = "csv", jobs: int = 1
 ) -> contextlib.AbstractContextManager[Iterator[str]]:
@@ -483,7 +471,7 @@ def compare_report(
     config), format, config)``, the same text, computed in up to ``jobs`` processes.
 
     The catalog is split into contiguous parts (``_run_parts``), one per
-    process, capped at the usable CPUs and the product count.  Every part
+    usable CPU, capped at ``jobs`` and the product count.  Every part
     compares its products with the seeds of their catalog indices and the
     kernel the ``train_lanes`` rule picks for it, so every table is the same
     bits at any ``jobs``.
@@ -492,12 +480,12 @@ def compare_report(
     # every part reads, fail here, before any fork or training
     _text_cells(format, "")
     epsilon_schedule(config.hyperparams)
-    parts = max(1, min(jobs, len(catalog)))
-    if parts > 1:  # os.sched_getaffinity is missing on some platforms (macOS, Windows)
-        if not hasattr(os, "sched_getaffinity"):
-            raise ValueError("more than one job needs os.sched_getaffinity, which this platform lacks")
-        parts = min(parts, len(os.sched_getaffinity(0)))
-    return _run_parts(catalog, parts, lambda products, start: _report_part(products, config, format, start),
+
+    def part(products: ProductLanes, start: int):  # its rows, and whether it has a clamped optimum
+        result = compare_columns(products, config, start)
+        return (*_report_rows(result, format), bool(result.baselines.clamped.any()))
+
+    return _run_parts(catalog, jobs, 1, part,
                       lambda clamped: _report_frame(format, config, bool(catalog), any(clamped)))
 
 
@@ -653,7 +641,7 @@ def optimize_report(
     def part(products: ProductLanes, start: int):
         return (*_optimize_rows(products.names, optimize_columns(products, config), format), None)
 
-    return _run_parts(catalog, _cpu_parts(catalog), part, lambda statuses: _optimize_frame(format, bool(catalog)))
+    return _run_parts(catalog, len(catalog), _BLOCK, part, lambda statuses: _optimize_frame(format, bool(catalog)))
 
 
 def _curves(products: ProductLanes, sampled: ExperimentConfig) -> tuple:
@@ -718,7 +706,7 @@ def revenue_curve_blocks(
     ``_curve_part`` pass."""
     check_samples(samples_per_curve)
     sampled = replace(config, grid_points=samples_per_curve)
-    return _run_parts(catalog, _cpu_parts(catalog), lambda products, start: _curve_part(products, sampled),
+    return _run_parts(catalog, len(catalog), _BLOCK, lambda products, start: _curve_part(products, sampled),
                       lambda statuses: ("product,day,price,demand,revenue,profit\n", ""))
 
 

@@ -667,11 +667,11 @@ CPUS_1_4 = {cpus: ([], cpus) for cpus in (1, 4)}
 
 
 class TestJobs:
-    """``compare --jobs N`` splits the catalog into up to N contiguous parts,
-    one per process, capped at the usable CPUs and the product count;
-    ``curve`` and ``optimize`` split it into one part per usable CPU, capped
-    at its blocks of ``_BLOCK`` products.  All three go through one part
-    runner."""
+    """``compare``, ``curve`` and ``optimize`` split the catalog into
+    contiguous parts, one per process and one per usable CPU, through one
+    part runner: ``compare --jobs N`` caps them at N and the product count,
+    ``curve`` and ``optimize`` at the catalog's blocks of ``_BLOCK``
+    products."""
 
     HEADER = "product_name,price_elasticity,base_price,base_demand\n"
     BIG = "Big,-0.5,100.0,1e307\n"  # its optimum and its curve overflow
@@ -752,6 +752,11 @@ class TestJobs:
         assert len(lines) == 1 + count * per_product
         assert lines[1 + 7 * per_product].startswith('"Say ""hé"", |7",Weekday,')
         assert lines[-1].startswith(f"P{count - 1},Weekend,")
+        # compare sizes its parts by the same rule: --jobs 2 with no
+        # os.sched_getaffinity runs one part, as --jobs 1 does
+        compare = ["compare", "--catalog", argv[2], "--episodes", "2"]
+        _, forked = self.reports(capsys, monkeypatch, compare, {jobs: (["--jobs", str(jobs)], None) for jobs in (1, 2)})
+        assert set(forked.values()) == {0}
 
     def test_same_report_to_a_file(self, tmp_path, capsys, four_cpus):
         argv = ["compare", "--catalog", str(self.parts_catalog(tmp_path)), "--episodes", "30", "--format", "json"]
@@ -867,13 +872,6 @@ class TestJobs:
         one.write_text(self.HEADER + "A,-1.5,100.0,10.0\n")
         code, _, err = run(capsys, ["compare", "--catalog", str(one), *FAST, "--jobs", "4"])  # one part only
         assert (code, err) == (0, "")
-
-    def test_more_jobs_without_cpu_affinity_exit_two(self, capsys, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity")
-        code, out, err = run(capsys, ["compare", *FAST, "--jobs", "2"])
-        assert (code, out) == (2, "")
-        assert err == "pricelab: error: more than one job needs os.sched_getaffinity, which this platform lacks\n"
-        no_child_left()
 
     def test_forks_at_most_one_process_per_cpu_and_product(self, tmp_path, capsys, monkeypatch):
         # compare at a huge --jobs on three products; curve and optimize on three
