@@ -106,8 +106,7 @@ def run_train_kernel(
     (see ``_step_codes``) is appended to it.
     """
     n_states, n_actions = rewards.shape
-    alpha = float(alpha)
-    gamma = float(gamma)
+    alpha, gamma = float(alpha), float(gamma)
     keep = 1.0 - alpha
 
     # plain Python floats/ints: same IEEE values, much faster scalar ops
@@ -338,23 +337,26 @@ def run_lockstep_kernel(
     ``rng_states`` one nonzero xorshift64 state per lane; the calendar,
     epsilon schedule, ``alpha`` and ``gamma`` are shared.  Each lane's
     table is bitwise equal to ``run_train_kernel`` on that lane's inputs.
+    A C-contiguous ``rewards`` (a chunk, or a slice of one) is read in
+    place, any other layout through one C-ordered copy; the tables are a
+    transposed view of the walk's own state-major array.
     """
     n_lanes, n_states, n_actions = rewards.shape
-    alpha = float(alpha)
-    gamma = float(gamma)
+    alpha, gamma = float(alpha), float(gamma)
     keep = 1.0 - alpha
 
-    # state-major layout: the rows of one state are one contiguous block
+    # state-major layout: q[s].reshape(-1)[p * n_actions + a] is q[s, p, a],
+    # and rewards[p, s, a] is r_all at that index plus shift[s][p]
     q = np.zeros((n_states, n_lanes, n_actions))
-    q_flat = [q[s].reshape(-1) for s in range(n_states)]
-    r_flat = [np.ascontiguousarray(rewards[:, s, :]).reshape(-1) for s in range(n_states)]
+    r_all = rewards.reshape(-1)
     lane_offsets = np.arange(n_lanes) * n_actions
+    shift = [lane_offsets * (n_states - 1) + s * n_actions for s in range(n_states)]
     # best[s, p] is the float max(q[s, p]) returns, and arg[s, p] the lowest
-    # index holding it, as an index into q_flat[s]
+    # index holding it, as an index into q[s].reshape(-1)
     best = np.zeros((n_states, n_lanes))
     arg = np.tile(lane_offsets, (n_states, 1))
     calendar = [
-        (q[s], q_flat[s], r_flat[s], best[s], arg[s], best[ns])
+        (q[s], q[s].reshape(-1), shift[s], best[s], arg[s], best[ns])
         for s, ns in zip(day_types.tolist(), next_day_types.tolist())
     ]
 
@@ -391,14 +393,14 @@ def run_lockstep_kernel(
             if k <= 0:
                 break
             # the range comes first, so zip stops before it takes another day
-            for row, below, (qs, qs_flat, rs_flat, bs, g, best_ns) in zip(
+            for row, below, (qs, qs_flat, rs_shift, bs, g, best_ns) in zip(
                 range(t * n_lanes, (t + k) * n_lanes, n_lanes), belows, days
             ):
                 explore = top[row:].take(at) < below
                 idx = np.where(explore, acts[row:].take(at), g)
                 at += explore * n_lanes
                 # bootstrap read before the write: ns may equal s
-                v = keep * qs_flat[idx] + alpha * (rs_flat[idx] + gamma * best_ns)
+                v = keep * qs_flat[idx] + alpha * (r_all[idx + rs_shift] + gamma * best_ns)
                 qs_flat[idx] = v
                 # the scalar kernel's rule, lane by lane: a value above the best, or
                 # equal to it at an index no higher than the greedy one, becomes the
@@ -417,4 +419,4 @@ def run_lockstep_kernel(
         # every lane resumes after the last word it read
         x = words.reshape(-1)[at + (t - 1) * n_lanes]
 
-    return np.ascontiguousarray(q.transpose(1, 0, 2))
+    return q.transpose(1, 0, 2)

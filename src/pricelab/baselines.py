@@ -112,8 +112,8 @@ def _analytic(lanes: ProductLanes, lo: np.ndarray, hi: np.ndarray, multiplier: f
 def _grid_search(lanes: ProductLanes, grids: np.ndarray, multiplier: float) -> Columns:
     profit = lanes.reward(grids, lanes.demand(grids, multiplier))
     nan = np.isnan(profit)
-    best = np.where(nan, -np.inf, profit).argmax(axis=1)
-    best[nan[:, 0]] = 0
+    profit[nan] = -np.inf
+    best = np.where(nan[:, 0], 0, profit.argmax(axis=1))
     price = np.take_along_axis(grids, best[:, None], axis=1)
     clamped = (best == 0) | (best == grids.shape[1] - 1)
     return _columns(lanes, price, multiplier, clamped)

@@ -223,7 +223,8 @@ def _uniform_grids(
         start = lo_ratio * base
         stop = hi_ratio * base
         step = (stop - start) / (num_points - 1)
-        grids = np.arange(num_points, dtype=np.float64) * step + start
+        grids = np.arange(num_points, dtype=np.float64) * step
+        grids += start
         grids[:, -1:] = stop
         overflows = ~np.isfinite(stop[:, 0])
         nonpositive = grids[:, 0] <= 0

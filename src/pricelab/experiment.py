@@ -246,12 +246,14 @@ def _run_chunks(
     the products whose setup, rewards and optima are usable are trained
     (``train_lanes``, which picks the kernel per chunk) and their greedy
     price, demand and profit written into the three ``(n, 2)`` arrays of
-    ``rl``.  An unusable grid or cost is a product's first error, then
-    overflowing rewards, then an overflowing optimum.  ``catalog`` may be
-    the part of a larger catalog that begins at catalog index ``start``;
-    every product's seed comes from its catalog index.  Without ``rl``
-    (``optimize``) every error is fatal, so no chunk after the first one
-    with an error is run.
+    ``rl``.  The baselines, the training and the greedy read get a chunk's
+    lanes, grids and rewards in place (a slice) while none of its products
+    has failed, else a copy of the usable rows (an index list).  An unusable
+    grid or cost is a product's first error, then overflowing rewards, then
+    an overflowing optimum.  ``catalog`` may be the part of a larger catalog
+    that begins at catalog index ``start``; every product's seed comes from
+    its catalog index.  Without ``rl`` (``optimize``) every error is fatal,
+    so no chunk after the first one with an error is run.
     """
     errors = {}
     for lo in range(0, len(catalog), _CHUNK):
@@ -259,10 +261,10 @@ def _run_chunks(
         lanes, grids, failed = prepare_products(chunk, config)
         if rl is not None:
             rewards, overflow = reward_lanes(lanes, grids, config.modulation, config.hyperparams.gamma)
-            for index, reason in overflow.items():
-                failed.setdefault(index, reason)  # an unusable grid is the first error
+            failed = {**overflow, **failed}  # an unusable grid is the first error
         usable = [index for index in range(len(chunk)) if index not in failed]
-        optima = columns_by_day(lanes.take(usable), grids[usable], config.modulation)
+        rows = slice(None) if len(usable) == len(chunk) else usable
+        optima = columns_by_day(lanes.take(rows), grids[rows], config.modulation)
         for row, reason in optimize_overflow(optima).items():
             failed[usable[row]] = reason
         errors.update((lo + index, reason) for index, reason in failed.items())
@@ -275,8 +277,9 @@ def _run_chunks(
             out[at] = column[kept]
         if rl is not None:
             seeds = [config.seed(start + index) for index in at]
-            values = train_lanes(rewards[trained], config.hyperparams, seeds)
-            for out, column in zip(rl, greedy_lanes(values, lanes.take(trained), grids[trained], config.modulation)):
+            rows = slice(None) if len(trained) == len(chunk) else trained
+            values = train_lanes(rewards[rows], config.hyperparams, seeds)
+            for out, column in zip(rl, greedy_lanes(values, lanes.take(rows), grids[rows], config.modulation)):
                 out[at] = column
     return errors
 

@@ -245,14 +245,7 @@ def train(
         rewards, seed_to_state(hp.seed), days, next_days, epsilons, alpha, gamma, codes=pieces
     )
     codes = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.int64)
-    totals, visits, policies = _replay_log(rewards, days, codes, log)
-    trace = TrainingTrace(
-        epsilons=epsilons,
-        episode_rewards=totals,
-        visit_counts=visits,
-        greedy_policies=policies,
-    )
-    return QTable(values), trace
+    return QTable(values), TrainingTrace(epsilons, *_replay_log(rewards, days, codes, log))
 
 
 def _replay_log(
@@ -301,7 +294,8 @@ def train_lanes(rewards: np.ndarray, hp: Hyperparams, seeds: list[int]) -> np.nd
     """Train many products at once, without a trace; returns
     their Q tables, shape ``(n, 2, points)``.
 
-    ``rewards`` holds rows of ``reward_lanes`` that do not overflow, and
+    ``rewards`` holds rows of ``reward_lanes`` that do not overflow, read in
+    place (in lockstep, any layout but C order is copied once), and
     ``seeds[p]`` is product ``p``'s seed; ``hp.seed`` is not used.  Each
     table is bitwise equal to the one ``train`` returns for that product
     and seed.

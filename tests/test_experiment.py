@@ -355,6 +355,39 @@ class TestChunks:
                 for got, want in zip(arrays(result), arrays(whole)):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
 
+    def test_a_chunk_trains_its_own_rewards_unless_a_product_failed(self, monkeypatch):
+        import pricelab.experiment as experiment
+
+        built, trained = [], []
+        reward_lanes, train_lanes = experiment.reward_lanes, experiment.train_lanes
+
+        def spy_rewards(*args):
+            rewards, overflow = reward_lanes(*args)
+            built.append(rewards)
+            return rewards, overflow
+
+        def spy_train(rewards, hp, seeds):
+            trained.append(rewards)
+            return train_lanes(rewards, hp, seeds)
+
+        monkeypatch.setattr(experiment, "reward_lanes", spy_rewards)
+        monkeypatch.setattr(experiment, "train_lanes", spy_train)
+        config = quick_config(hyperparams=Hyperparams(episodes=5))
+        for bad_rows in (False, True):
+            built.clear()
+            trained.clear()
+            result = compare_columns(ProductLanes.of(chunked_catalog(bad_rows)), config)
+            [chunk], [rewards] = built, trained
+            if not bad_rows:
+                # no product failed: the chunk's own array, read in place
+                assert rewards.shape == chunk.shape and np.shares_memory(rewards, chunk)
+            else:
+                # a copy of the trainable rows only
+                kept = [index for index in range(len(chunk)) if index not in result.errors]
+                assert len(kept) == len(chunk) - 3
+                assert not np.shares_memory(rewards, chunk)
+                assert rewards.tobytes() == chunk[kept].tobytes()
+
     def test_optimize_columns_equal_across_chunk_sizes(self, monkeypatch):
         import pricelab.experiment as experiment
 

@@ -363,6 +363,71 @@ class TestLockstep:
                 train(spec, grid, hp=small_hp())
 
 
+def view_rewards():
+    """(id, rewards) pairs: the lockstep kernel reads a C-contiguous reward
+    array in place, so every other layout and every edge row count is
+    checked against the scalar walk."""
+    specs = varied_specs(10, 7)
+    grids = np.array([default_price_grid(spec, 9).as_array() for spec in specs])
+    rewards, overflow = reward_lanes(ProductLanes.of(specs), grids, DayModulation(1.0, 1.2), 0.9)
+    assert not overflow
+    # small integers: many actions tie for the best value, at lower and higher indices
+    ties = np.array([[[(p + a * a) % 3 for a in range(9)], [(p * a) % 2 for a in range(9)]] for p in range(10)], float)
+    ties[::3, 1, ::4] = -0.0
+    return [
+        ("strided", rewards[::2]),
+        ("fortran", np.asfortranarray(rewards)),
+        ("one-lane", rewards[3:4]),
+        ("ties", ties),
+        ("strided-ties", ties[1::3]),
+    ]
+
+
+class TestRewardViews:
+    HP = small_hp(episodes=200, alpha=1.0, epsilon_decay=0.97)
+
+    @pytest.mark.parametrize("rewards", [r for _, r in view_rewards()], ids=[i for i, _ in view_rewards()])
+    def test_tables_bitwise_equal_to_the_scalar_walk(self, rewards, monkeypatch):
+        before = rewards.copy()
+        seeds = [3 * p + 1 for p in range(len(rewards))]
+        shared = qlearn._shared_kernel_args(self.HP)
+        expected = [
+            _kernels.run_train_kernel(np.ascontiguousarray(r), seed_to_state(seed), *shared)[0]
+            for r, seed in zip(rewards, seeds)
+        ]
+        states = np.array([seed_to_state(seed) for seed in seeds], dtype=np.uint64)
+        tables = _kernels.run_lockstep_kernel(rewards, states, *shared)
+        assert [t.tobytes() for t in tables] == [e.tobytes() for e in expected]
+        assert_train_lanes_paths(monkeypatch, rewards, self.HP, seeds, expected)
+        assert rewards.tobytes() == before.tobytes()  # read, never written
+
+    def test_lockstep_allocates_one_table_and_the_word_blocks(self):
+        # 256 lanes of 1,024 prices: 4 MB of rewards, far more than the word
+        # blocks; the walk allocates its state-major Q array and returns a view
+        # of it, and reads the rewards in place
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        rewards = rng.random((256, 2, 1024))
+        seeds = list(range(256))
+        hp = small_hp(episodes=20)
+        train_lanes(rewards, hp, seeds)  # warm the caches: the schedule, the jump table
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tables = train_lanes(rewards, hp, seeds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(tables, rewards)
+        # each array of a block of words holds at most _BLOCK_WORDS words: the
+        # words, their top bits, the action indices and their float temporary,
+        # the previous block's arrays while the next is drawn, and the copy
+        # that puts a block's jump-ahead lanes in stream order
+        blocks = 8 * _kernels._BLOCK_WORDS * 8
+        assert peak <= rewards.nbytes + blocks, (peak, rewards.nbytes)
+
+
 class TestReplayParity:
     """Training must equal a step-by-step replay through the public ops."""
 

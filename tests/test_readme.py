@@ -1,0 +1,13 @@
+"""README's Library example runs against the current API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(code, f"{README.name} (## Library)", "exec"), {})
