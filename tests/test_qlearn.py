@@ -3,6 +3,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -386,7 +387,7 @@ def view_rewards():
 class TestRewardViews:
     HP = small_hp(episodes=200, alpha=1.0, epsilon_decay=0.97)
 
-    @pytest.mark.parametrize("rewards", [r for _, r in view_rewards()], ids=[i for i, _ in view_rewards()])
+    @pytest.mark.parametrize("rewards", [pytest.param(r, id=i) for i, r in view_rewards()])
     def test_tables_bitwise_equal_to_the_scalar_walk(self, rewards, monkeypatch):
         before = rewards.copy()
         seeds = [3 * p + 1 for p in range(len(rewards))]
@@ -405,8 +406,6 @@ class TestRewardViews:
         # 256 lanes of 1,024 prices: 4 MB of rewards, far more than the word
         # blocks; the walk allocates its state-major Q array and returns a view
         # of it, and reads the rewards in place
-        import tracemalloc
-
         rng = np.random.default_rng(5)
         rewards = rng.random((256, 2, 1024))
         seeds = list(range(256))
